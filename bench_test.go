@@ -92,7 +92,7 @@ func BenchmarkMUPsParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := coverage.NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
-		if mups := s.MUPsParallel(parallel.Auto); len(mups) > 1000 {
+		if mups := s.MUPs(parallel.Auto, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
 	}
@@ -178,7 +178,7 @@ func BenchmarkMUPs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := coverage.NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
-		if mups := s.MUPs(); len(mups) > 1000 {
+		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
 	}
@@ -379,7 +379,7 @@ func BenchmarkMUPsObs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := coverage.NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
 		s.Obs = reg
-		if mups := s.MUPs(); len(mups) > 1000 {
+		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
 	}
@@ -513,7 +513,7 @@ func BenchmarkPredicateEvalOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cp.CountFast() == 0 {
+		if cp.CountFast(nil) == 0 {
 			b.Fatal("empty count")
 		}
 	}

@@ -14,7 +14,7 @@
 // wall time, never table contents (the measured-ms cells of E3/E18 vary
 // with machine load either way). The same holds for the deterministic
 // counter section of the -obs report: it is bit-identical at any worker
-// count; only the runtime section (chunk geometry, spans) varies.
+// count; only the runtime section (chunk geometry) varies.
 package main
 
 import (
@@ -103,7 +103,6 @@ func main() {
 		len(results), total.Round(time.Millisecond), parallel.Workers(*workers))
 
 	if reg != nil {
-		reg.RecordSpan("experiments.run_all", total)
 		if *obsFlag {
 			fmt.Println()
 			if err := reg.WriteText(os.Stdout); err != nil {

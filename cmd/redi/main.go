@@ -62,13 +62,27 @@ func startTrace(path, name string) (*trace.Span, func() error) {
 	}
 }
 
-// writeObsReport emits the observability report requested by the shared
-// -obs/-obs-json flags. The human-readable report goes to stderr because
-// audit and tailor use stdout for their primary output (tables, CSV).
-func writeObsReport(reg *obs.Registry, show bool, jsonPath string) error {
-	if reg == nil {
-		return nil
+// startObs sets up the report requested by the shared -obs/-obs-json
+// flags. The registry is installed process-wide, so every counter that
+// resolves through obs.Active(nil) — predicate compiles and scans, column
+// file pages, partition pruning — lands in it next to the counters of sites
+// that take it explicitly. The returned func uninstalls the registry and
+// writes the report; the human-readable report goes to stderr because the
+// commands use stdout for their primary output (tables, CSV). With neither
+// flag set the registry is nil and the func a no-op.
+func startObs(show bool, jsonPath string) (*obs.Registry, func() error) {
+	if !show && jsonPath == "" {
+		return nil, func() error { return nil }
 	}
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	return reg, func() error {
+		obs.Enable(nil)
+		return writeObsReport(reg, show, jsonPath)
+	}
+}
+
+func writeObsReport(reg *obs.Registry, show bool, jsonPath string) error {
 	if show {
 		if err := reg.WriteText(os.Stderr); err != nil {
 			return err
@@ -353,13 +367,7 @@ func cmdAudit(args []string) error {
 	if len(sens) == 0 {
 		return fmt.Errorf("no sensitive attributes (set -sensitive or schema roles)")
 	}
-	var reg *obs.Registry
-	if *obsFlag || *obsJSON != "" {
-		// Audit takes no registry parameter; the process-wide registry
-		// catches its counters (and the coverage walk's, below it).
-		reg = obs.NewRegistry()
-		obs.Enable(reg)
-	}
+	_, finishObs := startObs(*obsFlag, *obsJSON)
 	reqs := []core.Requirement{
 		core.CoverageRequirement{Attrs: sens, Threshold: *threshold},
 		core.CompletenessRequirement{Sensitive: sens, MaxNullRate: *maxNull},
@@ -367,15 +375,15 @@ func cmdAudit(args []string) error {
 	sp, finishTrace := startTrace(*tracePath, "audit")
 	var rep *core.AuditReport
 	if in.pd != nil {
-		rep = core.AuditPartitionedTraced(in.pd, reqs, *workers, sp)
+		rep = core.AuditPartitioned(in.pd, reqs, *workers, sp)
 	} else {
-		rep = core.AuditTraced(in.d, reqs, sp)
+		rep = core.Audit(in.d, reqs, sp)
 	}
 	if err := finishTrace(); err != nil {
 		return err
 	}
 	fmt.Print(rep.String())
-	if err := writeObsReport(reg, *obsFlag, *obsJSON); err != nil {
+	if err := finishObs(); err != nil {
 		return err
 	}
 	if !rep.Satisfied() {
@@ -453,10 +461,7 @@ func cmdTailor(args []string) error {
 	if *sensitive != "" {
 		sens = strings.Split(*sensitive, ",")
 	}
-	var reg *obs.Registry
-	if *obsFlag || *obsJSON != "" {
-		reg = obs.NewRegistry()
-	}
+	reg, finishObs := startObs(*obsFlag, *obsJSON)
 	sp, finishTrace := startTrace(*tracePath, "tailor")
 	p := &core.Pipeline{
 		Sources: sources, PartitionedSources: partSources, Workers: *workers,
@@ -471,7 +476,7 @@ func cmdTailor(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "tailored %d rows in %d draws, cost %.2f (strategy %s)\n",
 		res.Data.NumRows(), res.Tailor.Draws, res.Tailor.TotalCost, res.Tailor.Strategy)
-	if err := writeObsReport(reg, *obsFlag, *obsJSON); err != nil {
+	if err := finishObs(); err != nil {
 		return err
 	}
 	w := os.Stdout
@@ -541,11 +546,7 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	defer in.close()
-	var reg *obs.Registry
-	if *obsFlag || *obsJSON != "" {
-		reg = obs.NewRegistry()
-		obs.Enable(reg)
-	}
+	_, finishObs := startObs(*obsFlag, *obsJSON)
 	sp, finishTrace := startTrace(*tracePath, "query")
 	if in.pd != nil {
 		pp, err := expr.CompilePartitioned(*exprSrc, in.pd)
@@ -561,19 +562,19 @@ func cmdQuery(args []string) error {
 			// Materialize only the matching rows: each touched partition's
 			// pages are fetched once by AppendRowsTo.
 			out := dataset.New(in.pd.Schema())
-			if err := in.pd.AppendRowsTo(out, pp.SelectIndicesTraced(*workers, sp)); err != nil {
+			if err := in.pd.AppendRowsTo(out, pp.SelectIndices(*workers, sp)); err != nil {
 				return err
 			}
 			if err := out.WriteCSV(os.Stdout); err != nil {
 				return err
 			}
 		} else {
-			fmt.Println(pp.CountTraced(*workers, sp))
+			fmt.Println(pp.Count(*workers, sp))
 		}
 		if err := finishTrace(); err != nil {
 			return err
 		}
-		return writeObsReport(reg, *obsFlag, *obsJSON)
+		return finishObs()
 	}
 	cp, err := expr.Compile(*exprSrc, in.d)
 	if err != nil {
@@ -585,16 +586,16 @@ func cmdQuery(args []string) error {
 		fmt.Fprint(os.Stderr, cp.Disassemble())
 	}
 	if *doSelect {
-		if err := cp.SelectTraced(sp).WriteCSV(os.Stdout); err != nil {
+		if err := cp.Select(sp).WriteCSV(os.Stdout); err != nil {
 			return err
 		}
 	} else {
-		fmt.Println(cp.CountFastTraced(sp))
+		fmt.Println(cp.CountFast(sp))
 	}
 	if err := finishTrace(); err != nil {
 		return err
 	}
-	return writeObsReport(reg, *obsFlag, *obsJSON)
+	return finishObs()
 }
 
 func cmdSample(args []string) error {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"redi/internal/core"
 	"redi/internal/dataset"
+	"redi/internal/obs"
 	"redi/internal/rng"
 	"redi/internal/synth"
 )
@@ -158,6 +162,73 @@ func TestCmdTailor(t *testing.T) {
 	g := got.GroupBy("race", "sex")
 	if g.Count(dataset.GroupKey(key)) != 10 {
 		t.Fatalf("group %s count = %d", key, g.Count(dataset.GroupKey(key)))
+	}
+}
+
+// TestCmdTailorObsReport: tailor's -obs-json report carries the kernel
+// counters that resolve through the process-wide registry (the pipeline's
+// null-scan predicate compiles) and counts nothing twice: its counters
+// equal those of the same pipeline run against one enabled registry.
+func TestCmdTailorObsReport(t *testing.T) {
+	set := synth.GenerateSources(synth.SourceConfig{
+		Population:        synth.DefaultPopulation(0),
+		NumSources:        2,
+		RowsPerSource:     400,
+		SkewConcentration: 5,
+	}, rng.New(3))
+	paths := []string{writeTempCSV(t, set.Sources[0]), writeTempCSV(t, set.Sources[1])}
+	key := ""
+	for gi, k := range set.Groups {
+		if set.GroupDists[0][gi] > 0.05 && set.GroupDists[1][gi] > 0.05 {
+			key = string(k)
+			break
+		}
+	}
+	if key == "" {
+		t.Skip("no shared group in this draw")
+	}
+	obsPath := filepath.Join(t.TempDir(), "obs.json")
+	args := []string{"-schema", popSchema, "-need", key + ":10", "-out", filepath.Join(t.TempDir(), "out.csv"), "-obs-json", obsPath}
+	if err := cmdTailor(append(args, paths...)); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Active(nil) != nil {
+		t.Fatal("tailor left its registry installed process-wide")
+	}
+	b, err := os.ReadFile(obsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got obs.Report
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Counters["dataset.predicate_compiles"] == 0 {
+		t.Fatalf("tailor report lacks dataset.predicate_compiles: %v", got.Counters)
+	}
+
+	schema, err := parseSchema(popSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sources []*dataset.Dataset
+	for _, p := range paths {
+		d, err := loadCSV(p, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, d)
+	}
+	ref := obs.NewRegistry()
+	obs.Enable(ref)
+	defer obs.Enable(nil)
+	p := &core.Pipeline{Sources: sources, Sensitive: schema.ByRole(dataset.Sensitive), KnownDistributions: true}
+	if _, err := p.Run(map[dataset.GroupKey]int{dataset.GroupKey(key): 10}, nil, rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Snapshot().Counters
+	if !reflect.DeepEqual(got.Counters, want) {
+		t.Fatalf("tailor report counters\n%v\nwant\n%v", got.Counters, want)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestPartitionedOverFileMatchesInMemory(t *testing.T) {
 
 		wantG := d.GroupBy("g", "c2")
 		for _, workers := range []int{1, 2, 8} {
-			got := pd.GroupBy(workers, "g", "c2")
+			got := pd.GroupBy(workers, nil, "g", "c2")
 			if got.NumGroups() != wantG.NumGroups() {
 				t.Fatalf("disable=%v workers=%d: %d groups, want %d", disable, workers, got.NumGroups(), wantG.NumGroups())
 			}
@@ -72,7 +72,7 @@ func TestPartitionedOverFileMatchesInMemory(t *testing.T) {
 							disable, pi, workers, w, gotBM[w], wantBM[w])
 					}
 				}
-				if got, wantC := pp.Count(workers), want.CountFast(); got != wantC {
+				if got, wantC := pp.Count(workers, nil), want.CountFast(nil); got != wantC {
 					t.Fatalf("disable=%v pred %d workers=%d: count %d, want %d", disable, pi, workers, got, wantC)
 				}
 			}
@@ -115,7 +115,7 @@ func TestPartitionPruning(t *testing.T) {
 	if !ok {
 		t.Fatal("compile failed")
 	}
-	if got := pp.Count(4); got != 64 {
+	if got := pp.Count(4, nil); got != 64 {
 		t.Fatalf("count = %d, want 64", got)
 	}
 	vals := reg.CounterValues()
@@ -131,7 +131,7 @@ func TestPartitionPruning(t *testing.T) {
 	if !ok {
 		t.Fatal("compile failed")
 	}
-	if got := pp2.Count(2); got != 0 {
+	if got := pp2.Count(2, nil); got != 0 {
 		t.Fatalf("count = %d, want 0", got)
 	}
 	after := reg.CounterValues()

@@ -24,7 +24,7 @@ func TestDistributionRequirement(t *testing.T) {
 		target[k] = dist[i]
 	}
 	req := DistributionRequirement{Attrs: []string{"race"}, Target: target, MaxTV: 0.01}
-	res := req.Check(d)
+	res := req.Check(d, nil)
 	if !res.Satisfied || res.Score > 0.01 {
 		t.Fatalf("self-distribution failed: %+v", res)
 	}
@@ -34,7 +34,7 @@ func TestDistributionRequirement(t *testing.T) {
 		uniform[k] = 1.0 / float64(g.NumGroups())
 	}
 	req.Target = uniform
-	if res := req.Check(d); res.Satisfied {
+	if res := req.Check(d, nil); res.Satisfied {
 		t.Fatalf("skewed data passed uniform target: %+v", res)
 	}
 }
@@ -48,7 +48,7 @@ func TestCountRequirement(t *testing.T) {
 			"race=asian": 10000, // impossible
 		},
 	}
-	res := req.Check(d)
+	res := req.Check(d, nil)
 	if res.Satisfied {
 		t.Fatalf("impossible count passed: %+v", res)
 	}
@@ -56,7 +56,7 @@ func TestCountRequirement(t *testing.T) {
 		t.Fatalf("details missing failing group: %+v", res)
 	}
 	req.Min["race=asian"] = 1
-	if res := req.Check(d); !res.Satisfied {
+	if res := req.Check(d, nil); !res.Satisfied {
 		t.Fatalf("satisfiable counts failed: %+v", res)
 	}
 }
@@ -64,11 +64,11 @@ func TestCountRequirement(t *testing.T) {
 func TestCoverageRequirement(t *testing.T) {
 	d := skewedData(t, 3, 2000)
 	loose := CoverageRequirement{Attrs: []string{"race", "sex"}, Threshold: 2}
-	if res := loose.Check(d); !res.Satisfied {
+	if res := loose.Check(d, nil); !res.Satisfied {
 		t.Fatalf("loose coverage failed: %+v", res)
 	}
 	tight := CoverageRequirement{Attrs: []string{"race", "sex"}, Threshold: 1000}
-	res := tight.Check(d)
+	res := tight.Check(d, nil)
 	if res.Satisfied || res.Score == 0 {
 		t.Fatalf("tight coverage passed: %+v", res)
 	}
@@ -88,13 +88,13 @@ func TestFeatureBiasRequirement(t *testing.T) {
 		MaxAssoc:  0.3,
 		MinCorr:   0.1,
 	}
-	res := req.Check(p.Data)
+	res := req.Check(p.Data, nil)
 	if !res.Satisfied {
 		t.Fatalf("low-effect population failed feature audit: %+v", res)
 	}
 	// Impossible bar.
 	req.MinCorr = 0.999
-	if res := req.Check(p.Data); res.Satisfied {
+	if res := req.Check(p.Data, nil); res.Satisfied {
 		t.Fatalf("impossible bar passed: %+v", res)
 	}
 }
@@ -102,20 +102,20 @@ func TestFeatureBiasRequirement(t *testing.T) {
 func TestCompletenessRequirement(t *testing.T) {
 	d := skewedData(t, 5, 3000)
 	req := CompletenessRequirement{MaxNullRate: 0.01}
-	if res := req.Check(d); !res.Satisfied {
+	if res := req.Check(d, nil); !res.Satisfied {
 		t.Fatalf("complete data failed: %+v", res)
 	}
 	masked := synth.InjectMissing(d, synth.MissingConfig{
 		Attr: "f0", Rate: 0.3, Mech: synth.MAR, CondAttr: "race", CondValue: "black",
 	}, rng.New(6))
-	res := req.Check(masked)
+	res := req.Check(masked, nil)
 	if res.Satisfied {
 		t.Fatalf("30%% missing passed: %+v", res)
 	}
 	// The per-group check must attribute the worst rate to the boosted
 	// group.
 	reqG := CompletenessRequirement{Sensitive: []string{"race"}, MaxNullRate: 0.01}
-	resG := reqG.Check(masked)
+	resG := reqG.Check(masked, nil)
 	if !strings.Contains(resG.Details, "race=black") {
 		t.Fatalf("group attribution missing: %+v", resG)
 	}
@@ -129,7 +129,7 @@ func TestAuditReport(t *testing.T) {
 	rep := Audit(d, []Requirement{
 		CompletenessRequirement{MaxNullRate: 0.5},
 		CoverageRequirement{Attrs: []string{"race"}, Threshold: 100000},
-	})
+	}, nil)
 	if len(rep.Results) != 2 {
 		t.Fatalf("results = %d", len(rep.Results))
 	}

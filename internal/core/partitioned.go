@@ -11,58 +11,29 @@ import (
 // PartitionedRequirement is a Requirement that can audit a partitioned
 // (possibly out-of-core) view directly, partition-at-a-time, without
 // materializing its rows. Implementations must be bit-identical to Check on
-// the materialized rows at any worker count.
+// the materialized rows at any worker count, results and spans alike.
 type PartitionedRequirement interface {
 	Requirement
-	CheckPartitioned(pd *dataset.Partitioned, workers int) CheckResult
+	CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult
 }
 
 // AuditPartitioned checks a partitioned view against every requirement.
 // Requirements implementing PartitionedRequirement run partition-at-a-time
 // with the given worker count (parallel.Workers semantics); the rest see a
 // one-time materialization of the view — correct, but paying the full
-// row-building cost, so hot requirements grow partitioned paths.
-func AuditPartitioned(pd *dataset.Partitioned, reqs []Requirement, workers int) *AuditReport {
-	return AuditPartitionedTraced(pd, reqs, workers, nil)
-}
-
-// AuditPartitionedTraced is AuditPartitioned plus one child span per
-// requirement under sp ("audit.<name>", satisfied 0/1 attribute). The
-// partition-at-a-time checks run untraced internally (their kernels
-// already publish deterministic counters); a nil span is the untraced
-// path.
-func AuditPartitionedTraced(pd *dataset.Partitioned, reqs []Requirement, workers int, sp *trace.Span) *AuditReport {
-	return auditPartitionedObs(pd, reqs, workers, obs.Active(nil), sp)
-}
-
-func auditPartitionedObs(pd *dataset.Partitioned, reqs []Requirement, workers int, reg *obs.Registry, sp *trace.Span) *AuditReport {
-	rep := &AuditReport{}
-	failed := 0
+// row-building cost, so hot requirements grow partitioned paths. The span
+// tree is the one Audit records for the same rows.
+func AuditPartitioned(pd *dataset.Partitioned, reqs []Requirement, workers int, sp *trace.Span) *AuditReport {
 	var materialized *dataset.Dataset
-	for _, req := range reqs {
-		var rs *trace.Span
-		if sp != nil {
-			rs = sp.Child("audit." + req.Name())
-		}
-		var res CheckResult
+	return audit(reqs, obs.Active(nil), sp, func(req Requirement, rs *trace.Span) CheckResult {
 		if pr, ok := req.(PartitionedRequirement); ok {
-			res = pr.CheckPartitioned(pd, workers)
-		} else {
-			if materialized == nil {
-				materialized = MaterializePartitioned(pd)
-			}
-			res = req.Check(materialized)
+			return pr.CheckPartitioned(pd, workers, rs)
 		}
-		if !res.Satisfied {
-			failed++
+		if materialized == nil {
+			materialized = MaterializePartitioned(pd)
 		}
-		rs.SetAttr("satisfied", b2i(res.Satisfied))
-		rs.End()
-		rep.Results = append(rep.Results, res)
-	}
-	reg.Counter("core.requirements_checked").Add(int64(len(reqs)))
-	reg.Counter("core.requirements_failed").Add(int64(failed))
-	return rep
+		return req.Check(materialized, rs)
+	})
 }
 
 // MaterializePartitioned builds an in-memory dataset holding every row of
@@ -83,9 +54,9 @@ func MaterializePartitioned(pd *dataset.Partitioned) *dataset.Dataset {
 // CheckPartitioned implements PartitionedRequirement: null rates come from
 // compiled IsNull counts over the partitions' null codes and validity
 // words, and per-group rates from the partition-parallel group index — the
-// same quantities Check computes row-at-a-time.
-func (r CompletenessRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int) CheckResult {
-	res := CheckResult{Requirement: r.Name(), Satisfied: true}
+// same quantities Check computes row-at-a-time. Like Check, it records only
+// the scan's extent on sp; the null counts run untraced.
+func (r CompletenessRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
 	attrs := r.Attrs
 	if len(attrs) == 0 {
 		attrs = pd.Schema().Names()
@@ -98,7 +69,7 @@ func (r CompletenessRequirement) CheckPartitioned(pd *dataset.Partitioned, worke
 		if !ok {
 			panic("core: IsNull predicate failed to compile")
 		}
-		nulls := pp.Count(workers)
+		nulls := pp.Count(workers, nil)
 		rate := 0.0
 		if pd.NumRows() > 0 {
 			rate = float64(nulls) / float64(pd.NumRows())
@@ -108,7 +79,7 @@ func (r CompletenessRequirement) CheckPartitioned(pd *dataset.Partitioned, worke
 		}
 		if len(r.Sensitive) > 0 && nulls > 0 {
 			if groups == nil {
-				groups = pd.GroupBy(workers, r.Sensitive...)
+				groups = pd.GroupBy(workers, nil, r.Sensitive...)
 			}
 			miss := make([]int, groups.NumGroups())
 			pp.SelectBitmap(workers).ForEach(func(row int) {
@@ -129,13 +100,7 @@ func (r CompletenessRequirement) CheckPartitioned(pd *dataset.Partitioned, worke
 			}
 		}
 	}
-	res.Score = worst
-	res.Satisfied = worst <= r.MaxNullRate
-	res.Details = fmt.Sprintf("worst null rate %.4f at %s (max %.4f)", worst, worstAt, r.MaxNullRate)
-	if worstAt == "" {
-		res.Details = "no nulls"
-	}
-	return res
+	return r.result(worst, worstAt, len(attrs), pd.NumRows(), sp)
 }
 
 // Interface conformance: the four partition-aware requirements.

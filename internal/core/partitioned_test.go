@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"redi/internal/dataset"
 	"redi/internal/rng"
 	"redi/internal/synth"
+	"redi/internal/trace"
 )
 
 func pipelineReqs(d *dataset.Dataset) []Requirement {
@@ -35,11 +37,11 @@ func pipelineReqs(d *dataset.Dataset) []Requirement {
 func TestAuditPartitionedMatchesAudit(t *testing.T) {
 	d := skewedData(t, 41, 3000)
 	reqs := pipelineReqs(d)
-	want := Audit(d, reqs)
+	want := Audit(d, reqs, nil)
 	for _, partRows := range []int{64, 1024} {
 		pd := d.Partitions(partRows)
 		for _, workers := range []int{0, 1, 2, 8} {
-			got := AuditPartitioned(pd, reqs, workers)
+			got := AuditPartitioned(pd, reqs, workers, nil)
 			if len(got.Results) != len(want.Results) {
 				t.Fatalf("partRows=%d workers=%d: %d results, want %d", partRows, workers, len(got.Results), len(want.Results))
 			}
@@ -48,6 +50,25 @@ func TestAuditPartitionedMatchesAudit(t *testing.T) {
 					t.Fatalf("partRows=%d workers=%d: result %d = %+v, want %+v", partRows, workers, i, res, want.Results[i])
 				}
 			}
+		}
+	}
+}
+
+// TestAuditPartitionedTraceMatchesAudit: a partitioned audit records the
+// same span tree as the in-memory audit of the same rows — every
+// requirement's kernel children (group indexing, MUP walk) and
+// completeness tallies — at any worker count.
+func TestAuditPartitionedTraceMatchesAudit(t *testing.T) {
+	d := skewedData(t, 41, 3000)
+	reqs := pipelineReqs(d)
+	root := trace.New("audit")
+	Audit(d, reqs, root)
+	want := root.DetJSON()
+	for _, workers := range []int{1, 2, 8} {
+		root := trace.New("audit")
+		AuditPartitioned(d.Partitions(64), reqs, workers, root)
+		if got := root.DetJSON(); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: partitioned audit trace\n%s\nwant\n%s", workers, got, want)
 		}
 	}
 }

@@ -46,7 +46,7 @@ type Pipeline struct {
 	KnownDistributions bool
 	// MaxDraws caps tailoring; 0 uses the dt default.
 	MaxDraws int
-	// Obs receives the run's counters and step spans. Each run tallies
+	// Obs receives the run's counters. Each run tallies
 	// into a private registry first — so the per-step Metrics attached to
 	// the Provenance are exact deltas even when pipelines run
 	// concurrently — and folds the totals into Obs (or, when Obs is nil,
@@ -110,7 +110,7 @@ func (p *Pipeline) Run(need map[dataset.GroupKey]int, reqs []Requirement, r *rng
 		sourceGroups[i] = s.GroupByTraced(isp, sensitive...)
 	}
 	for i, pd := range p.PartitionedSources {
-		sourceGroups[len(p.Sources)+i] = pd.GroupBy(p.Workers, sensitive...)
+		sourceGroups[len(p.Sources)+i] = pd.GroupBy(p.Workers, nil, sensitive...)
 	}
 	for _, g := range sourceGroups {
 		for _, k := range g.Keys() {
@@ -186,19 +186,17 @@ func (p *Pipeline) Run(need map[dataset.GroupKey]int, reqs []Requirement, r *rng
 	reg := obs.NewRegistry()
 	reg.Counter("core.pipeline_runs").Inc()
 	prov := &Provenance{}
-	// step snapshots the counters and the clock; the returned func closes
-	// a provenance entry with the elapsed time, the counter delta, and a
-	// span named after the op. The trace span it opens carries the same
-	// delta map as deterministic attributes (sorted key order), so a
-	// trace and the provenance it ships with can be cross-checked
-	// entry-for-entry.
+	// step snapshots the counters and the clock and opens the op's trace
+	// span; the returned func computes the counter delta once and hands the
+	// same map to the span (as deterministic attributes, sorted key order)
+	// and to the provenance entry (with the elapsed time), so a trace and
+	// the provenance it ships with can be cross-checked entry-for-entry.
 	step := func(op string) (*trace.Span, func(detail string, params map[string]string, rows int)) {
 		before := reg.CounterValues()
 		ssp := p.Trace.Child("pipeline." + op)
 		start := now()
 		return ssp, func(detail string, params map[string]string, rows int) {
 			elapsed := now().Sub(start)
-			reg.RecordSpan("pipeline."+op, elapsed)
 			delta := obs.DeltaCounters(before, reg.CounterValues())
 			ssp.SetAttr("rows_after", int64(rows))
 			ssp.AddDeltas("obs.", delta)
@@ -262,7 +260,9 @@ func (p *Pipeline) Run(need map[dataset.GroupKey]int, reqs []Requirement, r *rng
 	out.Data = data
 
 	auditSpan, endAudit := step("audit")
-	out.Audit = auditTracedObs(data, reqs, reg, auditSpan)
+	out.Audit = audit(reqs, reg, auditSpan, func(req Requirement, rs *trace.Span) CheckResult {
+		return req.Check(data, rs)
+	})
 	pass := "passed"
 	if !out.Audit.Satisfied() {
 		pass = "FAILED"

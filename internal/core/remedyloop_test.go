@@ -28,12 +28,12 @@ func TestCoverageRemedyToTailoring(t *testing.T) {
 	inHouse := set.Sources[0].Head(700)
 	const threshold = 40
 	space := coverage.NewSpace(inHouse, sens, threshold)
-	mups := space.MUPs()
+	mups := space.MUPs(0, nil)
 	if len(mups) == 0 {
 		t.Skip("no MUPs in this draw; coverage already satisfied")
 	}
 	req := CoverageRequirement{Attrs: sens, Threshold: threshold}
-	if res := req.Check(inHouse); res.Satisfied {
+	if res := req.Check(inHouse, nil); res.Satisfied {
 		t.Fatal("audit passed despite MUPs")
 	}
 
@@ -104,7 +104,7 @@ func TestNeedFromRemedyKeys(t *testing.T) {
 	}
 	d.MustAppendRow(dataset.Cat("black"), dataset.Cat("F"))
 	space := coverage.NewSpace(d, []string{"race", "sex"}, 5)
-	plan := space.Remedy(space.MUPs())
+	plan := space.Remedy(space.MUPs(0, nil))
 	need := NeedFromRemedy(space, plan)
 	// The key format must match dataset.GroupBy keys.
 	for k, n := range need {

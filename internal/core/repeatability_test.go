@@ -34,9 +34,9 @@ func TestRequirementChecksRepeatable(t *testing.T) {
 		CompletenessRequirement{Sensitive: []string{"race", "sex"}, MaxNullRate: 0.0},
 	}
 	for _, req := range reqs {
-		first := req.Check(d)
+		first := req.Check(d, nil)
 		for i := 1; i < repeatabilityRounds; i++ {
-			got := req.Check(d)
+			got := req.Check(d, nil)
 			if got != first {
 				t.Fatalf("%s: check not repeatable\nrun 0: %+v\nrun %d: %+v", req.Name(), first, i, got)
 			}

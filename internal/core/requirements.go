@@ -22,8 +22,10 @@ import (
 type Requirement interface {
 	// Name identifies the requirement in audit reports.
 	Name() string
-	// Check audits d and reports the outcome.
-	Check(d *dataset.Dataset) CheckResult
+	// Check audits d and reports the outcome. A non-nil span receives the
+	// check's kernel spans (group indexing, MUP walk) and work tallies; a
+	// nil span is the untraced path.
+	Check(d *dataset.Dataset, sp *trace.Span) CheckResult
 }
 
 // CheckResult is the outcome of auditing one requirement.
@@ -65,34 +67,21 @@ func (r *AuditReport) String() string {
 	return s
 }
 
-// Audit checks d against every requirement.
-func Audit(d *dataset.Dataset, reqs []Requirement) *AuditReport {
-	return auditTracedObs(d, reqs, obs.Active(nil), nil)
+// Audit checks d against every requirement. Under a non-nil span each
+// requirement gets an "audit.<name>" child (with a satisfied 0/1
+// attribute) holding its kernel spans; a nil span is the untraced path.
+// Counters go to the process-wide registry, if enabled.
+func Audit(d *dataset.Dataset, reqs []Requirement, sp *trace.Span) *AuditReport {
+	return audit(reqs, obs.Active(nil), sp, func(req Requirement, rs *trace.Span) CheckResult {
+		return req.Check(d, rs)
+	})
 }
 
-// AuditTraced is Audit plus one child span per requirement under sp
-// ("audit.<name>", with a satisfied 0/1 attribute); requirements that
-// implement tracedRequirement nest their kernel spans (MUP walk,
-// GroupBy) under it. A nil span is the untraced path.
-func AuditTraced(d *dataset.Dataset, reqs []Requirement, sp *trace.Span) *AuditReport {
-	return auditTracedObs(d, reqs, obs.Active(nil), sp)
-}
-
-// auditObs is Audit with an explicit metrics sink. The pipeline passes its
-// run-private registry so audit counters land in the audit step's delta;
-// the public Audit entry point uses the process-wide registry, if enabled.
-func auditObs(d *dataset.Dataset, reqs []Requirement, reg *obs.Registry) *AuditReport {
-	return auditTracedObs(d, reqs, reg, nil)
-}
-
-// tracedRequirement is implemented by requirements whose Check can hang
-// its kernel work (MUP walks, group indexing, null scans) under a span.
-// CheckTraced with a nil span must behave exactly like Check.
-type tracedRequirement interface {
-	CheckTraced(d *dataset.Dataset, sp *trace.Span) CheckResult
-}
-
-func auditTracedObs(d *dataset.Dataset, reqs []Requirement, reg *obs.Registry, sp *trace.Span) *AuditReport {
+// audit is the one audit loop behind Audit, AuditPartitioned and the
+// pipeline's audit step (which passes its run-private registry so audit
+// counters land in the step's delta). check runs one requirement under its
+// span.
+func audit(reqs []Requirement, reg *obs.Registry, sp *trace.Span, check func(Requirement, *trace.Span) CheckResult) *AuditReport {
 	rep := &AuditReport{}
 	failed := 0
 	for _, req := range reqs {
@@ -100,12 +89,7 @@ func auditTracedObs(d *dataset.Dataset, reqs []Requirement, reg *obs.Registry, s
 		if sp != nil {
 			rs = sp.Child("audit." + req.Name())
 		}
-		var res CheckResult
-		if tr, ok := req.(tracedRequirement); ok {
-			res = tr.CheckTraced(d, rs)
-		} else {
-			res = req.Check(d)
-		}
+		res := check(req, rs)
 		if !res.Satisfied {
 			failed++
 		}
@@ -208,22 +192,17 @@ type DistributionRequirement struct {
 // Name implements Requirement.
 func (r DistributionRequirement) Name() string { return "distribution-representation" }
 
-// Check implements Requirement.
-func (r DistributionRequirement) Check(d *dataset.Dataset) CheckResult {
-	return r.checkGroups(d.GroupBy(r.Attrs...))
-}
-
-// CheckTraced implements tracedRequirement: the group indexing lands in
-// a "dataset.groupby" span under sp.
-func (r DistributionRequirement) CheckTraced(d *dataset.Dataset, sp *trace.Span) CheckResult {
+// Check implements Requirement: the group indexing lands in a
+// "dataset.groupby" span under sp.
+func (r DistributionRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
 	return r.checkGroups(d.GroupByTraced(sp, r.Attrs...))
 }
 
 // CheckPartitioned implements PartitionedRequirement: the group index comes
 // from the partition-parallel GroupBy, which is bit-identical to the
 // in-memory one, so the TV distance is too.
-func (r DistributionRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int) CheckResult {
-	return r.checkGroups(pd.GroupBy(workers, r.Attrs...))
+func (r DistributionRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
+	return r.checkGroups(pd.GroupBy(workers, sp, r.Attrs...))
 }
 
 func (r DistributionRequirement) checkGroups(groups *dataset.Groups) CheckResult {
@@ -269,18 +248,13 @@ type CountRequirement struct {
 func (r CountRequirement) Name() string { return "group-counts" }
 
 // Check implements Requirement.
-func (r CountRequirement) Check(d *dataset.Dataset) CheckResult {
-	return r.checkGroups(d.GroupBy(r.Attrs...))
-}
-
-// CheckTraced implements tracedRequirement.
-func (r CountRequirement) CheckTraced(d *dataset.Dataset, sp *trace.Span) CheckResult {
+func (r CountRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
 	return r.checkGroups(d.GroupByTraced(sp, r.Attrs...))
 }
 
 // CheckPartitioned implements PartitionedRequirement.
-func (r CountRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int) CheckResult {
-	return r.checkGroups(pd.GroupBy(workers, r.Attrs...))
+func (r CountRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
+	return r.checkGroups(pd.GroupBy(workers, sp, r.Attrs...))
 }
 
 func (r CountRequirement) checkGroups(groups *dataset.Groups) CheckResult {
@@ -323,25 +297,19 @@ type CoverageRequirement struct {
 // Name implements Requirement.
 func (r CoverageRequirement) Name() string { return "coverage" }
 
-// Check implements Requirement.
-func (r CoverageRequirement) Check(d *dataset.Dataset) CheckResult {
-	space := coverage.NewSpace(d, r.Attrs, r.Threshold)
-	return r.checkSpace(space, space.MUPs())
-}
-
-// CheckTraced implements tracedRequirement: the MUP walk lands in a
+// Check implements Requirement: the MUP walk lands in a
 // "coverage.mup_walk" span under sp with the walk's per-level tallies.
-func (r CoverageRequirement) CheckTraced(d *dataset.Dataset, sp *trace.Span) CheckResult {
+func (r CoverageRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
 	space := coverage.NewSpace(d, r.Attrs, r.Threshold)
-	return r.checkSpace(space, space.MUPsTraced(0, sp))
+	return r.checkSpace(space, space.MUPs(0, sp))
 }
 
 // CheckPartitioned implements PartitionedRequirement: the space is built
 // partition-at-a-time and the MUP walk sharded over workers; both are
-// bit-identical to the in-memory path.
-func (r CoverageRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int) CheckResult {
+// bit-identical to the in-memory path, and so is the walk's span.
+func (r CoverageRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
 	space := coverage.NewSpacePartitioned(pd, r.Attrs, r.Threshold, workers)
-	return r.checkSpace(space, space.MUPsParallel(workers))
+	return r.checkSpace(space, space.MUPs(workers, sp))
 }
 
 // CheckSpace evaluates the requirement against an already-built — e.g.
@@ -350,15 +318,10 @@ func (r CoverageRequirement) CheckPartitioned(pd *dataset.Partitioned, workers i
 // requirement before the walk; the caller must hold exclusive access to the
 // space for the duration (the MUP walk uses the space's shared bitmap
 // pool). Results are bit-identical to Check on a dataset with the same rows.
-func (r CoverageRequirement) CheckSpace(space *coverage.Space, workers int) CheckResult {
-	return r.CheckSpaceTraced(space, workers, nil)
-}
-
-// CheckSpaceTraced is CheckSpace plus the walk's "coverage.mup_walk"
-// span under sp. A nil span is the untraced path.
-func (r CoverageRequirement) CheckSpaceTraced(space *coverage.Space, workers int, sp *trace.Span) CheckResult {
+// A non-nil span receives the walk's "coverage.mup_walk" child.
+func (r CoverageRequirement) CheckSpace(space *coverage.Space, workers int, sp *trace.Span) CheckResult {
 	space.Threshold = r.Threshold
-	return r.checkSpace(space, space.MUPsTraced(workers, sp))
+	return r.checkSpace(space, space.MUPs(workers, sp))
 }
 
 func (r CoverageRequirement) checkSpace(space *coverage.Space, mups []coverage.MUP) CheckResult {
@@ -390,8 +353,8 @@ type FeatureBiasRequirement struct {
 // Name implements Requirement.
 func (r FeatureBiasRequirement) Name() string { return "unbiased-informative-features" }
 
-// Check implements Requirement.
-func (r FeatureBiasRequirement) Check(d *dataset.Dataset) CheckResult {
+// Check implements Requirement. The bias ranking has no kernel span.
+func (r FeatureBiasRequirement) Check(d *dataset.Dataset, _ *trace.Span) CheckResult {
 	res := CheckResult{Requirement: r.Name()}
 	min := r.MinFeatures
 	if min == 0 {
@@ -432,22 +395,9 @@ type CompletenessRequirement struct {
 // Name implements Requirement.
 func (r CompletenessRequirement) Name() string { return "completeness" }
 
-// CheckTraced implements tracedRequirement: the null scans run as usual
-// and the span records how many attributes and rows they covered.
-func (r CompletenessRequirement) CheckTraced(d *dataset.Dataset, sp *trace.Span) CheckResult {
-	res := r.Check(d)
-	attrs := len(r.Attrs)
-	if attrs == 0 {
-		attrs = len(d.Schema().Names())
-	}
-	sp.SetAttr("attrs_checked", int64(attrs))
-	sp.SetAttr("rows", int64(d.NumRows()))
-	return res
-}
-
-// Check implements Requirement.
-func (r CompletenessRequirement) Check(d *dataset.Dataset) CheckResult {
-	res := CheckResult{Requirement: r.Name(), Satisfied: true}
+// Check implements Requirement: sp records how many attributes and rows
+// the null scans covered.
+func (r CompletenessRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
 	attrs := r.Attrs
 	if len(attrs) == 0 {
 		attrs = d.Schema().Names()
@@ -477,8 +427,15 @@ func (r CompletenessRequirement) Check(d *dataset.Dataset) CheckResult {
 			}
 		}
 	}
-	res.Score = worst
-	res.Satisfied = worst <= r.MaxNullRate
+	return r.result(worst, worstAt, len(attrs), d.NumRows(), sp)
+}
+
+// result scores the worst null rate found by Check or CheckPartitioned and
+// records the scan's extent on sp.
+func (r CompletenessRequirement) result(worst float64, worstAt string, attrs, rows int, sp *trace.Span) CheckResult {
+	sp.SetAttr("attrs_checked", int64(attrs))
+	sp.SetAttr("rows", int64(rows))
+	res := CheckResult{Requirement: r.Name(), Score: worst, Satisfied: worst <= r.MaxNullRate}
 	res.Details = fmt.Sprintf("worst null rate %.4f at %s (max %.4f)", worst, worstAt, r.MaxNullRate)
 	if worstAt == "" {
 		res.Details = "no nulls"

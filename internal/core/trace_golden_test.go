@@ -40,7 +40,7 @@ func checkGolden(t *testing.T, name, got string) {
 func TestAuditTraceGolden(t *testing.T) {
 	d := skewedData(t, 41, 3000)
 	root := trace.New("audit")
-	AuditTraced(d, pipelineReqs(d), root)
+	Audit(d, pipelineReqs(d), root)
 	root.End()
 	checkGolden(t, "audit_trace", root.DetString())
 }

@@ -18,7 +18,7 @@ import (
 //
 // Equivalence contract: after any schedule of AppendRows calls the space is
 // bit-identical to NewSpace(d, attrs, threshold) — same Domains, same
-// bitmap words, same value counts — so Count, MUPs, and MUPsParallel return
+// bitmap words, same value counts — so Count and MUPs return
 // identical results at any worker count.
 //
 // AppendRows requires exclusive access: it swaps the scratch pool when the

@@ -95,9 +95,9 @@ func TestAppendRowsEquivalence(t *testing.T) {
 			cold := NewSpace(d, []string{"a", "b", "c"}, tau)
 			requireSpaceEqual(t, s, cold)
 
-			want := describeAll(cold, cold.MUPs())
+			want := describeAll(cold, cold.MUPs(0, nil))
 			for _, workers := range []int{1, 2, 8} {
-				got := describeAll(s, s.MUPsParallel(workers))
+				got := describeAll(s, s.MUPs(workers, nil))
 				if len(got) != len(want) {
 					t.Fatalf("seed %d batch %d workers %d: %d MUPs, rebuild has %d", seed, batch, workers, len(got), len(want))
 				}

@@ -95,7 +95,7 @@ func mupKeys(s *Space, mups []MUP) []string {
 func TestMUPsSimple(t *testing.T) {
 	d := tiny(t)
 	s := NewSpace(d, []string{"race", "sex"}, 3)
-	mups := s.MUPs()
+	mups := s.MUPs(0, nil)
 	// The only uncovered pattern with covered parents is
 	// race=black, sex=F (count 0): race=black has 5 and sex=F has 5.
 	keys := mupKeys(s, mups)
@@ -114,7 +114,7 @@ func TestMUPsMatchNaive(t *testing.T) {
 		cfg := synth.DefaultPopulation(300)
 		p := synth.Generate(cfg, rng.New(seed))
 		s := NewSpace(p.Data, []string{"race", "sex", "label"}, 20)
-		fast := mupKeys(s, s.MUPs())
+		fast := mupKeys(s, s.MUPs(0, nil))
 		slow := mupKeys(s, s.NaiveMUPs())
 		if len(fast) != len(slow) {
 			t.Fatalf("seed %d: fast %d MUPs, naive %d", seed, len(fast), len(slow))
@@ -130,7 +130,7 @@ func TestMUPsMatchNaive(t *testing.T) {
 func TestMUPsRootUncovered(t *testing.T) {
 	d := tiny(t)
 	s := NewSpace(d, []string{"race", "sex"}, 1000)
-	mups := s.MUPs()
+	mups := s.MUPs(0, nil)
 	if len(mups) != 1 || mups[0].Pattern.Level() != 0 {
 		t.Fatalf("expected root MUP, got %v", mupKeys(s, mups))
 	}
@@ -140,13 +140,13 @@ func TestMUPsNoneWhenCovered(t *testing.T) {
 	d := tiny(t)
 	s := NewSpace(d, []string{"race", "sex"}, 1)
 	// Threshold 1: black/F is still uncovered (count 0).
-	mups := s.MUPs()
+	mups := s.MUPs(0, nil)
 	if len(mups) != 1 {
 		t.Fatalf("MUPs = %v", mupKeys(s, mups))
 	}
 	// Threshold 0: everything covered.
 	s0 := NewSpace(d, []string{"race", "sex"}, 0)
-	if got := s0.MUPs(); len(got) != 0 {
+	if got := s0.MUPs(0, nil); len(got) != 0 {
 		t.Fatalf("threshold-0 MUPs = %v", mupKeys(s0, got))
 	}
 }
@@ -163,7 +163,7 @@ func TestCoveragePercent(t *testing.T) {
 func TestUncoveredCombinations(t *testing.T) {
 	d := tiny(t)
 	s := NewSpace(d, []string{"race", "sex"}, 3)
-	mups := s.MUPs()
+	mups := s.MUPs(0, nil)
 	combos := s.UncoveredCombinations(mups)
 	if len(combos) != 1 || s.Describe(combos[0]) != "race=black, sex=F" {
 		var got []string
@@ -178,7 +178,7 @@ func TestRemedyCoversAllMUPs(t *testing.T) {
 	cfg := synth.DefaultPopulation(300)
 	p := synth.Generate(cfg, rng.New(3))
 	s := NewSpace(p.Data, []string{"race", "sex"}, 30)
-	mups := s.MUPs()
+	mups := s.MUPs(0, nil)
 	if len(mups) == 0 {
 		t.Skip("no MUPs in this draw")
 	}
@@ -214,7 +214,7 @@ func TestRandomRemedyCostAtLeastGreedy(t *testing.T) {
 	cfg := synth.DefaultPopulation(400)
 	p := synth.Generate(cfg, rng.New(5))
 	s := NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
-	mups := s.MUPs()
+	mups := s.MUPs(0, nil)
 	if len(mups) == 0 {
 		t.Skip("no MUPs in this draw")
 	}

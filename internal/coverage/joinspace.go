@@ -7,6 +7,7 @@ import (
 	"redi/internal/bitmap"
 	"redi/internal/dataset"
 	"redi/internal/obs"
+	"redi/internal/trace"
 )
 
 // JoinSpace answers coverage queries over the equi-join of two relations
@@ -345,12 +346,10 @@ func (js *JoinSpace) releaseSet(rs rowSet) {
 	}
 }
 
-// MUPs enumerates the maximal uncovered patterns of the join.
-func (js *JoinSpace) MUPs() []MUP { return patternBreaker(js) }
-
-// MUPsParallel enumerates the same MUPs as MUPs with the search sharded
-// across workers; the result is bit-identical at any worker count.
-func (js *JoinSpace) MUPsParallel(workers int) []MUP { return patternBreakerWorkers(js, workers) }
+// MUPs enumerates the maximal uncovered patterns of the join with the
+// search sharded across workers; the result is bit-identical at any worker
+// count. A non-nil span receives the walk's "coverage.mup_walk" child.
+func (js *JoinSpace) MUPs(workers int, sp *trace.Span) []MUP { return patternBreaker(js, workers, sp) }
 
 // Describe renders p with attribute names.
 func (js *JoinSpace) Describe(p Pattern) string {

@@ -112,8 +112,8 @@ func TestJoinSpaceMUPsMatchMaterialized(t *testing.T) {
 			sort.Strings(out)
 			return out
 		}
-		got := describe(js.MUPs(), js.Describe)
-		want := describe(ms.MUPs(), ms.Describe)
+		got := describe(js.MUPs(0, nil), js.Describe)
+		want := describe(ms.MUPs(0, nil), ms.Describe)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %v vs %v", seed, got, want)
 		}

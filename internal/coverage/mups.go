@@ -104,6 +104,10 @@ func foldWalkStats(reg *obs.Registry, st *walkStats) {
 	}
 }
 
+// rootChild names one canonical child of the root: position pos
+// specialized to value val.
+type rootChild struct{ pos, val int }
+
 // patternBreaker enumerates MUPs over any patternSpace: a top-down
 // traversal of the canonical pattern tree that stops descending at the
 // first uncovered pattern on each path. An uncovered pattern is reported as
@@ -112,33 +116,23 @@ func foldWalkStats(reg *obs.Registry, st *walkStats) {
 // subtree is pruned. Patterns are visited at most once thanks to the
 // canonical child rule, and each visit costs one bitmap refinement of its
 // parent's row set — the prefix-intersection DFS.
-func patternBreaker(s patternSpace) []MUP {
-	return patternBreakerTraced(s, 0, nil)
-}
-
-// rootChild names one canonical child of the root: position pos
-// specialized to value val.
-type rootChild struct{ pos, val int }
-
-// patternBreakerWorkers runs the pattern-breaker search with the given
-// worker count (parallel.Workers semantics; 0 = serial). The lattice is
-// sharded by the root's canonical children: each subtree is walked
-// independently and the per-subtree MUP lists are concatenated in child
-// order, which is exactly the order the serial DFS visits them — so the
-// output is bit-identical at any worker count. Workers share only the
-// precomputed value bitmaps (read-only) and the scratch pool (internally
-// synchronized), so no pruning state leaks between subtrees.
-func patternBreakerWorkers(s patternSpace, workers int) []MUP {
-	return patternBreakerTraced(s, workers, nil)
-}
-
-// patternBreakerTraced additionally records one "coverage.mup_walk"
-// span under sp (nil = untraced) whose attributes are the walk's
-// deterministic tallies — the same shard-order-merged walkStats that
-// feed the coverage counters, including the per-level MUP histogram.
-// The span is created and closed on the serial control path, so trace
-// structure stays bit-identical at any worker count.
-func patternBreakerTraced(s patternSpace, workers int, sp *trace.Span) []MUP {
+//
+// The search runs with the given worker count (parallel.Workers semantics;
+// 0 = serial). The lattice is sharded by the root's canonical children:
+// each subtree is walked independently and the per-subtree MUP lists are
+// concatenated in child order, which is exactly the order the serial DFS
+// visits them — so the output is bit-identical at any worker count.
+// Workers share only the precomputed value bitmaps (read-only) and the
+// scratch pool (internally synchronized), so no pruning state leaks
+// between subtrees.
+//
+// Under a non-nil span the walk records one "coverage.mup_walk" child
+// whose attributes are its deterministic tallies — the same
+// shard-order-merged walkStats that feed the coverage counters, including
+// the per-level MUP histogram. The span is created and closed on the
+// serial control path, so trace structure stays bit-identical at any
+// worker count.
+func patternBreaker(s patternSpace, workers int, sp *trace.Span) []MUP {
 	ws := sp.Child("coverage.mup_walk")
 	reg := s.observer()
 	root := s.Root()
@@ -231,20 +225,12 @@ func walkSubtree(s patternSpace, p Pattern, rightmost int, rs rowSet, out *[]MUP
 }
 
 // MUPs enumerates the maximal uncovered patterns of the space with the
-// pattern-breaker strategy.
-func (s *Space) MUPs() []MUP { return patternBreaker(s) }
-
-// MUPsParallel enumerates the same MUPs as MUPs, sharding the top-down
-// search across workers (parallel.Workers semantics). The result is
-// bit-identical to MUPs at any worker count.
-func (s *Space) MUPsParallel(workers int) []MUP { return patternBreakerWorkers(s, workers) }
-
-// MUPsTraced is MUPsParallel plus a "coverage.mup_walk" span under sp
-// carrying the walk's deterministic tallies (per-level MUP counts,
-// DFS nodes, bitmap refinements). A nil span is the untraced path.
-func (s *Space) MUPsTraced(workers int, sp *trace.Span) []MUP {
-	return patternBreakerTraced(s, workers, sp)
-}
+// pattern-breaker strategy, sharding the top-down search across workers
+// (parallel.Workers semantics; 0 = serial). The result is bit-identical at
+// any worker count. Under a non-nil span the walk records a
+// "coverage.mup_walk" child carrying its deterministic tallies (per-level
+// MUP counts, DFS nodes, bitmap refinements).
+func (s *Space) MUPs(workers int, sp *trace.Span) []MUP { return patternBreaker(s, workers, sp) }
 
 func allParentsCovered(s patternSpace, p Pattern, st *walkStats) bool {
 	for _, parent := range s.Parents(p) {

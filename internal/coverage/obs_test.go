@@ -30,7 +30,7 @@ func TestMUPsObsWorkerInvariance(t *testing.T) {
 	serial := captureWalk(t, func(reg *obs.Registry) {
 		s := NewSpace(data, attrs, 25)
 		s.Obs = reg
-		s.MUPs()
+		s.MUPs(0, nil)
 	})
 	if !bytes.Contains(serial, []byte(`"coverage.dfs_nodes"`)) ||
 		!bytes.Contains(serial, []byte(`"coverage.bitmap_ands"`)) ||
@@ -41,7 +41,7 @@ func TestMUPsObsWorkerInvariance(t *testing.T) {
 		got := captureWalk(t, func(reg *obs.Registry) {
 			s := NewSpace(data, attrs, 25)
 			s.Obs = reg
-			s.MUPsParallel(w)
+			s.MUPs(w, nil)
 		})
 		if !bytes.Equal(got, serial) {
 			t.Fatalf("workers=%d: walk counters diverged from serial\nserial: %s\ngot:    %s", w, serial, got)
@@ -56,7 +56,7 @@ func TestJoinSpaceObsWorkerInvariance(t *testing.T) {
 	serial := captureWalk(t, func(reg *obs.Registry) {
 		js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15)
 		js.Obs = reg
-		js.MUPs()
+		js.MUPs(0, nil)
 	})
 	if !bytes.Contains(serial, []byte(`"coverage.dfs_nodes"`)) {
 		t.Fatalf("join-space snapshot missing coverage counters:\n%s", serial)
@@ -65,7 +65,7 @@ func TestJoinSpaceObsWorkerInvariance(t *testing.T) {
 		got := captureWalk(t, func(reg *obs.Registry) {
 			js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15)
 			js.Obs = reg
-			js.MUPsParallel(w)
+			js.MUPs(w, nil)
 		})
 		if !bytes.Equal(got, serial) {
 			t.Fatalf("workers=%d: join-space walk counters diverged\nserial: %s\ngot:    %s", w, serial, got)

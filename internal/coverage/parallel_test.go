@@ -32,18 +32,18 @@ func skewedTable(t *testing.T, d, rows int, seed uint64) *dataset.Dataset {
 }
 
 // TestMUPsParallelDeterminism pins the determinism contract for the sharded
-// pattern-breaker: MUPsParallel returns the exact slice MUPs returns, in
-// the same order, at workers ∈ {1, 8}.
+// pattern-breaker: a sharded MUPs returns the exact slice the serial walk
+// returns, in the same order, at workers ∈ {1, 8}.
 func TestMUPsParallelDeterminism(t *testing.T) {
 	for _, d := range []int{3, 5, 6} {
 		data := skewedTable(t, d, 3000, uint64(d))
 		attrs := data.Schema().Names()
-		serial := NewSpace(data, attrs, 25).MUPs()
+		serial := NewSpace(data, attrs, 25).MUPs(0, nil)
 		if len(serial) == 0 {
 			t.Fatalf("d=%d: no MUPs; determinism check is vacuous", d)
 		}
 		for _, w := range []int{1, 8} {
-			got := NewSpace(data, attrs, 25).MUPsParallel(w)
+			got := NewSpace(data, attrs, 25).MUPs(w, nil)
 			if !reflect.DeepEqual(got, serial) {
 				t.Fatalf("d=%d workers=%d: parallel MUPs diverge from serial\nserial: %v\ngot:    %v", d, w, serial, got)
 			}
@@ -55,7 +55,7 @@ func TestMUPsParallelDeterminism(t *testing.T) {
 func TestMUPsParallelRootUncovered(t *testing.T) {
 	data := skewedTable(t, 3, 10, 1)
 	s := NewSpace(data, data.Schema().Names(), 1000)
-	got := s.MUPsParallel(8)
+	got := s.MUPs(8, nil)
 	if len(got) != 1 || got[0].Pattern.Level() != 0 {
 		t.Fatalf("root-uncovered MUPs = %v", got)
 	}
@@ -65,10 +65,10 @@ func TestMUPsParallelRootUncovered(t *testing.T) {
 // factorized join space.
 func TestJoinSpaceMUPsParallelDeterminism(t *testing.T) {
 	left, right := joinFixture(t, 3, 800)
-	serial := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15).MUPs()
+	serial := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15).MUPs(0, nil)
 	for _, w := range []int{1, 8} {
 		js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15)
-		if got := js.MUPsParallel(w); !reflect.DeepEqual(got, serial) {
+		if got := js.MUPs(w, nil); !reflect.DeepEqual(got, serial) {
 			t.Fatalf("workers=%d: join-space parallel MUPs diverge\nserial: %v\ngot:    %v", w, serial, got)
 		}
 	}

@@ -52,7 +52,7 @@ func TestSpacePartitionedMatchesInMemory(t *testing.T) {
 		d := covPartData(r, rows)
 		threshold := 1 + rows/30
 		want := NewSpace(d, attrs, threshold)
-		wantMUPs := want.MUPs()
+		wantMUPs := want.MUPs(0, nil)
 		for _, partRows := range []int{64, 256} {
 			pd := d.Partitions(partRows)
 			for _, workers := range []int{1, 2, 8} {
@@ -79,7 +79,7 @@ func TestSpacePartitionedMatchesInMemory(t *testing.T) {
 						t.Fatalf("%s: Count(%v) = %d, want %d", ctx, p, got, w)
 					}
 				}
-				checkMUPsEqual(t, ctx, s.MUPsParallel(workers), wantMUPs)
+				checkMUPsEqual(t, ctx, s.MUPs(workers, nil), wantMUPs)
 			}
 		}
 	}
@@ -108,7 +108,7 @@ func TestJoinSpacePartitionedMatchesInMemory(t *testing.T) {
 	right := mkSide(260, 16, "r")
 	threshold := 25
 	want := NewJoinSpace(left, "k", []string{"la"}, right, "k", []string{"ra"}, threshold)
-	wantMUPs := want.MUPs()
+	wantMUPs := want.MUPs(0, nil)
 
 	pl := left.Partitions(64)
 	pr := right.Partitions(128)
@@ -131,6 +131,6 @@ func TestJoinSpacePartitionedMatchesInMemory(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
-		checkMUPsEqual(t, fmt.Sprintf("workers=%d", workers), js.MUPsParallel(workers), wantMUPs)
+		checkMUPsEqual(t, fmt.Sprintf("workers=%d", workers), js.MUPs(workers, nil), wantMUPs)
 	}
 }

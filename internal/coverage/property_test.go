@@ -36,7 +36,7 @@ func TestMUPInvariantsProperty(t *testing.T) {
 		}
 		tau := int(tau8%20) + 1
 		s := NewSpace(d, []string{"a", "b", "c"}, tau)
-		mups := s.MUPs()
+		mups := s.MUPs(0, nil)
 		for i, m := range mups {
 			if s.Covered(m.Pattern) {
 				return false
@@ -67,7 +67,7 @@ func TestMUPAgreementProperty(t *testing.T) {
 		}
 		tau := int(tau8%15) + 1
 		s := NewSpace(d, []string{"a", "b", "c"}, tau)
-		fast := s.MUPs()
+		fast := s.MUPs(0, nil)
 		slow := s.NaiveMUPs()
 		if len(fast) != len(slow) {
 			return false
@@ -163,7 +163,7 @@ func TestMUPsMatchScanOracleProperty(t *testing.T) {
 		}
 		tau := int(tau8%15) + 1
 		s := NewSpace(d, []string{"a", "b", "c"}, tau)
-		fast := s.MUPs()
+		fast := s.MUPs(0, nil)
 		slow := scanMUPs(s)
 		if len(fast) != len(slow) {
 			return false
@@ -246,7 +246,7 @@ func TestRemedyCoversProperty(t *testing.T) {
 		}
 		tau := int(tau8%10) + 1
 		s := NewSpace(d, []string{"a", "b", "c"}, tau)
-		mups := s.MUPs()
+		mups := s.MUPs(0, nil)
 		plan := s.Remedy(mups)
 		for _, m := range mups {
 			got := m.Count

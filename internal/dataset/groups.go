@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"redi/internal/bitmap"
+	"redi/internal/trace"
 )
 
 // GroupKey identifies an intersectional group: the combination of values of
@@ -36,7 +37,7 @@ type Groups struct {
 	tuples []int32    // flat gid-major code tuples, len NumGroups()*len(Attrs)
 	n      int        // rows indexed (sizes RowSet bitmaps)
 
-	keys     []GroupKey        // lazy: gid -> rendered key
+	keys     []GroupKey         // lazy: gid -> rendered key
 	gids     map[GroupKey]int32 // lazy: rendered key -> gid
 	rowLists [][]int            // lazy: gid -> member row indices
 	rowSets  []bitmap.Bitmap    // lazy: gid -> member row bitmap
@@ -52,6 +53,25 @@ type Groups struct {
 // When the product of the grouping dictionaries exceeds it, GroupBy falls
 // back to a byte-encoded tuple map.
 const denseGroupLimit = 1 << 20
+
+// GroupByTraced is GroupBy plus a "dataset.groupby" span under sp
+// recording the rows grouped and the distinct gids produced; a nil span is
+// the untraced path. It is the one kernel that keeps a separate traced
+// entry point: GroupBy(attrs...) is public surface that the benchmark
+// harness (cmd/redibench) compiles against, so it cannot take the span.
+func (d *Dataset) GroupByTraced(sp *trace.Span, attrs ...string) *Groups {
+	ev := sp.Child("dataset.groupby")
+	g := d.GroupBy(attrs...)
+	g.endSpan(ev)
+	return g
+}
+
+// endSpan closes a GroupBy span with the index's size.
+func (g *Groups) endSpan(ev *trace.Span) {
+	ev.SetAttr("rows", int64(g.n))
+	ev.SetAttr("gids", int64(g.NumGroups()))
+	ev.End()
+}
 
 // GroupBy indexes the dataset's rows by the given categorical attributes.
 // Rows with a null in any grouping attribute are assigned to no group

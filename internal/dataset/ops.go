@@ -23,7 +23,7 @@ func (d *Dataset) Select(p Predicate) *Dataset {
 // order. The slice is non-nil even when no row matches.
 func (d *Dataset) SelectIndices(p Predicate) []int {
 	if cp, ok := CompilePredicate(d, p); ok {
-		return cp.SelectIndices()
+		return cp.SelectIndices(nil)
 	}
 	idx := make([]int, 0)
 	for r := 0; r < d.n; r++ {
@@ -37,7 +37,7 @@ func (d *Dataset) SelectIndices(p Predicate) []int {
 // Count returns the number of rows matching p.
 func (d *Dataset) Count(p Predicate) int {
 	if cp, ok := CompilePredicate(d, p); ok {
-		return cp.CountFast()
+		return cp.CountFast(nil)
 	}
 	n := 0
 	for r := 0; r < d.n; r++ {

@@ -7,6 +7,7 @@ import (
 	"redi/internal/bitmap"
 	"redi/internal/obs"
 	"redi/internal/parallel"
+	"redi/internal/trace"
 )
 
 // PartitionSource is the storage contract behind a Partitioned view: rows
@@ -306,7 +307,10 @@ func (ms *memSource) PartitionPresentCodes(p, col int) []int32 { return nil }
 // rendered-key order, and builds one local→final remap per shard. Phase 2
 // rewrites each shard's ByRow range through its remap. Every merge walks
 // shards in shard order, so the result is independent of the worker count.
-func (pd *Partitioned) GroupBy(workers int, attrs ...string) *Groups {
+// Under a non-nil span it records the same "dataset.groupby" child as
+// Dataset.GroupByTraced.
+func (pd *Partitioned) GroupBy(workers int, sp *trace.Span, attrs ...string) *Groups {
+	ev := sp.Child("dataset.groupby")
 	A := len(attrs)
 	schema := pd.Schema()
 	cols := make([]int, A)
@@ -486,5 +490,6 @@ func (pd *Partitioned) GroupBy(workers int, attrs ...string) *Groups {
 			}
 		}
 	})
+	g.endSpan(ev)
 	return g
 }

@@ -107,7 +107,7 @@ func TestPartitionedGroupByMatchesInMemory(t *testing.T) {
 			for _, attrs := range attrSets {
 				want := d.GroupBy(attrs...)
 				for _, workers := range []int{1, 2, 8} {
-					got := pd.GroupBy(workers, attrs...)
+					got := pd.GroupBy(workers, nil, attrs...)
 					ctx := fmt.Sprintf("rows=%d partRows=%d attrs=%v workers=%d", rows, partRows, attrs, workers)
 					checkGroupsEqual(t, ctx, got, want)
 				}
@@ -130,7 +130,7 @@ func TestPartitionedPredicateMatchesInMemory(t *testing.T) {
 				t.Fatalf("in-memory compile failed for %v", p)
 			}
 			wantBM := want.SelectBitmap()
-			wantCount := want.CountFast()
+			wantCount := want.CountFast(nil)
 			for _, partRows := range []int{64, 192} {
 				pd := d.Partitions(partRows)
 				pp, ok := pd.CompilePredicate(p)
@@ -149,11 +149,27 @@ func TestPartitionedPredicateMatchesInMemory(t *testing.T) {
 								ctx, w, gotBM[w], wantBM[w], want.Disassemble())
 						}
 					}
-					if got := pp.Count(workers); got != wantCount {
+					if got := pp.Count(workers, nil); got != wantCount {
 						t.Fatalf("%s: count %d, want %d", ctx, got, wantCount)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPartitionedCountNilSpanAllocs: the untraced partitioned count adds no
+// allocation of its own. Every evaluation allocates its per-shard scratch
+// and chunk bookkeeping, so the pin is relative: Count(w, nil) allocates
+// exactly what the span-free SelectBitmap(w) does.
+func TestPartitionedCountNilSpanAllocs(t *testing.T) {
+	pd := partTestData(rng.New(74), 1000).Partitions(128)
+	pp, _ := pd.CompilePredicate(And(Eq("a", "a1"), Range("x", -1, 2)))
+	for _, workers := range []int{1, 4} {
+		count := testing.AllocsPerRun(50, func() { pp.Count(workers, nil) })
+		bare := testing.AllocsPerRun(50, func() { pp.SelectBitmap(workers) })
+		if count != bare {
+			t.Fatalf("workers=%d: Count(nil) allocates %v per run, SelectBitmap %v", workers, count, bare)
 		}
 	}
 }

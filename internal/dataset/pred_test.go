@@ -72,8 +72,8 @@ func TestCompiledMatchAgreesWithInterpreted(t *testing.T) {
 				t.Fatalf("predicate %d row %d: bitmap %v, interpreted %v", pi, row, got, want)
 			}
 		}
-		if cp.CountFast() != d.Count(p) {
-			t.Fatalf("predicate %d: CountFast %d != Count %d", pi, cp.CountFast(), d.Count(p))
+		if cp.CountFast(nil) != d.Count(p) {
+			t.Fatalf("predicate %d: CountFast %d != Count %d", pi, cp.CountFast(nil), d.Count(p))
 		}
 	}
 }
@@ -126,15 +126,15 @@ func TestDisassembleConstFold(t *testing.T) {
 	if got, want := cp.Disassemble(), "00 const false\n"; got != want {
 		t.Fatalf("folded disassembly = %q, want %q", got, want)
 	}
-	if cp.CountFast() != 0 {
-		t.Fatalf("const-false count = %d", cp.CountFast())
+	if cp.CountFast(nil) != 0 {
+		t.Fatalf("const-false count = %d", cp.CountFast(nil))
 	}
 	cp2, _ := CompilePredicate(d, Or(Not(Or()), IsNull("age")))
 	if got, want := cp2.Disassemble(), "00 const true\n"; got != want {
 		t.Fatalf("folded disassembly = %q, want %q", got, want)
 	}
-	if cp2.CountFast() != d.NumRows() {
-		t.Fatalf("const-true count = %d", cp2.CountFast())
+	if cp2.CountFast(nil) != d.NumRows() {
+		t.Fatalf("const-true count = %d", cp2.CountFast(nil))
 	}
 }
 
@@ -185,6 +185,11 @@ func TestSelectBitmapScratchReuse(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { cp.SelectBitmap() })
 	if allocs != 0 {
 		t.Fatalf("SelectBitmap allocates %v per run, want 0", allocs)
+	}
+	// The untraced count: a nil span costs a branch, never an allocation.
+	allocs = testing.AllocsPerRun(100, func() { cp.CountFast(nil) })
+	if allocs != 0 {
+		t.Fatalf("CountFast(nil) allocates %v per run, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
 		for r := 0; r < d.NumRows(); r++ {
@@ -297,10 +302,10 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 					round, row, d.NumRows(), got, want, cp.Disassemble())
 			}
 		}
-		if cp.CountFast() != count {
-			t.Fatalf("round %d: CountFast %d != interpreted %d", round, cp.CountFast(), count)
+		if cp.CountFast(nil) != count {
+			t.Fatalf("round %d: CountFast %d != interpreted %d", round, cp.CountFast(nil), count)
 		}
-		idx := cp.SelectIndices()
+		idx := cp.SelectIndices(nil)
 		if len(idx) != count {
 			t.Fatalf("round %d: SelectIndices len %d != %d", round, len(idx), count)
 		}

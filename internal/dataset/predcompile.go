@@ -70,10 +70,6 @@ type CompiledPredicate struct {
 	full bitmap.Bitmap
 	// Deterministic obs counters (nil-safe when observability is off).
 	cRows, cOps *obs.Counter
-	// Last vectorized evaluation's work tallies, published for traced
-	// wrappers. Like bms, they are per-evaluation scratch: valid until
-	// the next vectorized evaluation, not safe for concurrent use.
-	lastRows, lastOps int64
 }
 
 // CompilePredicate compiles p against d. It reports ok=false when p is an

@@ -6,6 +6,7 @@ import (
 	"redi/internal/bitmap"
 	"redi/internal/obs"
 	"redi/internal/parallel"
+	"redi/internal/trace"
 )
 
 // PartitionedPredicate is a predicate bytecode program bound to a
@@ -264,31 +265,45 @@ func (pp *PartitionedPredicate) numVals(p int, slot int32) ([]float64, []uint64)
 // worker count. Pruned partitions contribute their zeroed word range
 // without being read.
 func (pp *PartitionedPredicate) SelectBitmap(workers int) bitmap.Bitmap {
+	m, _ := pp.matchBitmap(workers)
+	return m
+}
+
+func (pp *PartitionedPredicate) matchBitmap(workers int) (bitmap.Bitmap, partEvalStats) {
 	out := bitmap.New(pp.pd.NumRows())
-	pp.run(workers, func(p int, m bitmap.Bitmap) {
+	st := pp.run(workers, func(p int, m bitmap.Bitmap) {
 		copy(out[p*pp.pd.PartRows()/64:], m)
 	})
-	return out
+	return out, st
 }
 
 // Count evaluates the program and returns the number of matching rows.
-// Per-partition counts are summed in partition order within each shard and
-// shard order across shards.
-func (pp *PartitionedPredicate) Count(workers int) int {
+// Per-partition counts are summed in partition order. Under a non-nil span
+// it records a "dataset.predicate_count" child carrying the partition
+// pruning tallies.
+func (pp *PartitionedPredicate) Count(workers int, sp *trace.Span) int {
+	ev := sp.Child("dataset.predicate_count")
+	counts := make([]int, pp.pd.NumPartitions())
+	st := pp.run(workers, func(p int, m bitmap.Bitmap) {
+		counts[p] = m.Count()
+	})
 	total := 0
-	counts := pp.runCounts(workers)
 	for _, c := range counts {
 		total += c
 	}
+	st.end(ev, total)
 	return total
 }
 
 // SelectIndices evaluates and returns the matching global row indices in
-// ascending order.
-func (pp *PartitionedPredicate) SelectIndices(workers int) []int {
-	m := pp.SelectBitmap(workers)
+// ascending order. Under a non-nil span it records a
+// "dataset.predicate_select" child carrying the pruning tallies.
+func (pp *PartitionedPredicate) SelectIndices(workers int, sp *trace.Span) []int {
+	ev := sp.Child("dataset.predicate_select")
+	m, st := pp.matchBitmap(workers)
 	idx := make([]int, 0, m.Count())
 	m.ForEach(func(r int) { idx = append(idx, r) })
+	st.end(ev, len(idx))
 	return idx
 }
 
@@ -300,9 +315,19 @@ type partEvalStats struct {
 	scanned, pruned, rows, kernels int64
 }
 
+// end closes an evaluation span with the tallies and the match count.
+func (st partEvalStats) end(ev *trace.Span, matches int) {
+	ev.SetAttr("partitions_scanned", st.scanned)
+	ev.SetAttr("partitions_pruned", st.pruned)
+	ev.SetAttr("rows_scanned", st.rows)
+	ev.SetAttr("bitmap_ops", st.kernels)
+	ev.SetAttr("matches", int64(matches))
+	ev.End()
+}
+
 // run evaluates partition-parallel, invoking sink(p, matchBitmap) for every
 // non-pruned partition. Sinks write only partition-disjoint state. The
-// returned stats feed traced wrappers; untraced callers ignore them.
+// returned stats feed span attributes; untraced callers ignore them.
 func (pp *PartitionedPredicate) run(workers int, sink func(p int, m bitmap.Bitmap)) partEvalStats {
 	cScanned, cPruned := pp.pd.counters()
 	reg := obs.Active(pp.pd.Obs)
@@ -333,15 +358,6 @@ func (pp *PartitionedPredicate) run(workers int, sink func(p int, m bitmap.Bitma
 		total.kernels += st.kernels
 	}
 	return total
-}
-
-// runCounts returns per-partition match counts (0 for pruned partitions).
-func (pp *PartitionedPredicate) runCounts(workers int) []int {
-	counts := make([]int, pp.pd.NumPartitions())
-	pp.run(workers, func(p int, m bitmap.Bitmap) {
-		counts[p] = m.Count()
-	})
-	return counts
 }
 
 // The masked numeric kernels mirror fillRange/fillCmp but take bit-packed

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"redi/internal/bitmap"
+	"redi/internal/trace"
 )
 
 // vmStackHint is the boolean-stack size evaluated on the goroutine stack;
@@ -103,13 +104,22 @@ func (cp *CompiledPredicate) Predicate() Predicate {
 // kernels over the bitmap stack. The returned bitmap is the program's
 // internal scratch: read-only, valid until the next vectorized evaluation,
 // and no allocation happens per call. Like Match, it panics on a program
-// that has not passed bytecode verification.
+// that has not passed bytecode verification. It takes no span: it is the
+// kernel the traced entry points below are built on.
+func (cp *CompiledPredicate) SelectBitmap() bitmap.Bitmap {
+	m, _, _ := cp.eval()
+	return m
+}
+
+// eval is the vectorized driver behind SelectBitmap, CountFast and
+// SelectIndices. Besides the match bitmap it returns the evaluation's
+// deterministic work tallies — rows scanned by leaf fills and bitmap
+// kernels run — so traced callers read them without shared state.
 //
 //redi:hotpath vectorized program replay; one fused scan per leaf
-func (cp *CompiledPredicate) SelectBitmap() bitmap.Bitmap {
+func (cp *CompiledPredicate) eval() (m bitmap.Bitmap, rows, kernels int64) {
 	cp.mustBeVerified()
 	sp := 0
-	var rows, kernels int64
 	for i := range cp.code {
 		in := &cp.code[i]
 		switch in.op {
@@ -173,28 +183,46 @@ func (cp *CompiledPredicate) SelectBitmap() bitmap.Bitmap {
 	}
 	cp.cRows.Add(rows)
 	cp.cOps.Add(kernels)
-	cp.lastRows, cp.lastOps = rows, kernels
-	return cp.bms[0]
+	return cp.bms[0], rows, kernels
 }
 
 // CountFast evaluates vectorized and returns the number of matching rows.
-func (cp *CompiledPredicate) CountFast() int {
-	return cp.SelectBitmap().Count()
+// Under a non-nil span it records a "dataset.predicate_count" child whose
+// attributes are the evaluation's work tallies; a nil span costs one
+// branch and no allocation.
+func (cp *CompiledPredicate) CountFast(sp *trace.Span) int {
+	ev := sp.Child("dataset.predicate_count")
+	m, rows, kernels := cp.eval()
+	n := m.Count()
+	endEval(ev, rows, kernels, n)
+	return n
 }
 
 // SelectIndices evaluates vectorized and returns the matching row indices
 // in ascending order. The slice is exactly sized (pre-counted from the
-// bitmap) and non-nil even when empty.
-func (cp *CompiledPredicate) SelectIndices() []int {
-	m := cp.SelectBitmap()
+// bitmap) and non-nil even when empty. Under a non-nil span it records a
+// "dataset.predicate_select" child.
+func (cp *CompiledPredicate) SelectIndices(sp *trace.Span) []int {
+	ev := sp.Child("dataset.predicate_select")
+	m, rows, kernels := cp.eval()
 	idx := make([]int, 0, m.Count())
 	m.ForEach(func(r int) { idx = append(idx, r) })
+	endEval(ev, rows, kernels, len(idx))
 	return idx
 }
 
-// Select evaluates vectorized and gathers the matching rows.
-func (cp *CompiledPredicate) Select() *Dataset {
-	return cp.d.Gather(cp.SelectIndices())
+// Select evaluates vectorized and gathers the matching rows; the span
+// covers the evaluation, not the gather.
+func (cp *CompiledPredicate) Select(sp *trace.Span) *Dataset {
+	return cp.d.Gather(cp.SelectIndices(sp))
+}
+
+// endEval closes an evaluation span with its deterministic tallies.
+func endEval(ev *trace.Span, rows, kernels int64, matches int) {
+	ev.SetAttr("rows_scanned", rows)
+	ev.SetAttr("bitmap_ops", kernels)
+	ev.SetAttr("matches", int64(matches))
+	ev.End()
 }
 
 // The leaf fill kernels build each 64-row word in a register and assign it,

@@ -57,8 +57,8 @@ func TestPredicateTraceGolden(t *testing.T) {
 		if !ok {
 			t.Fatal("predicate failed to compile")
 		}
-		cp.CountFastTraced(ps)
-		cp.SelectTraced(ps)
+		cp.CountFast(ps)
+		cp.Select(ps)
 		ps.End()
 	}
 	root.End()
@@ -74,8 +74,8 @@ func TestPredicateTraceGolden(t *testing.T) {
 			if !ok {
 				t.Fatal("predicate failed to compile")
 			}
-			pp.CountTraced(workers, ps)
-			pp.SelectIndicesTraced(workers, ps)
+			pp.Count(workers, ps)
+			pp.SelectIndices(workers, ps)
 			ps.End()
 		}
 		root.End()

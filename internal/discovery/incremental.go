@@ -337,17 +337,13 @@ func (e *IncrementalLSH) Upsert(ref ColumnRef, newValues []string) {
 // threshold using the tier's upper size bound and probes the band geometry
 // tuned for it; candidate sets are unioned, deduplicated, and scored, so
 // the result does not depend on insertion order or worker count.
-func (e *IncrementalLSH) Query(query map[string]bool, threshold float64) []ColumnMatch {
-	return e.QueryTraced(query, threshold, nil)
-}
-
-// QueryTraced is Query plus two child spans under sp: a
-// "discovery.lsh_probe" span (band probes, candidates after dedup) and
-// a "discovery.lsh_verify" span (signatures scored, matches kept). The
-// attributes are the same tier-order-merged tallies that feed the
-// discovery counters, so span structure is bit-identical at any worker
-// count. A nil span is the untraced path.
-func (e *IncrementalLSH) QueryTraced(query map[string]bool, threshold float64, sp *trace.Span) []ColumnMatch {
+//
+// Under a non-nil span it records two children: "discovery.lsh_probe"
+// (band probes, candidates after dedup) and "discovery.lsh_verify"
+// (signatures scored, matches kept). The attributes are the same
+// tier-order-merged tallies that feed the discovery counters, so span
+// structure is bit-identical at any worker count.
+func (e *IncrementalLSH) Query(query map[string]bool, threshold float64, sp *trace.Span) []ColumnMatch {
 	if len(e.refs) == 0 {
 		return nil
 	}

@@ -182,10 +182,10 @@ func TestIncrementalLSHEquivalence(t *testing.T) {
 				q[fmt.Sprintf("val-%d", r.Intn(300))] = true
 			}
 			threshold := 0.1 + 0.8*r.Float64()
-			want := cold.Query(q, threshold)
+			want := cold.Query(q, threshold, nil)
 			for _, workers := range []int{1, 2, 8} {
 				inc.Workers = workers
-				got := inc.Query(q, threshold)
+				got := inc.Query(q, threshold, nil)
 				if len(got) != len(want) {
 					t.Fatalf("seed %d trial %d workers %d: %d matches vs %d", seed, trial, workers, len(got), len(want))
 				}
@@ -230,7 +230,7 @@ func TestIncrementalLSHTierMigration(t *testing.T) {
 	for _, v := range all {
 		q[v] = true
 	}
-	got := e.Query(q, 0.5)
+	got := e.Query(q, 0.5, nil)
 	if len(got) != 1 || got[0].Ref != ref {
 		t.Fatalf("self-query = %+v", got)
 	}

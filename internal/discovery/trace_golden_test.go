@@ -53,7 +53,7 @@ func TestLSHQueryTraceGolden(t *testing.T) {
 		for j := 0; j < 40; j++ {
 			q[fmt.Sprintf("val-%d", r.Intn(300))] = true
 		}
-		e.QueryTraced(q, threshold, root)
+		e.Query(q, threshold, root)
 	}
 	root.End()
 	checkGolden(t, "lsh_query_trace", root.DetString())

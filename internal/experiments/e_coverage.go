@@ -48,7 +48,7 @@ func E3Coverage(seed uint64) *Table {
 
 		sp := coverage.NewSpace(data, attrs, 25)
 		start := time.Now()
-		mups := sp.MUPs()
+		mups := sp.MUPs(0, nil)
 		fast := time.Since(start)
 
 		sp2 := coverage.NewSpace(data, attrs, 25)
@@ -80,7 +80,7 @@ func E13Remedy(seed uint64) *Table {
 	attrs := data.Schema().Names()
 	for _, tau := range []int{5, 10, 25, 50, 100} {
 		sp := coverage.NewSpace(data, attrs, tau)
-		mups := sp.MUPs()
+		mups := sp.MUPs(0, nil)
 		greedy := coverage.RemedyCost(sp.Remedy(mups))
 		r := rng.New(seed + uint64(tau))
 		randomCost := 0

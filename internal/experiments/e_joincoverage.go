@@ -55,7 +55,7 @@ func E18JoinCoverage(seed uint64) *Table {
 
 		start := time.Now()
 		js := coverage.NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, threshold)
-		fastMUPs := js.MUPs()
+		fastMUPs := js.MUPs(0, nil)
 		fast := time.Since(start)
 
 		start = time.Now()
@@ -64,7 +64,7 @@ func E18JoinCoverage(seed uint64) *Table {
 			panic(err)
 		}
 		ms := coverage.NewSpace(joined, []string{"race", "region"}, threshold)
-		slowMUPs := ms.MUPs()
+		slowMUPs := ms.MUPs(0, nil)
 		slow := time.Since(start)
 
 		if len(fastMUPs) != len(slowMUPs) {

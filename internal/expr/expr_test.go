@@ -38,31 +38,31 @@ func testData(t *testing.T) *dataset.Dataset {
 // TestParseGolden pins the parser's shape via the AST's s-expression form.
 func TestParseGolden(t *testing.T) {
 	cases := map[string]string{
-		`race = 'black'`:                     `(= race 'black')`,
-		`race != 'it''s'`:                    `(!= race 'it''s')`,
-		`age = 40`:                           `(= age 40)`,
-		`age != 40`:                          `(!= age 40)`,
-		`age < 40`:                           `(< age 40)`,
-		`age <= -1.5`:                        `(<= age -1.5)`,
-		`age > 1e3`:                          `(> age 1000)`,
-		`age >= .5`:                          `(>= age 0.5)`,
-		`race in ('a')`:                      `(in race 'a')`,
-		`race IN ('a', 'b')`:                 `(in race 'a' 'b')`,
-		`race not in ('a','b')`:              `(notin race 'a' 'b')`,
-		`age between 20 and 40`:              `(between age 20 40)`,
-		`age is null`:                        `(isnull age)`,
-		`age IS NOT NULL`:                    `(notnull age)`,
-		`not age < 5`:                        `(not (< age 5))`,
-		`a = 'x' and b = 'y'`:                `(and (= a 'x') (= b 'y'))`,
-		`a = 'x' or b = 'y' and c = 'z'`:     `(or (= a 'x') (and (= b 'y') (= c 'z')))`,
-		`(a = 'x' or b = 'y') and c = 'z'`:   `(and (or (= a 'x') (= b 'y')) (= c 'z'))`,
-		`a = 'x' and b = 'y' and c = 'z'`:    `(and (and (= a 'x') (= b 'y')) (= c 'z'))`,
-		`not a = 'x' and b = 'y'`:            `(and (not (= a 'x')) (= b 'y'))`,
-		`not (a = 'x' and b = 'y')`:          `(not (and (= a 'x') (= b 'y')))`,
-		`age between 20 and 40 and sex='F'`:  `(and (between age 20 40) (= sex 'F'))`,
-		`x is null or x is not null`:         `(or (isnull x) (notnull x))`,
-		`not not age < 5`:                    `(not (not (< age 5)))`,
-		`AGE < 5 AND race = 'b' OR t = 'u'`:  `(or (and (< AGE 5) (= race 'b')) (= t 'u'))`,
+		`race = 'black'`:                           `(= race 'black')`,
+		`race != 'it''s'`:                          `(!= race 'it''s')`,
+		`age = 40`:                                 `(= age 40)`,
+		`age != 40`:                                `(!= age 40)`,
+		`age < 40`:                                 `(< age 40)`,
+		`age <= -1.5`:                              `(<= age -1.5)`,
+		`age > 1e3`:                                `(> age 1000)`,
+		`age >= .5`:                                `(>= age 0.5)`,
+		`race in ('a')`:                            `(in race 'a')`,
+		`race IN ('a', 'b')`:                       `(in race 'a' 'b')`,
+		`race not in ('a','b')`:                    `(notin race 'a' 'b')`,
+		`age between 20 and 40`:                    `(between age 20 40)`,
+		`age is null`:                              `(isnull age)`,
+		`age IS NOT NULL`:                          `(notnull age)`,
+		`not age < 5`:                              `(not (< age 5))`,
+		`a = 'x' and b = 'y'`:                      `(and (= a 'x') (= b 'y'))`,
+		`a = 'x' or b = 'y' and c = 'z'`:           `(or (= a 'x') (and (= b 'y') (= c 'z')))`,
+		`(a = 'x' or b = 'y') and c = 'z'`:         `(and (or (= a 'x') (= b 'y')) (= c 'z'))`,
+		`a = 'x' and b = 'y' and c = 'z'`:          `(and (and (= a 'x') (= b 'y')) (= c 'z'))`,
+		`not a = 'x' and b = 'y'`:                  `(and (not (= a 'x')) (= b 'y'))`,
+		`not (a = 'x' and b = 'y')`:                `(not (and (= a 'x') (= b 'y')))`,
+		`age between 20 and 40 and sex='F'`:        `(and (between age 20 40) (= sex 'F'))`,
+		`x is null or x is not null`:               `(or (isnull x) (notnull x))`,
+		`not not age < 5`:                          `(not (not (< age 5)))`,
+		`AGE < 5 AND race = 'b' OR t = 'u'`:        `(or (and (< AGE 5) (= race 'b')) (= t 'u'))`,
 		`race not in ('a') or age between 0 and 1`: `(or (notin race 'a') (between age 0 1))`,
 	}
 	for src, want := range cases {
@@ -179,7 +179,7 @@ func TestCompileGolden(t *testing.T) {
 	if got := cp.Disassemble(); got != want {
 		t.Fatalf("disassembly:\n%s\nwant:\n%s", got, want)
 	}
-	if got := cp.CountFast(); got != 1 { // only row 1 (black, 28, 40)
+	if got := cp.CountFast(nil); got != 1 { // only row 1 (black, 28, 40)
 		t.Fatalf("CountFast = %d, want 1", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestNullSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", src, err)
 		}
-		if got := cp.CountFast(); got != want {
+		if got := cp.CountFast(nil); got != want {
 			t.Errorf("count(%q) = %d, want %d", src, got, want)
 		}
 	}
@@ -325,7 +325,7 @@ func TestDeterministicAcrossCompiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := cp.Select().WriteCSV(&sb); err != nil {
+		if err := cp.Select(nil).WriteCSV(&sb); err != nil {
 			t.Fatal(err)
 		}
 		out := cp.Disassemble() + sb.String()

@@ -58,7 +58,7 @@ func TestCompilePartitionedMatchesCompile(t *testing.T) {
 						t.Fatalf("%q partRows=%d workers=%d: word %d = %#x, want %#x", src, partRows, workers, w, got[w], want[w])
 					}
 				}
-				if gc, wc := pp.Count(workers), cp.CountFast(); gc != wc {
+				if gc, wc := pp.Count(workers, nil), cp.CountFast(nil); gc != wc {
 					t.Fatalf("%q partRows=%d workers=%d: count %d, want %d", src, partRows, workers, gc, wc)
 				}
 			}

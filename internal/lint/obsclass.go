@@ -7,7 +7,7 @@ import (
 
 // ObsClass enforces the deterministic/runtime observability class split from
 // PR 5 structurally: a value derived from the runtime class — obs.Now(),
-// Gauge.Value(), Span.End(), or the Value() of a handle created by
+// Gauge.Value(), trace Span.Duration(), or the Value() of a handle created by
 // Registry.RuntimeCounter/RuntimeHistogram — must never flow into the
 // arguments of a deterministic-class sink (Counter.Add / Histogram.Observe /
 // ShardedCounter.Add on a handle created by Registry.Counter/Histogram).
@@ -158,7 +158,7 @@ func taintFixpoint(pass *Pass, body *ast.BlockStmt, h *obsHandles) map[types.Obj
 
 // exprRuntimeTainted reports whether evaluating expr can observe a
 // runtime-class value: a tainted identifier, obs.Now(), Gauge.Value(),
-// Span.End(), or Value() on a runtime-classified handle.
+// trace Span.Duration(), or Value() on a runtime-classified handle.
 func exprRuntimeTainted(pass *Pass, expr ast.Expr, h *obsHandles, tainted map[types.Object]bool) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
@@ -193,8 +193,6 @@ func isRuntimeSourceCall(pass *Pass, call *ast.CallExpr, h *obsHandles) bool {
 	sel, recv := obsMethod(pass, call)
 	switch {
 	case sel == "Value" && isObsType(pass, recv, "Gauge"):
-		return true
-	case sel == "End" && isObsType(pass, recv, "Span"):
 		return true
 	case sel == "Duration" && isTraceType(pass, recv, "Span"):
 		// A trace span's wall-clock duration is runtime-class by

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // BucketCount is one histogram bucket: observations ≤ LE (the final bucket
@@ -41,7 +40,6 @@ type Report struct {
 	RuntimeCounters   map[string]int64             `json:"runtime_counters,omitempty"`
 	RuntimeHistograms map[string]HistogramSnapshot `json:"runtime_histograms,omitempty"`
 	Gauges            map[string]float64           `json:"gauges,omitempty"`
-	Spans             []SpanRecord                 `json:"spans,omitempty"`
 }
 
 // Snapshot returns the registry's deterministic metrics. A nil registry
@@ -99,8 +97,6 @@ func (r *Registry) Report() Report {
 			rep.Gauges[name] = g.Value()
 		}
 	}
-	rep.Spans = make([]SpanRecord, len(r.spans))
-	copy(rep.Spans, r.spans)
 	return rep
 }
 
@@ -134,8 +130,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WritePrometheus writes every metric in the Prometheus text exposition
 // format, names sanitized and prefixed with redi_, families sorted by name.
-// Histogram buckets are cumulative per the format's convention; spans are
-// aggregated into per-name sum/count series.
+// Histogram buckets are cumulative per the format's convention.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	rep := r.Report()
 	nm := newPromNamer()
@@ -148,7 +143,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		pn := nm.name(name)
 		fmt.Fprintf(&sb, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(rep.Gauges[name]))
 	}
-	writePromSpans(&sb, nm, rep.Spans)
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
@@ -209,35 +203,6 @@ func writePromHists(sb *strings.Builder, nm *promNamer, m map[string]HistogramSn
 	}
 }
 
-func writePromSpans(sb *strings.Builder, nm *promNamer, spans []SpanRecord) {
-	if len(spans) == 0 {
-		return
-	}
-	type agg struct {
-		sum   time.Duration
-		count int64
-	}
-	byName := map[string]agg{}
-	for _, sp := range spans {
-		a := byName[sp.Name]
-		a.sum += sp.Elapsed
-		a.count++
-		byName[sp.Name] = a
-	}
-	names := sortedNames(byName)
-	// The fixed span-family names go through the namer too, so a metric
-	// literally named span_seconds_sum cannot produce a duplicate family.
-	sumName, countName := nm.name("span_seconds_sum"), nm.name("span_count")
-	fmt.Fprintf(sb, "# TYPE %s counter\n", sumName)
-	for _, name := range names {
-		fmt.Fprintf(sb, "%s{span=%q} %s\n", sumName, name, promFloat(byName[name].sum.Seconds()))
-	}
-	fmt.Fprintf(sb, "# TYPE %s counter\n", countName)
-	for _, name := range names {
-		fmt.Fprintf(sb, "%s{span=%q} %d\n", countName, name, byName[name].count)
-	}
-}
-
 // promFloat renders a float without exponent notation surprises for the
 // common cases (Prometheus accepts Go's %g, so this is cosmetic).
 func promFloat(v float64) string {
@@ -273,12 +238,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		sb.WriteString("gauges:\n")
 		for _, name := range sortedNames(rep.Gauges) {
 			fmt.Fprintf(&sb, "  %-40s %s\n", name, promFloat(rep.Gauges[name]))
-		}
-	}
-	if len(rep.Spans) > 0 {
-		sb.WriteString("spans:\n")
-		for _, sp := range rep.Spans {
-			fmt.Fprintf(&sb, "  %-40s %s\n", sp.Name, sp.Elapsed)
 		}
 	}
 	_, err := io.WriteString(w, sb.String())

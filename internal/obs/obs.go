@@ -1,5 +1,5 @@
 // Package obs is REDI's deterministic observability layer: named counters,
-// histograms, gauges, and spans collected into a Registry and exported as
+// histograms, and gauges collected into a Registry and exported as
 // JSON, Prometheus text, or a human-readable report (§5 transparency — the
 // integrated dataset ships with an account of the work that produced it).
 //
@@ -14,14 +14,14 @@
 //     or the machine. Registry.Snapshot exposes only this class, and the
 //     determinism tests compare its canonical JSON byte-for-byte.
 //
-//   - Runtime (RuntimeCounter, RuntimeHistogram, Gauge, spans): quantities
+//   - Runtime (RuntimeCounter, RuntimeHistogram, Gauge): quantities
 //     that legitimately vary run-to-run or with the worker count — chunk
 //     geometry, per-worker item counts, wall-clock durations. They are
 //     reported (Registry.Report) but excluded from Snapshot.
 //
 // Wall-clock time enters the package through exactly one injectable seam
-// (var now, annotated for the walltime lint rule); span durations flow only
-// through it, so tests pin a fake clock and everything downstream of obs
+// (var now, annotated for the walltime lint rule); trace span and provenance
+// step durations flow only through it, so tests pin a fake clock and everything downstream of obs
 // stays free of bare time.Now reads.
 //
 // A nil *Registry — and every metric handle obtained from one — is a valid
@@ -49,7 +49,7 @@ func Now() time.Time { return now() }
 
 // SetClock replaces the clock seam and returns a restore func. Test-only:
 // callers must restore before the test ends and must not race concurrent
-// span recording.
+// clock reads.
 func SetClock(clock func() time.Time) (restore func()) {
 	prev := now
 	now = clock
@@ -236,30 +236,6 @@ func ExpBounds(start int64, n int) []int64 {
 	return bounds
 }
 
-// SpanRecord is one finished span: a named piece of work and its duration
-// as measured through the clock seam. Spans are runtime-class.
-type SpanRecord struct {
-	Name    string        `json:"name"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-}
-
-// Span is an in-flight span started by Registry.StartSpan.
-type Span struct {
-	r     *Registry
-	name  string
-	start time.Time
-}
-
-// End finishes the span, records it, and returns its duration.
-func (sp *Span) End() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	d := now().Sub(sp.start)
-	sp.r.RecordSpan(sp.name, d)
-	return d
-}
-
 // Registry holds a process- or run-scoped set of named metrics. The zero
 // value is ready to use; a nil *Registry is a valid no-op sink. Metric
 // handles are get-or-create and stable, so hot loops should look a handle
@@ -271,7 +247,6 @@ type Registry struct {
 	rcounters map[string]*Counter
 	rhists    map[string]*Histogram
 	gauges    map[string]*Gauge
-	spans     []SpanRecord
 }
 
 // NewRegistry returns an empty registry.
@@ -379,26 +354,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// StartSpan starts a named span on the clock seam; call End on the result.
-// Returns nil (a no-op span) on a nil registry.
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{r: r, name: name, start: now()}
-}
-
-// RecordSpan appends an externally measured span (for callers that time
-// work through their own seam, e.g. core's pipeline).
-func (r *Registry) RecordSpan(name string, elapsed time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spans = append(r.spans, SpanRecord{Name: name, Elapsed: elapsed})
-	r.mu.Unlock()
-}
-
 // CounterValues returns a name→value copy of the deterministic counters,
 // for delta accounting (see DeltaCounters).
 func (r *Registry) CounterValues() map[string]int64 {
@@ -433,9 +388,9 @@ func DeltaCounters(before, after map[string]int64) map[string]int64 {
 }
 
 // Merge folds src into r: counters and histogram buckets add, gauges take
-// src's value, spans append. Used by run-scoped registries (e.g. one
-// pipeline run) to publish into an ambient registry after computing exact
-// per-step deltas privately. No-op when either registry is nil.
+// src's value. Used by run-scoped registries (e.g. one pipeline run) to
+// publish into an ambient registry after computing exact per-step deltas
+// privately. No-op when either registry is nil.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
@@ -455,8 +410,6 @@ func (r *Registry) Merge(src *Registry) {
 	}
 	hists := copyHists(src.hists)
 	rhists := copyHists(src.rhists)
-	spans := make([]SpanRecord, len(src.spans))
-	copy(spans, src.spans)
 	src.mu.Unlock()
 
 	for _, name := range sortedNames(counters) {
@@ -474,9 +427,6 @@ func (r *Registry) Merge(src *Registry) {
 	for _, name := range sortedNames(rhists) {
 		mergeHist(r.RuntimeHistogram(name, rhists[name].bounds), rhists[name])
 	}
-	r.mu.Lock()
-	r.spans = append(r.spans, spans...)
-	r.mu.Unlock()
 }
 
 // copyHists deep-copies a histogram map under the source's lock.

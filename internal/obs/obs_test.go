@@ -24,8 +24,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != 0 {
 		t.Fatalf("nil gauge value = %v, want 0", got)
 	}
-	r.StartSpan("s").End()
-	r.RecordSpan("s", time.Second)
 	r.Merge(NewRegistry())
 	c.Sharded(4).Add(0, 1)
 	c.Sharded(4).Merge()
@@ -131,7 +129,6 @@ func TestSnapshotCanonicalBytes(t *testing.T) {
 		// Runtime-class metrics must not leak into the snapshot.
 		r.RuntimeCounter("noise").Add(42)
 		r.Gauge("g").Set(3.14)
-		r.RecordSpan("sp", time.Millisecond)
 		return r
 	}
 	b1, err := build().MarshalSnapshot()
@@ -145,29 +142,29 @@ func TestSnapshotCanonicalBytes(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("snapshots differ:\n%s\nvs\n%s", b1, b2)
 	}
-	if strings.Contains(string(b1), "noise") || strings.Contains(string(b1), "spans") {
+	if strings.Contains(string(b1), "noise") || strings.Contains(string(b1), "3.14") {
 		t.Fatalf("runtime metrics leaked into snapshot:\n%s", b1)
 	}
 }
 
+// TestSpanClockSeam: Now reads the one clock seam that every span and
+// step duration flows through, and SetClock's restore puts it back.
 func TestSpanClockSeam(t *testing.T) {
 	tick := time.Unix(100, 0)
 	restore := SetClock(func() time.Time {
 		tick = tick.Add(7 * time.Millisecond)
 		return tick
 	})
-	defer restore()
-	r := NewRegistry()
-	sp := r.StartSpan("step")
-	if d := sp.End(); d != 7*time.Millisecond {
-		t.Fatalf("span duration = %v, want 7ms", d)
-	}
-	rep := r.Report()
-	if len(rep.Spans) != 1 || rep.Spans[0].Name != "step" || rep.Spans[0].Elapsed != 7*time.Millisecond {
-		t.Fatalf("spans = %+v", rep.Spans)
+	start := Now()
+	if d := Now().Sub(start); d != 7*time.Millisecond {
+		t.Fatalf("seam elapsed = %v, want 7ms", d)
 	}
 	if got := Now(); !got.Equal(tick) {
 		t.Fatalf("Now() did not route through the seam")
+	}
+	restore()
+	if got := Now(); got.Equal(tick) || got.Before(time.Unix(1e9, 0)) {
+		t.Fatalf("restore did not reinstate the wall clock: %v", got)
 	}
 }
 
@@ -177,7 +174,6 @@ func TestMerge(t *testing.T) {
 	run.Histogram("h", ExpBounds(1, 3)).Observe(2)
 	run.RuntimeCounter("rc").Add(5)
 	run.Gauge("g").Set(1.25)
-	run.RecordSpan("sp", time.Second)
 
 	ambient := NewRegistry()
 	ambient.Counter("c").Add(10)
@@ -192,11 +188,7 @@ func TestMerge(t *testing.T) {
 	if got := ambient.Gauge("g").Value(); got != 1.25 {
 		t.Fatalf("merged gauge = %v", got)
 	}
-	rep := ambient.Report()
-	if len(rep.Spans) != 1 || rep.Spans[0].Name != "sp" {
-		t.Fatalf("merged spans = %+v", rep.Spans)
-	}
-	h := rep.Histograms["h"]
+	h := ambient.Report().Histograms["h"]
 	if h.Count != 1 || h.Sum != 2 {
 		t.Fatalf("merged histogram = %+v", h)
 	}
@@ -243,7 +235,6 @@ func TestWritePrometheus(t *testing.T) {
 	r.Histogram("cleaning.er_cluster_size", []int64{1, 2}).Observe(2)
 	r.RuntimeCounter("parallel.calls").Add(3)
 	r.Gauge("workers").Set(8)
-	r.RecordSpan("tailor", 1500*time.Millisecond)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -260,8 +251,6 @@ func TestWritePrometheus(t *testing.T) {
 		"redi_parallel_calls 3",
 		"# TYPE redi_workers gauge",
 		"redi_workers 8",
-		`redi_span_seconds_sum{span="tailor"} 1.5`,
-		`redi_span_count{span="tailor"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
@@ -273,8 +262,8 @@ func TestWritePrometheus(t *testing.T) {
 // guarantees: every family name is a legal Prometheus identifier, no
 // family is declared twice — even when sanitization collapses distinct
 // source names onto one identifier or the same name is registered in
-// both metric classes — label values are quote-escaped, and the whole
-// output is a deterministic function of the registry contents.
+// both metric classes — and the whole output is a deterministic function
+// of the registry contents.
 func TestWritePrometheusSanitizationContract(t *testing.T) {
 	r := NewRegistry()
 	// Three distinct source names that all sanitize to redi_a_b.
@@ -286,9 +275,6 @@ func TestWritePrometheusSanitizationContract(t *testing.T) {
 	// Name-illegal bytes: multi-byte unicode, space, quote, leading digit.
 	r.Counter("söme metric\"x").Add(5)
 	r.Gauge("9lives").Set(1)
-	// A counter squatting on the fixed span-family name.
-	r.Counter("span_count").Add(6)
-	r.RecordSpan(`tailor"quoted\`, 1500*time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -325,8 +311,6 @@ func TestWritePrometheusSanitizationContract(t *testing.T) {
 		"redi_a_b 3", "redi_a_b_2 1", "redi_a_b_3 2", "redi_a_b_4 4",
 		"redi_s__me_metric_x 5", // 'ö' is two UTF-8 bytes, two underscores
 		"redi_9lives 1",
-		"redi_span_count 6",              // the counter keeps the plain name
-		`redi_span_count_2{span="tailor`, // the span family is renamed away
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

@@ -83,7 +83,7 @@ func BuildLabel(d *dataset.Dataset, cfg LabelConfig) *Label {
 			l.GroupCounts[string(groups.Key(gid))] = c
 		}
 		space := coverage.NewSpace(d, cfg.Sensitive, cfg.CoverageThreshold)
-		for _, m := range space.MUPs() {
+		for _, m := range space.MUPs(0, nil) {
 			l.UncoveredPatterns = append(l.UncoveredPatterns, space.Describe(m.Pattern))
 		}
 		var features []string

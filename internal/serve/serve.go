@@ -315,10 +315,10 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, sp *trace.
 	}
 	switch mode {
 	case "count":
-		writeJSON(w, http.StatusOK, map[string]int{"count": cp.CountFastTraced(sp)})
+		writeJSON(w, http.StatusOK, map[string]int{"count": cp.CountFast(sp)})
 	case "select":
 		var csv strings.Builder
-		if err := cp.SelectTraced(sp).WriteCSV(&csv); err != nil {
+		if err := cp.Select(sp).WriteCSV(&csv); err != nil {
 			return err
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"csv": csv.String()})

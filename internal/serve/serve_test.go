@@ -123,7 +123,7 @@ func TestServeEquivalence(t *testing.T) {
 		cold := core.Audit(mirror, []core.Requirement{
 			core.CoverageRequirement{Attrs: sens, Threshold: 5},
 			core.CompletenessRequirement{Sensitive: sens, MaxNullRate: 0.2},
-		})
+		}, nil)
 		coldResp := auditResponse{Satisfied: cold.Satisfied()}
 		for _, res := range cold.Results {
 			coldResp.Results = append(coldResp.Results, auditResult{
@@ -153,8 +153,8 @@ func TestServeEquivalence(t *testing.T) {
 			if err := json.Unmarshal([]byte(got), &resp); err != nil {
 				t.Fatalf("batch %d: query %q: %v in %s", batchNo, q, err, got)
 			}
-			if resp.Count != cp.CountFast() {
-				t.Fatalf("batch %d: query %q: served %d, cold %d", batchNo, q, resp.Count, cp.CountFast())
+			if resp.Count != cp.CountFast(nil) {
+				t.Fatalf("batch %d: query %q: served %d, cold %d", batchNo, q, resp.Count, cp.CountFast(nil))
 			}
 			_, sel := doReq(t, svcs[0], "GET", path+"&mode=select", "")
 			var selResp struct {
@@ -163,7 +163,7 @@ func TestServeEquivalence(t *testing.T) {
 			if err := json.Unmarshal([]byte(sel), &selResp); err != nil {
 				t.Fatal(err)
 			}
-			if want := csvOf(t, cp.Select()); selResp.CSV != want {
+			if want := csvOf(t, cp.Select(nil)); selResp.CSV != want {
 				t.Fatalf("batch %d: query %q select differs from cold rebuild", batchNo, q)
 			}
 		}
@@ -185,7 +185,7 @@ func TestServeEquivalence(t *testing.T) {
 			_, dict := mirror.Codes(attr)
 			fresh.Upsert(discovery.ColumnRef{Table: "resident", Column: attr}, dict)
 		}
-		coldMatches := fresh.Query(map[string]bool{"black": true, "white": true, "asian": true, "hispanic": true}, 0.3)
+		coldMatches := fresh.Query(map[string]bool{"black": true, "white": true, "asian": true, "hispanic": true}, 0.3, nil)
 		var dresp struct {
 			Matches []discoveryMatch `json:"matches"`
 		}

@@ -206,17 +206,12 @@ func (s *Store) Audit(threshold int, maxNull float64, workers int, sp *trace.Spa
 	comp := core.CompletenessRequirement{Sensitive: s.cfg.Sensitive, MaxNullRate: maxNull}
 	cs := sp.Child("audit.coverage")
 	s.walkMu.Lock()
-	covRes := cov.CheckSpaceTraced(s.space, workers, cs)
+	covRes := cov.CheckSpace(s.space, workers, cs)
 	s.walkMu.Unlock()
 	cs.SetAttr("satisfied", boolAttr(covRes.Satisfied))
 	cs.End()
 	cc := sp.Child("audit.completeness")
-	var compRes core.CheckResult
-	if cc != nil {
-		compRes = comp.CheckTraced(snap, cc)
-	} else {
-		compRes = comp.Check(snap)
-	}
+	compRes := comp.Check(snap, cc)
 	cc.SetAttr("satisfied", boolAttr(compRes.Satisfied))
 	cc.End()
 	return &core.AuditReport{Results: []core.CheckResult{covRes, compRes}}
@@ -232,7 +227,7 @@ func (s *Store) Discover(values []string, threshold float64, sp *trace.Span) []d
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.lsh.QueryTraced(query, threshold, sp)
+	return s.lsh.Query(query, threshold, sp)
 }
 
 // boolAttr converts a deterministic boolean outcome to a 0/1 attribute.

@@ -44,7 +44,7 @@ func BenchmarkOOCMUPsInMemory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := coverage.NewSpace(d, []string{"race", "sex", "label"}, 25)
-		if mups := s.MUPs(); len(mups) > 1000 {
+		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkOOCMUPsMapped(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := coverage.NewSpacePartitioned(pd, []string{"race", "sex", "label"}, 25, 0)
-		if mups := s.MUPs(); len(mups) > 1000 {
+		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkOOCGroupByMapped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g := pd.GroupBy(0, "race", "sex", "label"); g.NumGroups() == 0 {
+		if g := pd.GroupBy(0, nil, "race", "sex", "label"); g.NumGroups() == 0 {
 			b.Fatal("no groups")
 		}
 	}

@@ -42,11 +42,10 @@ func benchServeAuditTrace(b *testing.B, traceBuffer int) {
 func BenchmarkTraceServeAuditDisabled(b *testing.B) { benchServeAuditTrace(b, -1) }
 func BenchmarkTraceServeAuditEnabled(b *testing.B)  { benchServeAuditTrace(b, 64) }
 
-// benchTraceMUPs pins the per-walk tracing cost at the kernel level: the
-// traced coverage walk with a nil span must be indistinguishable from
-// the untraced walk (the nil checks are predictable pointer branches at
-// walk granularity, not per DFS node), while a live span adds one child
-// span allocation and a handful of attribute writes per walk.
+// benchTraceMUPs pins the per-walk tracing cost at the kernel level: with
+// a nil span the one MUPs entry point pays only predictable pointer
+// branches at walk granularity, not per DFS node, while a live span adds
+// one child span allocation and a handful of attribute writes per walk.
 func benchTraceMUPs(b *testing.B, live bool) {
 	sp := coverage.NewSpace(serveBenchSeed(b), []string{"race", "sex"}, 25)
 	sink := 0
@@ -56,7 +55,7 @@ func benchTraceMUPs(b *testing.B, live bool) {
 		if live {
 			root = trace.New("bench")
 		}
-		sink += len(sp.MUPsTraced(0, root))
+		sink += len(sp.MUPs(0, root))
 		root.End()
 	}
 	if sink < 0 {
