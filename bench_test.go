@@ -332,8 +332,8 @@ func BenchmarkLSHQueryParallel(b *testing.B) { benchLSHQuery(b, parallel.Auto) }
 // --- observability benchmarks (PR 5) ---
 
 // BenchmarkObsCounterHot measures the per-increment cost of the obs
-// counter in its three states: a live atomic counter, the nil (disabled)
-// no-op path, and an unsynchronized per-worker shard.
+// counter in its two states: a live atomic counter and the nil (disabled)
+// no-op path.
 func BenchmarkObsCounterHot(b *testing.B) {
 	b.Run("atomic", func(b *testing.B) {
 		c := obs.NewRegistry().Counter("bench.hot")
@@ -350,18 +350,6 @@ func BenchmarkObsCounterHot(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c.Inc()
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		c := obs.NewRegistry().Counter("bench.hot")
-		sh := c.Sharded(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sh.Add(0, 1)
-		}
-		sh.Merge()
-		if c.Value() != int64(b.N) {
-			b.Fatal("lost increments")
 		}
 	})
 }

@@ -183,47 +183,6 @@ func (b Bitmap) CountRange(lo, hi int) int {
 	return n + bits.OnesCount64(b[hiW]&hiMask)
 }
 
-// The *Words kernels below operate on external []uint64 word slices —
-// word-packed bit data that does not live in a Bitmap the caller built,
-// such as validity bitmaps cast straight off mmap'd column pages
-// (internal/colfile). Bitmap is []uint64 underneath, so the conversions are
-// free: no copy, no allocation; the kernels run directly on the mapped
-// memory. Callers guarantee the usual layout invariant (bit i of the
-// logical range lives in word i/64 at position i%64, trailing bits zero).
-
-// CountWords returns the number of set bits in an external word slice.
-//
-//redi:hotpath word kernel over mapped pages; null-rate counting reads it per partition
-func CountWords(words []uint64) int {
-	return Bitmap(words).Count()
-}
-
-// CountRangeWords returns the number of set bits in bit range [lo, hi) of
-// an external word slice — Bitmap.CountRange for mapped pages.
-//
-//redi:hotpath word kernel over mapped pages; per-key factor counts read it per range
-func CountRangeWords(words []uint64, lo, hi int) int {
-	return Bitmap(words).CountRange(lo, hi)
-}
-
-// AndCountFrom returns |a ∩ words| without materializing the intersection.
-// words may be longer than a (a mapped page can cover more words than the
-// query bitmap); only the first len(a) words participate.
-//
-//redi:hotpath word kernel over mapped pages; fused AND+popcount per partition
-func AndCountFrom(a Bitmap, words []uint64) int {
-	n := 0
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		n += bits.OnesCount64(a[i]&words[i]) + bits.OnesCount64(a[i+1]&words[i+1]) +
-			bits.OnesCount64(a[i+2]&words[i+2]) + bits.OnesCount64(a[i+3]&words[i+3])
-	}
-	for ; i < len(a); i++ {
-		n += bits.OnesCount64(a[i] & words[i])
-	}
-	return n
-}
-
 // Grow returns a bitmap with capacity for nbits bits whose first len(b)
 // words are b's. It is the ingest path's extend-in-place primitive: when the
 // word count is unchanged the receiver comes back untouched, when spare
@@ -254,19 +213,6 @@ func (b Bitmap) Grow(nbits int) Bitmap {
 	}
 	nb := make(Bitmap, w, c)
 	copy(nb, b)
-	return nb
-}
-
-// AppendWords appends whole 64-bit words — 64-row blocks — to b and returns
-// the extended bitmap. It is the bulk form of Grow for word-aligned
-// producers (partition ingest, validity words streamed off column pages):
-// appending words keeps PR 8's alignment invariant that a 64-row-multiple
-// prefix owns exactly its leading words, so partition-parallel writers stay
-// disjoint. The receiver must itself be word-full (its bit length a multiple
-// of 64); the appended words land immediately after it.
-func AppendWords(b Bitmap, words ...uint64) Bitmap {
-	nb := b.Grow((len(b) + len(words)) * wordBits)
-	copy(nb[len(b):], words)
 	return nb
 }
 

@@ -194,54 +194,6 @@ func TestCountRange(t *testing.T) {
 	}
 }
 
-// TestWordKernelsMatchReference cross-checks the external-word-slice kernels
-// (CountWords / CountRangeWords / AndCountFrom) against the boolean-slice
-// reference. The word slice is the raw []uint64 view of a bitmap — exactly
-// what a mapped column page looks like to the kernels — and AndCountFrom is
-// additionally checked with a longer word slice whose trailing words must
-// not participate.
-func TestWordKernelsMatchReference(t *testing.T) {
-	r := rng.New(9)
-	for round := 0; round < 60; round++ {
-		nbits := 1 + r.Intn(600)
-		a, ra := randomPair(r, nbits, 0.4)
-		b, rb := randomPair(r, nbits, 0.4)
-		words := []uint64(b)
-
-		if got, want := CountWords(words), refCount(rb, 0, nbits); got != want {
-			t.Fatalf("round %d: CountWords = %d, want %d", round, got, want)
-		}
-		for trial := 0; trial < 20; trial++ {
-			lo := r.Intn(nbits + 1)
-			hi := r.Intn(nbits + 1)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if got, want := CountRangeWords(words, lo, hi), refCount(rb, lo, hi); got != want {
-				t.Fatalf("round %d: CountRangeWords(%d, %d) = %d, want %d (nbits=%d)",
-					round, lo, hi, got, want, nbits)
-			}
-		}
-
-		wantAnd := 0
-		for i := 0; i < nbits; i++ {
-			if ra[i] && rb[i] {
-				wantAnd++
-			}
-		}
-		if got := AndCountFrom(a, words); got != wantAnd {
-			t.Fatalf("round %d: AndCountFrom = %d, want %d", round, got, wantAnd)
-		}
-		longer := append(append([]uint64(nil), words...), ^uint64(0), ^uint64(0))
-		if got := AndCountFrom(a, longer); got != wantAnd {
-			t.Fatalf("round %d: AndCountFrom over longer words = %d, want %d", round, got, wantAnd)
-		}
-		if got, want := AndCountFrom(b, []uint64(b)), b.Count(); got != want {
-			t.Fatalf("round %d: self AndCountFrom = %d, want %d", round, got, want)
-		}
-	}
-}
-
 func TestWordsFor(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 1, 63: 1, 64: 1, 65: 2, 128: 2, 129: 3}
 	for nbits, want := range cases {

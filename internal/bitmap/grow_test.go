@@ -94,41 +94,3 @@ func TestGrowReusesSpareCapacity(t *testing.T) {
 		t.Fatalf("prefix lost on Grow")
 	}
 }
-
-// TestAppendWords cross-checks word-aligned appends against the
-// rebuild-from-rows oracle and pins the 64-row word-alignment invariant:
-// appended words land exactly after the existing prefix.
-func TestAppendWords(t *testing.T) {
-	r := rng.New(12)
-	for round := 0; round < 40; round++ {
-		words := 1 + r.Intn(6)
-		b, ref := randomPair(r, words*64, 0.3)
-		for step := 0; step < 5; step++ {
-			k := 1 + r.Intn(4)
-			add := make([]uint64, k)
-			for i := range add {
-				add[i] = r.Uint64()
-			}
-			b = AppendWords(b, add...)
-			for _, w := range add {
-				for bit := 0; bit < 64; bit++ {
-					ref = append(ref, w&(1<<uint(bit)) != 0)
-				}
-			}
-			if len(b)*64 != len(ref) {
-				t.Fatalf("round %d: %d words for %d rows", round, len(b), len(ref))
-			}
-			fresh := New(len(ref))
-			for i, set := range ref {
-				if set {
-					fresh.Set(i)
-				}
-			}
-			for w := range fresh {
-				if fresh[w] != b[w] {
-					t.Fatalf("round %d step %d: word %d = %#x, rebuild has %#x", round, step, w, b[w], fresh[w])
-				}
-			}
-		}
-	}
-}

@@ -66,7 +66,8 @@ func checkFileMatches(t *testing.T, f *File, d *dataset.Dataset) {
 				if len(codes) != rows {
 					t.Fatalf("part %d col %d: %d codes, want %d", p, c, len(codes), rows)
 				}
-				dict := f.Dict(c)
+				fd, n := f.Dict(c)
+				dict := fd.Values()[:n]
 				seen := make(map[int32]bool)
 				for i, code := range codes {
 					want := d.Value(base+i, attr.Name)

@@ -39,7 +39,7 @@ type File struct {
 	schema   *dataset.Schema
 	partRows int
 	numRows  int
-	dicts    [][]string
+	dicts    []*dataset.Dict // per categorical column; nil for numeric
 	parts    []partMeta
 
 	cBytesRead *obs.Counter
@@ -136,8 +136,13 @@ func openOn(f *os.File, path string, opts OpenOptions) (*File, error) {
 		schema:   ft.schema,
 		partRows: int(h.partRows),
 		numRows:  int(h.numRows),
-		dicts:    ft.dicts,
+		dicts:    make([]*dataset.Dict, len(ft.dicts)),
 		parts:    ft.parts,
+	}
+	for i, a := range ft.schema.Attrs() {
+		if a.Kind == dataset.Categorical {
+			file.dicts[i] = dataset.NewDict(ft.dicts[i])
+		}
 	}
 	reg := obs.Active(opts.Obs)
 	file.cBytesRead = reg.Counter("colfile.bytes_read")
@@ -231,9 +236,16 @@ func (f *File) NumPartitions() int { return len(f.parts) }
 func (f *File) PartitionRows(p int) int { return f.parts[p].rows }
 
 // Dict returns the merged global dictionary of a categorical column (codes
-// in every partition index into it); nil for numeric columns. The slice is
-// shared — callers must not mutate it.
-func (f *File) Dict(col int) []string { return f.dicts[col] }
+// in every partition index into it) and its length, the file's watermark;
+// (nil, 0) for numeric columns. Its value index is built on the first
+// literal bound against the column.
+func (f *File) Dict(col int) (*dataset.Dict, int) {
+	d := f.dicts[col]
+	if d == nil {
+		return nil, 0
+	}
+	return d, len(d.Values())
+}
 
 // PartitionCatCodes returns partition p's dictionary codes for a
 // categorical column (-1 marks null), as a view of the mapped page where

@@ -36,8 +36,7 @@ type Writer struct {
 	validBuf [][]uint64
 	bufRows  int
 
-	dicts [][]string
-	index []map[string]int32
+	dicts []*dataset.Dict // per categorical column; the writer owns them
 
 	off     uint64
 	numRows int
@@ -69,13 +68,12 @@ func NewWriter(f *os.File, schema *dataset.Schema, opts WriterOptions) (*Writer,
 		catBuf:   make([][]int32, schema.Len()),
 		numBuf:   make([][]float64, schema.Len()),
 		validBuf: make([][]uint64, schema.Len()),
-		dicts:    make([][]string, schema.Len()),
-		index:    make([]map[string]int32, schema.Len()),
+		dicts:    make([]*dataset.Dict, schema.Len()),
 	}
 	for i := 0; i < schema.Len(); i++ {
 		if schema.Attr(i).Kind == dataset.Categorical {
 			w.catBuf[i] = make([]int32, 0, partRows)
-			w.index[i] = make(map[string]int32)
+			w.dicts[i] = new(dataset.Dict)
 		} else {
 			w.numBuf[i] = make([]float64, 0, partRows)
 			w.validBuf[i] = make([]uint64, bitmap.WordsFor(partRows))
@@ -112,13 +110,7 @@ func (w *Writer) Append(vals ...dataset.Value) error {
 				w.catBuf[i] = append(w.catBuf[i], -1)
 				continue
 			}
-			code, ok := w.index[i][v.Cat]
-			if !ok {
-				code = int32(len(w.dicts[i]))
-				w.dicts[i] = append(w.dicts[i], v.Cat)
-				w.index[i][v.Cat] = code
-			}
-			w.catBuf[i] = append(w.catBuf[i], code)
+			w.catBuf[i] = append(w.catBuf[i], w.dicts[i].Add(v.Cat))
 		} else {
 			r := w.bufRows
 			if v.Null {
@@ -169,7 +161,7 @@ func (w *Writer) flushPartition() error {
 				return err
 			}
 			pm.cols[i].off = off
-			seen := make([]bool, len(w.dicts[i]))
+			seen := make([]bool, len(w.dicts[i].Values()))
 			for _, code := range w.catBuf[i] {
 				if code >= 0 {
 					seen[code] = true
@@ -257,7 +249,12 @@ func (w *Writer) Close() error {
 	if err := w.flushPartition(); err != nil {
 		return err
 	}
-	ft := footer{schema: w.schema, dicts: w.dicts, parts: w.parts}
+	ft := footer{schema: w.schema, dicts: make([][]string, len(w.dicts)), parts: w.parts}
+	for i, d := range w.dicts {
+		if d != nil {
+			ft.dicts[i] = d.Values()
+		}
+	}
 	ftBytes := ft.encode()
 	footerOff := alignUp(w.off, blobAlign)
 	if err := w.pad(footerOff - w.off); err != nil {

@@ -298,3 +298,38 @@ func TestOrdinalPanics(t *testing.T) {
 	}()
 	NewOrdinalCoverage(d, []string{"x"}, 0, 1)
 }
+
+// TestRejectedAppendRowLeavesCoverage: a row rejected for a kind mismatch
+// in a later column must not leave its categorical values in earlier
+// columns' dictionaries, where the space would report them as uncovered.
+func TestRejectedAppendRowLeavesCoverage(t *testing.T) {
+	d := dataset.New(dataset.NewSchema(
+		dataset.Attribute{Name: "race", Kind: dataset.Categorical, Role: dataset.Sensitive},
+		dataset.Attribute{Name: "sex", Kind: dataset.Categorical, Role: dataset.Sensitive},
+		dataset.Attribute{Name: "age", Kind: dataset.Numeric},
+	))
+	for i := 0; i < 5; i++ {
+		for _, race := range []string{"white", "black"} {
+			for _, sex := range []string{"F", "M"} {
+				d.MustAppendRow(dataset.Cat(race), dataset.Cat(sex), dataset.Num(float64(30+i)))
+			}
+		}
+	}
+	attrs := []string{"race", "sex"}
+	if s := NewSpace(d, attrs, 5); len(s.MUPs(0, nil)) != 0 {
+		t.Fatalf("fixture has MUPs %v", mupKeys(s, s.MUPs(0, nil)))
+	}
+	if err := d.AppendRow(dataset.Cat("martian"), dataset.Cat("F"), dataset.Cat("not-a-number")); err == nil {
+		t.Fatal("kind mismatch on age accepted")
+	}
+	if d.NumRows() != 20 {
+		t.Fatalf("NumRows = %d after rejected append, want 20", d.NumRows())
+	}
+	if _, dict := d.Codes("race"); len(dict) != 2 {
+		t.Fatalf("race dictionary = %v after rejected append, want [white black]", dict)
+	}
+	s := NewSpace(d, attrs, 5)
+	if after := mupKeys(s, s.MUPs(0, nil)); len(after) != 0 {
+		t.Fatalf("MUPs = %v after rejected append, want none", after)
+	}
+}

@@ -1,6 +1,10 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+
+	"redi/internal/bitmap"
+)
 
 // column is the typed storage behind one attribute. Implementations are
 // append-only; mutation of existing cells goes through set, used by the
@@ -10,7 +14,9 @@ type column interface {
 	kind() Kind
 	isNull(i int) bool
 	value(i int) Value
-	appendValue(v Value) error
+	// appendValue appends v, which the caller has checked is null or of
+	// the column's kind.
+	appendValue(v Value)
 	// appendBulk appends all of src's cells, copying column storage
 	// directly (codes are dictionary-remapped) instead of boxing Values.
 	appendBulk(src column) error
@@ -29,16 +35,17 @@ type column interface {
 // catColumn stores dictionary-encoded categorical values. Code -1 marks
 // null so the null mask is implicit.
 //
-// The dictionary is copy-on-write: gather and clone share dict/index with
-// the source column and mark both sides shared, so selections never rebuild
-// the value index (for an ID-like column that rebuild dwarfs the selection
-// itself). Any mutation that would grow the dictionary materializes a
-// private copy first; code vectors are always private.
+// The dictionary is shared by reference with every column derived from
+// this one (snapshot, gather, clone). The column that created it owns it
+// and appends in place; any other column sees only vals, the prefix that
+// existed when it took its reference, and copies that prefix into a
+// dictionary of its own the first time it must add a value. Code vectors
+// are always private.
 type catColumn struct {
-	codes  []int32
-	dict   []string
-	index  map[string]int32
-	shared bool // dict/index are shared with another column
+	codes []int32
+	dict  *Dict
+	vals  []string // the dictionary prefix this column sees; its length is the watermark
+	owner bool
 	// frozen is the snapshot watermark: rows [0, frozen) may be visible
 	// through an outstanding snapshot's aliased code slice, so in-place
 	// mutation of them must materialize private storage first. Appends are
@@ -48,7 +55,9 @@ type catColumn struct {
 }
 
 func newCatColumn() *catColumn {
-	return &catColumn{index: make(map[string]int32)}
+	// The index exists before the dictionary is shared, so the owner's
+	// unlocked lookups never race a lazy index build by another holder.
+	return &catColumn{dict: &Dict{index: map[string]int32{}}, owner: true}
 }
 
 func (c *catColumn) len() int          { return len(c.codes) }
@@ -59,44 +68,40 @@ func (c *catColumn) value(i int) Value {
 	if c.codes[i] < 0 {
 		return NullValue(Categorical)
 	}
-	return Cat(c.dict[c.codes[i]])
+	return Cat(c.vals[c.codes[i]])
 }
 
+// lookup returns the code of s if this column sees it. The owner reads the
+// index without locking: it is the index's only writer.
+func (c *catColumn) lookup(s string) (int32, bool) {
+	if c.owner {
+		code, ok := c.dict.index[s]
+		return code, ok
+	}
+	code, ok := c.dict.lookup(s)
+	return code, ok && int(code) < len(c.vals)
+}
+
+// code returns the code of s, adding s to the dictionary when this column
+// does not see it yet.
 func (c *catColumn) code(s string) int32 {
-	if code, ok := c.index[s]; ok {
+	if code, ok := c.lookup(s); ok {
 		return code
 	}
-	if c.shared {
-		c.materializeDict()
+	if !c.owner {
+		c.dict, c.owner = ownedDict(c.vals), true
 	}
-	code := int32(len(c.dict))
-	c.dict = append(c.dict, s)
-	c.index[s] = code
+	code := c.dict.insert(s)
+	c.vals = c.dict.vals
 	return code
 }
 
-// materializeDict replaces a shared dictionary with a private copy before
-// the first mutation.
-func (c *catColumn) materializeDict() {
-	dict := make([]string, len(c.dict))
-	copy(dict, c.dict)
-	index := make(map[string]int32, len(c.index)+1)
-	for s, code := range c.index {
-		index[s] = code
-	}
-	c.dict, c.index, c.shared = dict, index, false
-}
-
-func (c *catColumn) appendValue(v Value) error {
+func (c *catColumn) appendValue(v Value) {
 	if v.Null {
 		c.codes = append(c.codes, -1)
-		return nil
-	}
-	if v.Kind != Categorical {
-		return fmt.Errorf("dataset: appending %s value to categorical column", v.Kind)
+		return
 	}
 	c.codes = append(c.codes, c.code(v.Cat))
-	return nil
 }
 
 func (c *catColumn) appendBulk(src column) error {
@@ -108,8 +113,8 @@ func (c *catColumn) appendBulk(src column) error {
 	// the code vector through the table. Safe when src aliases c: the
 	// dictionary gains nothing (every value already present) and the ranged
 	// slice header is captured before any append reallocates.
-	remap := make([]int32, len(o.dict))
-	for code, s := range o.dict {
+	remap := make([]int32, len(o.vals))
+	for code, s := range o.vals {
 		remap[code] = c.code(s)
 	}
 	if free := cap(c.codes) - len(c.codes); free < len(o.codes) {
@@ -157,14 +162,7 @@ func (c *catColumn) materializeRows() {
 }
 
 func (c *catColumn) gather(idx []int) column {
-	if !c.shared {
-		// Guarded write: concurrent gathers from an already-shared column
-		// (e.g. two requests selecting rows of the same snapshot) must not
-		// race on the flag.
-		c.shared = true
-	}
-	out := &catColumn{dict: c.dict, index: c.index, shared: true}
-	out.codes = make([]int32, len(idx))
+	out := &catColumn{codes: make([]int32, len(idx)), dict: c.dict, vals: c.vals}
 	for j, i := range idx {
 		out.codes[j] = c.codes[i]
 	}
@@ -172,60 +170,79 @@ func (c *catColumn) gather(idx []int) column {
 }
 
 func (c *catColumn) clone() column {
-	if !c.shared {
-		c.shared = true
-	}
-	return &catColumn{
-		codes:  append([]int32(nil), c.codes...),
-		dict:   c.dict,
-		index:  c.index,
-		shared: true,
-	}
+	return &catColumn{codes: append([]int32(nil), c.codes...), dict: c.dict, vals: c.vals}
 }
 
 func (c *catColumn) snapshot() column {
-	if !c.shared {
-		c.shared = true
-	}
 	n := len(c.codes)
 	c.frozen = n
 	// Three-index slice: the snapshot's capacity equals its length, so even
 	// an append through the snapshot (which immutability forbids anyway)
 	// could never write into the live column's tail.
-	return &catColumn{codes: c.codes[:n:n], dict: c.dict, index: c.index, shared: true, frozen: n}
+	return &catColumn{codes: c.codes[:n:n], dict: c.dict, vals: c.vals, frozen: n}
 }
 
-// numColumn stores float64 values with an explicit null mask.
+// numColumn stores float64 values with validity words, the column-file
+// layout: bit i%64 of valid[i/64] is set when row i is non-null, a cell
+// under a cleared bit holds 0, and bits past the row count are zero.
 type numColumn struct {
 	vals  []float64
-	nulls []bool
+	valid []uint64
 	// frozen is the snapshot watermark; see catColumn.frozen.
 	frozen int
+	// tailShared marks a partly filled last validity word that a snapshot
+	// shares: the next append would set a bit in it, so it copies the
+	// validity words first (never the values).
+	tailShared bool
 }
 
 func (c *numColumn) len() int          { return len(c.vals) }
 func (c *numColumn) kind() Kind        { return Numeric }
-func (c *numColumn) isNull(i int) bool { return c.nulls[i] }
+func (c *numColumn) isNull(i int) bool { return c.valid[i/64]&(1<<(uint(i)%64)) == 0 }
 
 func (c *numColumn) value(i int) Value {
-	if c.nulls[i] {
+	if c.isNull(i) {
 		return NullValue(Numeric)
 	}
 	return Num(c.vals[i])
 }
 
-func (c *numColumn) appendValue(v Value) error {
+// reserve gives the validity words room for k more rows. When a snapshot
+// shares the partly filled last word, the words are copied first, sized to
+// fit: the next snapshot will share the new tail and force another copy
+// anyway. Otherwise they grow geometrically.
+func (c *numColumn) reserve(k int) {
+	need := bitmap.WordsFor(len(c.vals) + k)
+	if !c.tailShared && need <= cap(c.valid) {
+		return
+	}
+	if !c.tailShared && need < 2*cap(c.valid) {
+		need = 2 * cap(c.valid)
+	}
+	c.valid = append(make([]uint64, 0, need), c.valid...)
+	c.tailShared = false
+}
+
+// push appends one cell; a null cell holds 0.
+func (c *numColumn) push(v float64, valid bool) {
+	n := len(c.vals)
+	if n%64 == 0 {
+		c.valid = append(c.valid, 0)
+	} else if c.tailShared {
+		c.reserve(0)
+	}
+	c.vals = append(c.vals, v)
+	if valid {
+		c.valid[n/64] |= 1 << (uint(n) % 64)
+	}
+}
+
+func (c *numColumn) appendValue(v Value) {
 	if v.Null {
-		c.vals = append(c.vals, 0)
-		c.nulls = append(c.nulls, true)
-		return nil
+		c.push(0, false)
+		return
 	}
-	if v.Kind != Numeric {
-		return fmt.Errorf("dataset: appending %s value to numeric column", v.Kind)
-	}
-	c.vals = append(c.vals, v.Num)
-	c.nulls = append(c.nulls, false)
-	return nil
+	c.push(v.Num, true)
 }
 
 func (c *numColumn) appendBulk(src column) error {
@@ -233,8 +250,12 @@ func (c *numColumn) appendBulk(src column) error {
 	if !ok {
 		return fmt.Errorf("dataset: bulk-appending %s column into numeric column", src.kind())
 	}
-	c.vals = append(c.vals, o.vals...)
-	c.nulls = append(c.nulls, o.nulls...)
+	// Safe when src aliases c: pushes only set bits of rows >= n.
+	vals := o.vals
+	c.reserve(len(vals))
+	for i, v := range vals {
+		c.push(v, !o.isNull(i))
+	}
 	return nil
 }
 
@@ -242,27 +263,30 @@ func (c *numColumn) set(i int, v Value) error {
 	if i < c.frozen {
 		c.materializeRows()
 	}
+	bit := uint64(1) << (uint(i) % 64)
 	if v.Null {
 		c.vals[i] = 0
-		c.nulls[i] = true
+		c.valid[i/64] &^= bit
 		return nil
 	}
 	if v.Kind != Numeric {
 		return fmt.Errorf("dataset: setting %s value in numeric column", v.Kind)
 	}
 	c.vals[i] = v.Num
-	c.nulls[i] = false
+	c.valid[i/64] |= bit
 	return nil
 }
 
 func (c *numColumn) gather(idx []int) column {
 	out := &numColumn{
 		vals:  make([]float64, len(idx)),
-		nulls: make([]bool, len(idx)),
+		valid: make([]uint64, bitmap.WordsFor(len(idx))),
 	}
 	for j, i := range idx {
-		out.vals[j] = c.vals[i]
-		out.nulls[j] = c.nulls[i]
+		if !c.isNull(i) {
+			out.vals[j] = c.vals[i]
+			out.valid[j/64] |= 1 << (uint(j) % 64)
+		}
 	}
 	return out
 }
@@ -270,22 +294,27 @@ func (c *numColumn) gather(idx []int) column {
 func (c *numColumn) clone() column {
 	return &numColumn{
 		vals:  append([]float64(nil), c.vals...),
-		nulls: append([]bool(nil), c.nulls...),
+		valid: append([]uint64(nil), c.valid...),
 	}
 }
 
-// materializeRows detaches value/null storage from any outstanding snapshot
-// before the first in-place mutation of a frozen row.
+// materializeRows detaches value and validity storage from any outstanding
+// snapshot before the first in-place mutation of a frozen row.
 func (c *numColumn) materializeRows() {
 	c.vals = append(make([]float64, 0, cap(c.vals)), c.vals...)
-	c.nulls = append(make([]bool, 0, cap(c.nulls)), c.nulls...)
+	c.valid = append(make([]uint64, 0, cap(c.valid)), c.valid...)
 	c.frozen = 0
+	c.tailShared = false
 }
 
+// snapshot shares the last validity word with the live column when it is
+// partly filled, so both sides mark it: whichever appends into it first
+// copies the validity words.
 func (c *numColumn) snapshot() column {
-	n := len(c.vals)
+	n, w := len(c.vals), len(c.valid)
 	c.frozen = n
-	return &numColumn{vals: c.vals[:n:n], nulls: c.nulls[:n:n], frozen: n}
+	c.tailShared = n%64 != 0
+	return &numColumn{vals: c.vals[:n:n], valid: c.valid[:w:w], frozen: n, tailShared: c.tailShared}
 }
 
 func newColumn(k Kind) column {

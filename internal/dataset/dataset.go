@@ -33,32 +33,23 @@ func (d *Dataset) NumRows() int { return d.n }
 func (d *Dataset) NumCols() int { return d.schema.Len() }
 
 // AppendRow appends one row. The number of values must equal the number of
-// attributes and each value must match its column's kind (or be null).
+// attributes and each value must match its column's kind (or be null). Every
+// value is checked before any column changes, so a rejected row leaves no
+// trace — not even a dictionary entry, which could never be removed.
 func (d *Dataset) AppendRow(vals ...Value) error {
 	if len(vals) != d.schema.Len() {
 		return fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(vals), d.schema.Len())
 	}
 	for i, v := range vals {
-		if err := d.cols[i].appendValue(v); err != nil {
-			// Roll back the partial row so the table stays rectangular.
-			for j := 0; j < i; j++ {
-				d.truncateLast(j)
-			}
-			return fmt.Errorf("attribute %q: %w", d.schema.Attr(i).Name, err)
+		if a := d.schema.Attr(i); !v.Null && v.Kind != a.Kind {
+			return fmt.Errorf("attribute %q: dataset: appending %s value to %s column", a.Name, v.Kind, a.Kind)
 		}
+	}
+	for i, v := range vals {
+		d.cols[i].appendValue(v)
 	}
 	d.n++
 	return nil
-}
-
-func (d *Dataset) truncateLast(col int) {
-	switch c := d.cols[col].(type) {
-	case *catColumn:
-		c.codes = c.codes[:len(c.codes)-1]
-	case *numColumn:
-		c.vals = c.vals[:len(c.vals)-1]
-		c.nulls = c.nulls[:len(c.nulls)-1]
-	}
 }
 
 // MustAppendRow appends a row and panics on error. Use for rows constructed
@@ -123,7 +114,7 @@ func (d *Dataset) Numeric(attr string) (vals []float64, rows []int) {
 		panic(fmt.Sprintf("dataset: attribute %q is not numeric", attr))
 	}
 	for r := 0; r < d.n; r++ {
-		if !col.nulls[r] {
+		if !col.isNull(r) {
 			vals = append(vals, col.vals[r])
 			rows = append(rows, r)
 		}
@@ -140,7 +131,11 @@ func (d *Dataset) NumericFull(attr string) (vals []float64, null []bool) {
 	if !ok {
 		panic(fmt.Sprintf("dataset: attribute %q is not numeric", attr))
 	}
-	return append([]float64(nil), col.vals...), append([]bool(nil), col.nulls...)
+	null = make([]bool, d.n)
+	for r := range null {
+		null[r] = col.isNull(r)
+	}
+	return append([]float64(nil), col.vals...), null
 }
 
 // Strings returns the attribute's values as display strings aligned with
@@ -168,12 +163,12 @@ func (d *Dataset) Domain(attr string) []string {
 	if !ok {
 		panic(fmt.Sprintf("dataset: attribute %q is not categorical", attr))
 	}
-	seen := make([]bool, len(col.dict))
+	seen := make([]bool, len(col.vals))
 	var out []string
 	for _, code := range col.codes {
 		if code >= 0 && !seen[code] {
 			seen[code] = true
-			out = append(out, col.dict[code])
+			out = append(out, col.vals[code])
 		}
 	}
 	return out
@@ -188,7 +183,7 @@ func (d *Dataset) Codes(attr string) (codes []int32, dict []string) {
 	if !ok {
 		panic(fmt.Sprintf("dataset: attribute %q is not categorical", attr))
 	}
-	return append([]int32(nil), col.codes...), append([]string(nil), col.dict...)
+	return append([]int32(nil), col.codes...), append([]string(nil), col.vals...)
 }
 
 // Clone returns a deep copy.

@@ -90,7 +90,7 @@ func TestAppendRowErrors(t *testing.T) {
 	if err := d.AppendRow(Cat("1")); err == nil {
 		t.Fatal("short row accepted")
 	}
-	// Kind mismatch in the middle of a row must roll back cleanly.
+	// A kind mismatch in the middle of a row must leave no column longer.
 	if err := d.AppendRow(Cat("1"), Cat("white"), Cat("oops"), Cat("pos")); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
@@ -104,7 +104,7 @@ func TestAppendRowErrors(t *testing.T) {
 	}
 	for c := 0; c < d.NumCols(); c++ {
 		if got := d.cols[c].len(); got != 1 {
-			t.Fatalf("column %d length = %d after rollback", c, got)
+			t.Fatalf("column %d length = %d after a rejected row", c, got)
 		}
 	}
 }
@@ -231,5 +231,20 @@ func TestStringRendering(t *testing.T) {
 	}
 	if !NullValue(Numeric).Equal(NullValue(Categorical)) {
 		t.Fatal("nulls should be equal across kinds")
+	}
+}
+
+// TestDictAddAfterNewDict: an owner that starts from NewDict values gets
+// their codes back from Add instead of appending duplicates.
+func TestDictAddAfterNewDict(t *testing.T) {
+	d := NewDict([]string{"white", "black"})
+	if got := d.Add("black"); got != 1 {
+		t.Fatalf("Add(black) = %d, want 1", got)
+	}
+	if got := d.Add("asian"); got != 2 {
+		t.Fatalf("Add(asian) = %d, want 2", got)
+	}
+	if vals := d.Values(); len(vals) != 3 {
+		t.Fatalf("Values = %v, want [white black asian]", vals)
 	}
 }

@@ -102,8 +102,8 @@ func (d *Dataset) GroupBy(attrs ...string) *Groups {
 	for i, c := range cols {
 		// Dictionaries are append-only; aliasing them is safe because every
 		// code referenced here stays in range even if the column grows later.
-		g.dicts[i] = c.dict
-		dims[i] = len(c.dict)
+		g.dicts[i] = c.vals
+		dims[i] = len(c.vals)
 		if product > 0 && dims[i] != 0 && product > denseGroupLimit/dims[i] {
 			product = -1
 			continue

@@ -64,10 +64,9 @@ func (g *Groups) Append(d *Dataset, fromRow int) {
 			panic(fmt.Sprintf("dataset: GroupBy attribute %q is not categorical", a))
 		}
 		cols[i] = c
-		// Refresh the dict aliases: a copy-on-write materialization (snapshot
-		// + dictionary growth) may have replaced the column's dict slice
-		// since the index was built.
-		g.dicts[i] = c.dict
+		// Refresh the dict aliases: the column's dictionary has grown, or been
+		// replaced by a private copy, since the index was built.
+		g.dicts[i] = c.vals
 	}
 	if g.lookup == nil {
 		g.buildLookup()

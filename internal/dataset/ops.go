@@ -123,7 +123,7 @@ func (d *Dataset) Join(other *Dataset, leftKey, rightKey string) (*Dataset, erro
 		rc := other.cols[ri].(*catColumn)
 		// Bucket build rows by dictionary code: codes are dense, so a slice
 		// replaces the hash map entirely.
-		buckets := make([][]int, len(lc.dict))
+		buckets := make([][]int, len(lc.vals))
 		for r, code := range lc.codes {
 			if code >= 0 {
 				buckets[code] = append(buckets[code], r)
@@ -131,9 +131,9 @@ func (d *Dataset) Join(other *Dataset, leftKey, rightKey string) (*Dataset, erro
 		}
 		// Translate the probe dictionary into build codes once (-1 = value
 		// absent from the build side, matches nothing).
-		remap := make([]int32, len(rc.dict))
-		for code, s := range rc.dict {
-			if lcode, present := lc.index[s]; present {
+		remap := make([]int32, len(rc.vals))
+		for code, s := range rc.vals {
+			if lcode, present := lc.lookup(s); present {
 				remap[code] = lcode
 			} else {
 				remap[code] = -1
@@ -167,21 +167,21 @@ func (d *Dataset) Join(other *Dataset, leftKey, rightKey string) (*Dataset, erro
 		rc := other.cols[ri].(*numColumn)
 		build := make(map[uint64][]int, d.n)
 		for r, v := range lc.vals {
-			if !lc.nulls[r] {
+			if !lc.isNull(r) {
 				k := math.Float64bits(v)
 				build[k] = append(build[k], r)
 			}
 		}
 		total := 0
 		for r, v := range rc.vals {
-			if !rc.nulls[r] {
+			if !rc.isNull(r) {
 				total += len(build[math.Float64bits(v)])
 			}
 		}
 		leftIdx = make([]int, 0, total)
 		rightIdx = make([]int, 0, total)
 		for r, v := range rc.vals {
-			if rc.nulls[r] {
+			if rc.isNull(r) {
 				continue
 			}
 			for _, lr := range build[math.Float64bits(v)] {

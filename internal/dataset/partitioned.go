@@ -21,7 +21,8 @@ import (
 //     rows [p*PartRows, ...) whose word range in any global bitmap is
 //     disjoint from every other partition's;
 //   - every partition has PartRows rows except possibly the last;
-//   - categorical codes are indices into Dict(col) (-1 marks null);
+//   - categorical codes are below the watermark Dict(col) reports (-1
+//     marks null);
 //   - numeric validity words are bit-packed (bit set = non-null), cells
 //     under a cleared bit hold 0, and trailing bits past the partition's
 //     row count are zero.
@@ -34,9 +35,11 @@ type PartitionSource interface {
 	PartRows() int
 	NumPartitions() int
 	PartitionRows(p int) int
-	// Dict returns the merged global dictionary of a categorical column;
-	// nil for numeric columns.
-	Dict(col int) []string
+	// Dict returns the shared global dictionary of a categorical column and
+	// the source's watermark in it: every partition's codes are below the
+	// watermark, and values at or beyond it are not the source's. Numeric
+	// columns return (nil, 0).
+	Dict(col int) (*Dict, int)
 	PartitionCatCodes(p, col int) []int32
 	PartitionNumValues(p, col int) (vals []float64, validity []uint64)
 	// PartitionPresentCodes returns the sorted global codes present in the
@@ -108,15 +111,14 @@ func (pd *Partitioned) Dict(attr string) []string {
 		panic(fmt.Sprintf("dataset: attribute %q is not categorical", attr))
 	}
 	// May be empty (nil): a zero-row or all-null column has no dictionary.
-	return pd.src.Dict(col)
+	return pd.dict(col)
 }
 
-// Domain returns the distinct categorical values of attr in dictionary
-// (first-appearance) order. For converter-written files the dictionary
-// holds exactly the values present in some row, so this is the exact
-// domain without scanning any page.
-func (pd *Partitioned) Domain(attr string) []string {
-	return append([]string(nil), pd.Dict(attr)...)
+// dict returns categorical column col's dictionary values below the
+// source's watermark.
+func (pd *Partitioned) dict(col int) []string {
+	d, n := pd.src.Dict(col)
+	return d.Values()[:n]
 }
 
 func (pd *Partitioned) counters() (scanned, pruned *obs.Counter) {
@@ -135,7 +137,7 @@ func (pd *Partitioned) Value(r int, attr string) Value {
 		if code < 0 {
 			return NullValue(Categorical)
 		}
-		return Cat(pd.src.Dict(col)[code])
+		return Cat(pd.dict(col)[code])
 	}
 	vals, validity := pd.src.PartitionNumValues(p, col)
 	if validity[i/64]&(1<<(uint(i)%64)) == 0 {
@@ -159,6 +161,12 @@ func (pd *Partitioned) AppendRowsTo(out *Dataset, rows []int) error {
 		valid [][]uint64
 	}
 	cache := make(map[int]*partCache)
+	dicts := make([][]string, schema.Len())
+	for col := range dicts {
+		if schema.Attr(col).Kind == Categorical {
+			dicts[col] = pd.dict(col)
+		}
+	}
 	fetch := func(p int) *partCache {
 		if c, ok := cache[p]; ok {
 			return c
@@ -191,7 +199,7 @@ func (pd *Partitioned) AppendRowsTo(out *Dataset, rows []int) error {
 				if code < 0 {
 					row[col] = NullValue(Categorical)
 				} else {
-					row[col] = Cat(pd.src.Dict(col)[code])
+					row[col] = Cat(dicts[col][code])
 				}
 			} else {
 				if c.valid[col][i/64]&(1<<(uint(i)%64)) == 0 {
@@ -209,10 +217,10 @@ func (pd *Partitioned) AppendRowsTo(out *Dataset, rows []int) error {
 }
 
 // Partitions returns a partitioned view of an in-memory dataset: the same
-// rows sliced into partRows-sized partitions (0 means DefaultMemPartRows),
-// with numeric validity bit-packed up front. The view aliases the
-// dataset's column storage — do not mutate the dataset while the view is
-// in use.
+// rows sliced into partRows-sized partitions (0 means DefaultMemPartRows).
+// The view aliases the dataset's column storage, dictionaries and validity
+// words included, so it costs O(columns + partitions) to build — do not
+// mutate the dataset while the view is in use.
 func (d *Dataset) Partitions(partRows int) *Partitioned {
 	if partRows == 0 {
 		partRows = DefaultMemPartRows
@@ -220,34 +228,19 @@ func (d *Dataset) Partitions(partRows int) *Partitioned {
 	if partRows <= 0 || partRows%64 != 0 {
 		panic(fmt.Sprintf("dataset: partition size %d must be a positive multiple of 64", partRows))
 	}
-	ms := &memSource{d: d, partRows: partRows, validity: make([][]uint64, len(d.cols))}
-	for i, c := range d.cols {
-		nc, ok := c.(*numColumn)
-		if !ok {
-			continue
-		}
-		words := make([]uint64, bitmap.WordsFor(d.n))
-		for r, isNull := range nc.nulls {
-			if !isNull {
-				words[r/64] |= 1 << (uint(r) % 64)
-			}
-		}
-		ms.validity[i] = words
-	}
-	return NewPartitioned(ms)
+	return NewPartitioned(&memSource{d: d, partRows: partRows})
 }
 
 // DefaultMemPartRows is the default partition size for in-memory views.
 const DefaultMemPartRows = 1 << 16
 
 // memSource adapts an in-memory Dataset to PartitionSource by slicing its
-// column storage. Partition boundaries are multiples of 64 rows, so the
-// per-partition validity views are clean word windows of one global
-// validity bitmap per numeric column (built once at construction).
+// column storage. Partition boundaries are multiples of 64 rows, so each
+// partition's validity is a window of whole words of its column's own
+// validity words.
 type memSource struct {
 	d        *Dataset
 	partRows int
-	validity [][]uint64 // per numeric column, whole-dataset validity words
 }
 
 func (ms *memSource) Schema() *Schema { return ms.d.schema }
@@ -271,12 +264,12 @@ func (ms *memSource) rowRange(p int) (lo, hi int) {
 	return lo, hi
 }
 
-func (ms *memSource) Dict(col int) []string {
+func (ms *memSource) Dict(col int) (*Dict, int) {
 	c, ok := ms.d.cols[col].(*catColumn)
 	if !ok {
-		return nil
+		return nil, 0
 	}
-	return c.dict
+	return c.dict, len(c.vals)
 }
 
 func (ms *memSource) PartitionCatCodes(p, col int) []int32 {
@@ -286,8 +279,8 @@ func (ms *memSource) PartitionCatCodes(p, col int) []int32 {
 
 func (ms *memSource) PartitionNumValues(p, col int) ([]float64, []uint64) {
 	lo, hi := ms.rowRange(p)
-	words := ms.validity[col][lo/64 : lo/64+bitmap.WordsFor(hi-lo)]
-	return ms.d.cols[col].(*numColumn).vals[lo:hi], words
+	c := ms.d.cols[col].(*numColumn)
+	return c.vals[lo:hi], c.valid[lo/64 : lo/64+bitmap.WordsFor(hi-lo)]
 }
 
 // PartitionPresentCodes is unknown for in-memory views: nil disables
@@ -327,7 +320,7 @@ func (pd *Partitioned) GroupBy(workers int, sp *trace.Span, attrs ...string) *Gr
 		if schema.Attr(ci).Kind != Categorical {
 			panic(fmt.Sprintf("dataset: GroupBy attribute %q is not categorical", a))
 		}
-		dict := pd.src.Dict(ci) // may be empty: all-null or zero-row column
+		dict := pd.dict(ci) // may be empty: all-null or zero-row column
 		cols[i] = ci
 		g.dicts[i] = dict
 		dims[i] = len(dict)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"redi/internal/rng"
@@ -176,6 +177,45 @@ func TestPartitionedCountNilSpanAllocs(t *testing.T) {
 
 // TestPartitionedPredicateOpaqueFallback: closure predicates cannot compile
 // on either backend, and both report it the same way.
+// TestPartitionedCompileCostIgnoresUnboundDicts: compiling a predicate on
+// a partitioned view costs the same allocations and bytes whether a column
+// the predicate never names has a 1k- or a 100k-value dictionary.
+func TestPartitionedCompileCostIgnoresUnboundDicts(t *testing.T) {
+	schema := NewSchema(
+		Attribute{Name: "id", Kind: Categorical, Role: ID},
+		Attribute{Name: "race", Kind: Categorical, Role: Sensitive},
+		Attribute{Name: "x", Kind: Numeric},
+	)
+	cost := func(ids int) (allocs, bytes float64) {
+		d := New(schema)
+		for i := 0; i < ids; i++ {
+			d.MustAppendRow(Cat(fmt.Sprintf("p%06d", i)), Cat([]string{"white", "black"}[i%2]), Num(float64(i)))
+		}
+		pd := d.Partitions(8192)
+		p := Eq("race", "black")
+		compile := func() {
+			if _, ok := pd.CompilePredicate(p); !ok {
+				t.Fatal("predicate did not compile")
+			}
+		}
+		allocs = testing.AllocsPerRun(20, compile)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			compile()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 20
+	}
+	smallAllocs, smallBytes := cost(1000)
+	bigAllocs, bigBytes := cost(100000)
+	if smallAllocs != bigAllocs || smallBytes != bigBytes {
+		t.Fatalf("compile with a 1k id dictionary: %v allocs, %v B; with 100k: %v allocs, %v B",
+			smallAllocs, smallBytes, bigAllocs, bigBytes)
+	}
+}
+
 func TestPartitionedPredicateOpaqueFallback(t *testing.T) {
 	d := partTestData(rng.New(73), 100)
 	p := PredicateFunc(func(d *Dataset, r int) bool { return r%2 == 0 })

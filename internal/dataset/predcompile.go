@@ -19,12 +19,12 @@ const (
 	pConstOp    pop = iota // push const (a != 0)
 	pEqCode                // push catCols[a][row] == b
 	pInSet                 // push sets[b][code+1] on catCols[a] (slot 0 = null)
-	pRangeOp               // push !null && f0 <= v <= f1 on num slot a
-	pCmpOp                 // push !null && v <cmp b> f0 on num slot a
+	pRangeOp               // push valid && f0 <= v <= f1 on num slot a
+	pCmpOp                 // push valid && v <cmp b> f0 on num slot a
 	pNotNullCat            // push catCols[a][row] >= 0
-	pNotNullNum            // push !numNulls[a][row]
+	pNotNullNum            // push numValid[a] bit of row
 	pIsNullCat             // push catCols[a][row] < 0
-	pIsNullNum             // push numNulls[a][row]
+	pIsNullNum             // push !numValid[a] bit of row
 	pAndOp                 // pop b, pop a, push a && b
 	pOrOp                  // pop b, pop a, push a || b
 	pNotOp                 // pop a, push !a
@@ -57,7 +57,7 @@ type CompiledPredicate struct {
 	catDicts [][]string
 	catAttrs []string
 	numVals  [][]float64
-	numNulls [][]bool
+	numValid [][]uint64 // validity words, bit set = non-null
 	numAttrs []string
 	sets     [][]bool // pInSet membership, indexed by dictionary code + 1 (slot 0 = null, always false)
 	eqLits   []string // pEqCode literal (by b-side index) for Disassemble
@@ -141,7 +141,7 @@ func (c *compiler) fold(n *predNode) *predNode {
 		if !ok {
 			return constFalse
 		}
-		if _, present := col.index[n.vals[0]]; !present {
+		if _, present := col.lookup(n.vals[0]); !present {
 			return constFalse
 		}
 		return n
@@ -152,7 +152,7 @@ func (c *compiler) fold(n *predNode) *predNode {
 		}
 		any := false
 		for _, v := range n.vals {
-			if _, present := col.index[v]; present {
+			if _, present := col.lookup(v); present {
 				any = true
 				break
 			}
@@ -230,7 +230,7 @@ func (c *compiler) catSlot(attr string) int32 {
 	col := c.d.cols[ci].(*catColumn)
 	s := int32(len(c.cp.catCols))
 	c.cp.catCols = append(c.cp.catCols, col.codes)
-	c.cp.catDicts = append(c.cp.catDicts, col.dict)
+	c.cp.catDicts = append(c.cp.catDicts, col.vals)
 	c.cp.catAttrs = append(c.cp.catAttrs, attr)
 	c.catSlots[ci] = s
 	return s
@@ -244,7 +244,7 @@ func (c *compiler) numSlot(attr string) int32 {
 	col := c.d.cols[ci].(*numColumn)
 	s := int32(len(c.cp.numVals))
 	c.cp.numVals = append(c.cp.numVals, col.vals)
-	c.cp.numNulls = append(c.cp.numNulls, col.nulls)
+	c.cp.numValid = append(c.cp.numValid, col.valid)
 	c.cp.numAttrs = append(c.cp.numAttrs, attr)
 	c.numSlots[ci] = s
 	return s
@@ -263,7 +263,7 @@ func (c *compiler) emit(n *predNode) {
 	case opEq:
 		s := c.catSlot(n.attr)
 		col := c.d.cols[c.d.schema.MustIndex(n.attr)].(*catColumn)
-		code := col.index[n.vals[0]] // present by folding
+		code, _ := col.lookup(n.vals[0]) // present by folding
 		c.cp.eqLits = append(c.cp.eqLits, n.vals[0])
 		c.cp.code = append(c.cp.code, pinstr{op: pEqCode, a: s, b: code})
 		c.push()
@@ -273,9 +273,9 @@ func (c *compiler) emit(n *predNode) {
 		// Offset-by-one membership table: slot 0 answers for the null code
 		// (-1) and stays false, so the scan kernels index with code+1 and
 		// need no separate null branch.
-		set := make([]bool, len(col.dict)+1)
+		set := make([]bool, len(col.vals)+1)
 		for _, v := range n.vals {
-			if code, present := col.index[v]; present {
+			if code, present := col.lookup(v); present {
 				set[code+1] = true
 			}
 		}

@@ -13,9 +13,8 @@ import (
 // Partitioned view. The program is compiled once against the view's global
 // dictionaries (every partition's codes index into them, so one binding
 // serves all partitions) and replayed partition-at-a-time with the same
-// fill kernels as the in-memory vectorized driver — numeric leaves swap in
-// masked variants that AND each built word against the partition's validity
-// words, which is where the bit-packed null layout pays off.
+// fill kernels as the in-memory vectorized driver, over the same
+// validity-word null layout.
 //
 // Evaluation fans out over partitions; per-shard results land in disjoint
 // word ranges of the output bitmap (PartRows is a multiple of 64), so
@@ -27,7 +26,7 @@ import (
 // allocates per-shard scratch.
 type PartitionedPredicate struct {
 	pd   *Partitioned
-	prog *CompiledPredicate // bound to the zero-row dictionary stub
+	prog *CompiledPredicate // bound to the zero-row binding stub
 	// Per-slot schema column indices, for fetching partition views.
 	catColIdx []int
 	numColIdx []int
@@ -40,7 +39,7 @@ func (pd *Partitioned) CompilePredicate(p Predicate) (*PartitionedPredicate, boo
 	if p.node == nil {
 		return nil, false
 	}
-	// The program binds against a zero-row stub Dataset carrying the global
+	// The program binds against a zero-row stub Dataset borrowing the global
 	// dictionaries: folding and literal→code resolution see exactly the
 	// codes the partitions use, and the bytecode verifier accepts the empty
 	// column storage because no row of the stub is ever evaluated — the
@@ -62,20 +61,18 @@ func (pd *Partitioned) CompilePredicate(p Predicate) (*PartitionedPredicate, boo
 	return pp, true
 }
 
-// bindingStub builds a zero-row Dataset whose categorical columns carry
-// the view's global dictionaries, giving the existing compiler the exact
-// value→code binding environment of every partition.
+// bindingStub builds a zero-row Dataset whose categorical columns borrow
+// the view's global dictionaries at the source's watermarks, giving the
+// compiler the exact value→code binding of every partition in O(columns).
+// Literals resolve through the shared dictionaries, so only a column a
+// literal names is ever indexed.
 func (pd *Partitioned) bindingStub() *Dataset {
 	schema := pd.Schema()
 	stub := &Dataset{schema: schema, cols: make([]column, schema.Len())}
 	for i := 0; i < schema.Len(); i++ {
 		if schema.Attr(i).Kind == Categorical {
-			dict := pd.src.Dict(i)
-			index := make(map[string]int32, len(dict))
-			for code, s := range dict {
-				index[s] = int32(code)
-			}
-			stub.cols[i] = &catColumn{dict: dict, index: index, shared: true}
+			dict, n := pd.src.Dict(i)
+			stub.cols[i] = &catColumn{dict: dict, vals: dict.Values()[:n]}
 		} else {
 			stub.cols[i] = &numColumn{}
 		}
@@ -358,100 +355,4 @@ func (pp *PartitionedPredicate) run(workers int, sink func(p int, m bitmap.Bitma
 		total.kernels += st.kernels
 	}
 	return total
-}
-
-// The masked numeric kernels mirror fillRange/fillCmp but take bit-packed
-// validity words instead of a []bool null mask: each 64-row comparison
-// word is built branch-free exactly as in the in-memory kernels, then
-// ANDed against the partition's validity word. Cells under a cleared
-// validity bit hold 0 — the comparison runs on that 0 and the mask
-// discards the result, so no value-dependent branch enters the loop.
-
-//redi:hotpath word-building page-scan kernel; one pass over the mapped column per leaf
-func fillRangeMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, lo, hi float64) {
-	n := len(vals)
-	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
-		}
-		var w uint64
-		for i, v := range vals[base:end] {
-			var ge, le uint64
-			if v >= lo {
-				ge = 1
-			}
-			if v <= hi {
-				le = 1
-			}
-			w |= (ge & le) << uint(i)
-		}
-		dst[wi] = w & validity[wi]
-	}
-}
-
-//redi:hotpath word-building page-scan kernel; one pass over the mapped column per leaf
-func fillCmpMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, op CompareOp, x float64) {
-	n := len(vals)
-	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
-		}
-		vs := vals[base:end]
-		var w uint64
-		switch op {
-		case CmpLT:
-			for i, v := range vs {
-				var c uint64
-				if v < x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpLE:
-			for i, v := range vs {
-				var c uint64
-				if v <= x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpGT:
-			for i, v := range vs {
-				var c uint64
-				if v > x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpGE:
-			for i, v := range vs {
-				var c uint64
-				if v >= x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpEQ:
-			for i, v := range vs {
-				var c uint64
-				if v == x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		default:
-			for i, v := range vs {
-				var c uint64
-				if v != x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		}
-		dst[wi] = w & validity[wi]
-	}
 }

@@ -1,6 +1,10 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+
+	"redi/internal/bitmap"
+)
 
 // This file is the bytecode verifier for compiled predicate programs. Both
 // VM drivers — the row-at-a-time Match loop and the vectorized
@@ -11,8 +15,8 @@ import "fmt"
 // time, every invariant the hot loops rely on:
 //
 //   - the bound-state parallel arrays (columns, dictionaries, attribute
-//     names, null masks) are mutually consistent and cover the bound row
-//     count, so any in-range (slot, row) access is safe;
+//     names, validity words) are mutually consistent and cover the bound
+//     row count, so any in-range (slot, row) access is safe;
 //   - every instruction's opcode is known — the instruction set has no
 //     jumps, so control-flow validity is vacuous: execution is a single
 //     linear pass and this check is what keeps it that way;
@@ -46,9 +50,9 @@ func (cp *CompiledPredicate) verify() error {
 		return fmt.Errorf("dataset: verify: categorical binding arrays disagree (%d cols, %d dicts, %d attrs)",
 			len(cp.catCols), len(cp.catDicts), len(cp.catAttrs))
 	}
-	if len(cp.numNulls) != len(cp.numVals) || len(cp.numAttrs) != len(cp.numVals) {
-		return fmt.Errorf("dataset: verify: numeric binding arrays disagree (%d vals, %d nulls, %d attrs)",
-			len(cp.numVals), len(cp.numNulls), len(cp.numAttrs))
+	if len(cp.numValid) != len(cp.numVals) || len(cp.numAttrs) != len(cp.numVals) {
+		return fmt.Errorf("dataset: verify: numeric binding arrays disagree (%d vals, %d validity, %d attrs)",
+			len(cp.numVals), len(cp.numValid), len(cp.numAttrs))
 	}
 	for s, col := range cp.catCols {
 		if len(col) < cp.n {
@@ -56,9 +60,9 @@ func (cp *CompiledPredicate) verify() error {
 		}
 	}
 	for s, vals := range cp.numVals {
-		if len(vals) < cp.n || len(cp.numNulls[s]) < cp.n {
-			return fmt.Errorf("dataset: verify: numeric slot %d has %d/%d rows, program bound to %d",
-				s, len(vals), len(cp.numNulls[s]), cp.n)
+		if len(vals) < cp.n || len(cp.numValid[s]) < bitmap.WordsFor(cp.n) {
+			return fmt.Errorf("dataset: verify: numeric slot %d has %d rows/%d validity words, program bound to %d",
+				s, len(vals), len(cp.numValid[s]), cp.n)
 		}
 	}
 

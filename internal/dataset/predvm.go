@@ -10,7 +10,7 @@ import (
 const vmStackHint = 32
 
 // Match evaluates the program on one row with the stack VM. The hot loop
-// touches only int32 codes, float64s, and null masks — no Value boxing, no
+// touches only int32 codes, float64s, and validity words — no Value boxing, no
 // string compares, no allocation. Safe for concurrent use. It panics on a
 // program that has not passed bytecode verification (predverify.go): the
 // loop runs with no per-instruction bounds checks, on the verifier's
@@ -25,6 +25,7 @@ func (cp *CompiledPredicate) Match(row int) bool {
 		st = make([]bool, cp.depth)
 	}
 	sp := 0
+	word, bit := row/64, uint64(1)<<(uint(row)%64)
 	for i := range cp.code {
 		in := &cp.code[i]
 		switch in.op {
@@ -36,11 +37,11 @@ func (cp *CompiledPredicate) Match(row int) bool {
 			sp++
 		case pRangeOp:
 			v := cp.numVals[in.a][row]
-			st[sp] = !cp.numNulls[in.a][row] && v >= in.f0 && v <= in.f1
+			st[sp] = cp.numValid[in.a][word]&bit != 0 && v >= in.f0 && v <= in.f1
 			sp++
 		case pCmpOp:
 			v := cp.numVals[in.a][row]
-			ok := !cp.numNulls[in.a][row]
+			ok := cp.numValid[in.a][word]&bit != 0
 			switch CompareOp(in.b) {
 			case CmpLT:
 				ok = ok && v < in.f0
@@ -61,13 +62,13 @@ func (cp *CompiledPredicate) Match(row int) bool {
 			st[sp] = cp.catCols[in.a][row] >= 0
 			sp++
 		case pNotNullNum:
-			st[sp] = !cp.numNulls[in.a][row]
+			st[sp] = cp.numValid[in.a][word]&bit != 0
 			sp++
 		case pIsNullCat:
 			st[sp] = cp.catCols[in.a][row] < 0
 			sp++
 		case pIsNullNum:
-			st[sp] = cp.numNulls[in.a][row]
+			st[sp] = cp.numValid[in.a][word]&bit == 0
 			sp++
 		case pConstOp:
 			st[sp] = in.a != 0
@@ -132,11 +133,11 @@ func (cp *CompiledPredicate) eval() (m bitmap.Bitmap, rows, kernels int64) {
 			sp++
 			rows += int64(cp.n)
 		case pRangeOp:
-			fillRange(cp.bms[sp], cp.numVals[in.a], cp.numNulls[in.a], in.f0, in.f1)
+			fillRangeMasked(cp.bms[sp], cp.numVals[in.a], cp.numValid[in.a], in.f0, in.f1)
 			sp++
 			rows += int64(cp.n)
 		case pCmpOp:
-			fillCmp(cp.bms[sp], cp.numVals[in.a], cp.numNulls[in.a], CompareOp(in.b), in.f0)
+			fillCmpMasked(cp.bms[sp], cp.numVals[in.a], cp.numValid[in.a], CompareOp(in.b), in.f0)
 			sp++
 			rows += int64(cp.n)
 		case pNotNullCat:
@@ -144,7 +145,9 @@ func (cp *CompiledPredicate) eval() (m bitmap.Bitmap, rows, kernels int64) {
 			sp++
 			rows += int64(cp.n)
 		case pNotNullNum:
-			fillNotNullNum(cp.bms[sp], cp.numNulls[in.a])
+			// Masked by full: the bound words may have gained bits past the
+			// bound rows if the dataset was appended to after compiling.
+			bitmap.And(cp.bms[sp], cp.full, cp.numValid[in.a])
 			sp++
 			rows += int64(cp.n)
 		case pIsNullCat:
@@ -154,8 +157,7 @@ func (cp *CompiledPredicate) eval() (m bitmap.Bitmap, rows, kernels int64) {
 			rows += int64(cp.n)
 			kernels++
 		case pIsNullNum:
-			fillNotNullNum(cp.bms[sp], cp.numNulls[in.a])
-			bitmap.AndNot(cp.bms[sp], cp.full, cp.bms[sp])
+			bitmap.AndNot(cp.bms[sp], cp.full, cp.numValid[in.a])
 			sp++
 			rows += int64(cp.n)
 			kernels++
@@ -275,8 +277,17 @@ func fillIn(dst bitmap.Bitmap, codes []int32, set []bool) {
 	}
 }
 
+// The numeric kernels build each 64-row comparison word branch-free, then
+// AND it against the column's validity word. Cells under a cleared
+// validity bit hold 0 — the comparison runs on that 0 and the mask
+// discards the result, so no value-dependent branch enters the loop. One
+// single-condition assignment per comparison materializes each bool as 0/1
+// (SETcc, no branch): a fused `a && b` would reintroduce a data-dependent
+// branch that mispredicts on random values. The float comparisons are the
+// real ones, so NaN and ±0 behave exactly as the interpreted path.
+
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
-func fillRange(dst bitmap.Bitmap, vals []float64, nulls []bool, lo, hi float64) {
+func fillRangeMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, lo, hi float64) {
 	n := len(vals)
 	for wi := range dst {
 		base := wi * 64
@@ -284,36 +295,26 @@ func fillRange(dst bitmap.Bitmap, vals []float64, nulls []bool, lo, hi float64) 
 		if end > n {
 			end = n
 		}
-		nu := nulls[base:end]
 		var w uint64
 		for i, v := range vals[base:end] {
-			// One single-condition assignment per comparison materializes
-			// each bool as 0/1 (SETcc, no branch) — a fused `a && b` here
-			// would reintroduce a data-dependent branch that mispredicts
-			// ~50% on random values and triples the scan time. The float
-			// comparisons are the real ones, so NaN and ±0 behave exactly
-			// as the interpreted path.
-			var ge, le, nn uint64
+			var ge, le uint64
 			if v >= lo {
 				ge = 1
 			}
 			if v <= hi {
 				le = 1
 			}
-			if !nu[i] {
-				nn = 1
-			}
-			w |= (ge & le & nn) << uint(i)
+			w |= (ge & le) << uint(i)
 		}
-		dst[wi] = w
+		dst[wi] = w & validity[wi]
 	}
 }
 
-// fillCmp dispatches on the operator once and runs a specialized branch-free
-// loop; a per-row switch would dominate the scan.
+// fillCmpMasked dispatches on the operator once and runs a specialized
+// branch-free loop; a per-row switch would dominate the scan.
 //
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
-func fillCmp(dst bitmap.Bitmap, vals []float64, nulls []bool, op CompareOp, x float64) {
+func fillCmpMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, op CompareOp, x float64) {
 	n := len(vals)
 	for wi := range dst {
 		base := wi * 64
@@ -322,77 +323,58 @@ func fillCmp(dst bitmap.Bitmap, vals []float64, nulls []bool, op CompareOp, x fl
 			end = n
 		}
 		vs := vals[base:end]
-		nu := nulls[base:end]
 		var w uint64
 		switch op {
 		case CmpLT:
 			for i, v := range vs {
-				var c, nn uint64
+				var c uint64
 				if v < x {
 					c = 1
 				}
-				if !nu[i] {
-					nn = 1
-				}
-				w |= (c & nn) << uint(i)
+				w |= c << uint(i)
 			}
 		case CmpLE:
 			for i, v := range vs {
-				var c, nn uint64
+				var c uint64
 				if v <= x {
 					c = 1
 				}
-				if !nu[i] {
-					nn = 1
-				}
-				w |= (c & nn) << uint(i)
+				w |= c << uint(i)
 			}
 		case CmpGT:
 			for i, v := range vs {
-				var c, nn uint64
+				var c uint64
 				if v > x {
 					c = 1
 				}
-				if !nu[i] {
-					nn = 1
-				}
-				w |= (c & nn) << uint(i)
+				w |= c << uint(i)
 			}
 		case CmpGE:
 			for i, v := range vs {
-				var c, nn uint64
+				var c uint64
 				if v >= x {
 					c = 1
 				}
-				if !nu[i] {
-					nn = 1
-				}
-				w |= (c & nn) << uint(i)
+				w |= c << uint(i)
 			}
 		case CmpEQ:
 			for i, v := range vs {
-				var c, nn uint64
+				var c uint64
 				if v == x {
 					c = 1
 				}
-				if !nu[i] {
-					nn = 1
-				}
-				w |= (c & nn) << uint(i)
+				w |= c << uint(i)
 			}
 		default:
 			for i, v := range vs {
-				var c, nn uint64
+				var c uint64
 				if v != x {
 					c = 1
 				}
-				if !nu[i] {
-					nn = 1
-				}
-				w |= (c & nn) << uint(i)
+				w |= c << uint(i)
 			}
 		}
-		dst[wi] = w
+		dst[wi] = w & validity[wi]
 	}
 }
 
@@ -409,27 +391,6 @@ func fillNotNullCat(dst bitmap.Bitmap, codes []int32) {
 		for i, c := range codes[base:end] {
 			var bit uint64
 			if c >= 0 {
-				bit = 1
-			}
-			w |= bit << uint(i)
-		}
-		dst[wi] = w
-	}
-}
-
-//redi:hotpath word-building scan kernel; one pass over the column per leaf
-func fillNotNullNum(dst bitmap.Bitmap, nulls []bool) {
-	n := len(nulls)
-	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
-		}
-		var w uint64
-		for i, isNull := range nulls[base:end] {
-			var bit uint64
-			if !isNull {
 				bit = 1
 			}
 			w |= bit << uint(i)

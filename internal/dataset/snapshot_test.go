@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -116,20 +117,42 @@ func TestSnapshotAppendToSnapshotDetaches(t *testing.T) {
 }
 
 // TestSnapshotAppendMidRead exercises the serving pattern under the race
-// detector: concurrent readers iterate a snapshot while the writer keeps
-// appending (including dictionary-growing values) and repairing old rows.
-// Readers must observe pre-append rows exactly, on every pass.
+// detector: concurrent readers iterate a snapshot and compile and count
+// predicates on it, in memory and through a partitioned view, while the
+// writer keeps appending — fresh ids and a new race value that grow the
+// shared dictionaries, and numeric nulls that land in the validity word the
+// snapshot shares — and repairing old rows. Readers must observe
+// pre-append rows exactly, on every pass.
 func TestSnapshotAppendMidRead(t *testing.T) {
 	d := testData(t)
 	snap := d.Snapshot()
 	want := snapRows(snap)
+	counts := []struct {
+		name string
+		p    Predicate
+		want int
+	}{
+		{"race = groupX", Eq("race", "groupX"), 0}, // added to the dictionary after the snapshot
+		{"race = white", Eq("race", "white"), 3},
+		{"age is null", IsNull("age"), 1},
+		{"age is not null", NotNull("age"), 5},
+		{"age in [0, 100]", Range("age", 0, 100), 5},
+	}
 
+	const readers = 4
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
+	// Every reader completes a pass after the writer has started and before
+	// it finishes, so each pass's reads are unordered with the appends.
+	started := make(chan struct{})
+	var midway sync.WaitGroup
+	midway.Add(readers)
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var once sync.Once
+			defer once.Do(midway.Done)
 			for {
 				select {
 				case <-stop:
@@ -145,13 +168,41 @@ func TestSnapshotAppendMidRead(t *testing.T) {
 					t.Errorf("reader saw torn codes: %d rows, dict %v", len(codes), dict)
 					return
 				}
+				pd := snap.Partitions(64)
+				for _, c := range counts {
+					cp, _ := CompilePredicate(snap, c.p)
+					pp, _ := pd.CompilePredicate(c.p)
+					if got := cp.CountFast(nil); got != c.want {
+						t.Errorf("snapshot count %s = %d, want %d", c.name, got, c.want)
+						return
+					}
+					if got := pp.Count(0, nil); got != c.want {
+						t.Errorf("partitioned snapshot count %s = %d, want %d", c.name, got, c.want)
+						return
+					}
+				}
+				select {
+				case <-started:
+					once.Do(midway.Done)
+				default:
+				}
 			}
 		}()
 	}
 
+	close(started)
 	for i := 0; i < 200; i++ {
-		d.MustAppendRow(Cat("n"), Cat("groupX"), Num(float64(i)), Cat("pos"))
-		if i%10 == 0 {
+		if i == 100 {
+			midway.Wait()
+		}
+		age := Num(float64(i))
+		if i%2 == 1 {
+			age = NullValue(Numeric)
+		}
+		d.MustAppendRow(Cat(fmt.Sprintf("n%d", i)), Cat("groupX"), age, Cat("pos"))
+		// A repair gives the live column private storage, so repairs wait
+		// until the appends into the shared validity word are done.
+		if i >= 100 && i%10 == 0 {
 			if err := d.SetValue(0, "age", Num(float64(i))); err != nil {
 				t.Error(err)
 			}

@@ -72,16 +72,14 @@ func DiscoverFeatures(r *Repository, q FeatureQuery) ([]FeatureHit, error) {
 	var hits []FeatureHit
 	for _, jm := range joinable {
 		cand := r.Table(jm.Ref.Table)
-		// Rows materializes partitioned tables on first join; domain
-		// filtering above already pruned non-joinable candidates for free.
-		joined, err := q.Query.Join(cand.Rows(), q.JoinAttr, jm.Ref.Column)
+		joined, err := q.Query.Join(cand.Data, q.JoinAttr, jm.Ref.Column)
 		if err != nil || joined.NumRows() < 3 {
 			continue
 		}
 		target, _ := joined.Numeric(q.TargetAttr)
 		// Every numeric column contributed by the candidate is a
 		// feature candidate.
-		cs := cand.Rows().Schema()
+		cs := cand.Data.Schema()
 		for i := 0; i < cs.Len(); i++ {
 			a := cs.Attr(i)
 			if a.Kind != dataset.Numeric {

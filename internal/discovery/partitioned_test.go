@@ -9,113 +9,9 @@ import (
 	"redi/internal/rng"
 )
 
-// lakeTables builds a small heterogeneous lake for index-equivalence tests.
-func lakeTables(t *testing.T) map[string]*dataset.Dataset {
-	t.Helper()
-	r := rng.New(23)
-	countries := []string{"fr", "de", "it", "es", "pt", "nl"}
-	cities := []string{"paris", "berlin", "rome", "madrid", "lisbon"}
-	out := map[string]*dataset.Dataset{}
-
-	geo := dataset.New(dataset.NewSchema(
-		dataset.Attribute{Name: "country", Kind: dataset.Categorical},
-		dataset.Attribute{Name: "city", Kind: dataset.Categorical},
-		dataset.Attribute{Name: "pop", Kind: dataset.Numeric},
-	))
-	for i := 0; i < 300; i++ {
-		c := dataset.Cat(countries[r.Intn(len(countries))])
-		if r.Float64() < 0.04 {
-			c = dataset.NullValue(dataset.Categorical)
-		}
-		geo.MustAppendRow(c, dataset.Cat(cities[r.Intn(len(cities))]), dataset.Num(r.Normal(100, 30)))
-	}
-	out["geo"] = geo
-
-	trade := dataset.New(dataset.NewSchema(
-		dataset.Attribute{Name: "country", Kind: dataset.Categorical},
-		dataset.Attribute{Name: "partner", Kind: dataset.Categorical},
-		dataset.Attribute{Name: "volume", Kind: dataset.Numeric},
-	))
-	for i := 0; i < 200; i++ {
-		trade.MustAppendRow(
-			dataset.Cat(countries[r.Intn(4)]), // subset of geo's domain
-			dataset.Cat(countries[r.Intn(len(countries))]),
-			dataset.Num(r.Normal(10, 5)))
-	}
-	out["trade"] = trade
-	return out
-}
-
-// TestAddPartitionedMatchesAdd: a repository built from partitioned views is
-// indistinguishable — domains, keyword search, union/join search, LSH — from
-// one built from the same rows in memory.
-func TestAddPartitionedMatchesAdd(t *testing.T) {
-	tables := lakeTables(t)
-	mem := NewRepository()
-	part := NewRepository()
-	for _, name := range []string{"geo", "trade"} {
-		if err := mem.Add(name, tables[name]); err != nil {
-			t.Fatal(err)
-		}
-		if err := part.AddPartitioned(name, tables[name].Partitions(64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := part.AddPartitioned("geo", tables["geo"].Partitions(64)); err == nil {
-		t.Fatal("duplicate AddPartitioned accepted")
-	}
-
-	if !reflect.DeepEqual(mem.Tables(), part.Tables()) {
-		t.Fatalf("tables %v vs %v", mem.Tables(), part.Tables())
-	}
-	cols := mem.Columns()
-	if !reflect.DeepEqual(cols, part.Columns()) {
-		t.Fatalf("columns %v vs %v", cols, part.Columns())
-	}
-	for _, ref := range cols {
-		if !reflect.DeepEqual(mem.Domain(ref), part.Domain(ref)) {
-			t.Fatalf("domain %s: %v vs %v", ref, mem.Domain(ref), part.Domain(ref))
-		}
-	}
-	for _, q := range []string{"geo city", "country trade", "paris", "volume partner"} {
-		if a, b := mem.KeywordSearch(q, 5), part.KeywordSearch(q, 5); !reflect.DeepEqual(a, b) {
-			t.Fatalf("KeywordSearch(%q): %v vs %v", q, a, b)
-		}
-	}
-
-	query := DomainOfPartitioned(tables["trade"].Partitions(64), "country")
-	if !reflect.DeepEqual(query, DomainOf(tables["trade"], "country")) {
-		t.Fatal("DomainOfPartitioned disagrees with DomainOf")
-	}
-	if a, b := mem.UnionableColumns(query, 0.1), part.UnionableColumns(query, 0.1); !reflect.DeepEqual(a, b) {
-		t.Fatalf("UnionableColumns: %v vs %v", a, b)
-	}
-	if a, b := mem.JoinableColumns(query, 0.5), part.JoinableColumns(query, 0.5); !reflect.DeepEqual(a, b) {
-		t.Fatalf("JoinableColumns: %v vs %v", a, b)
-	}
-
-	// LSH ensembles fed by the two repositories return identical matches.
-	index := func(r *Repository) []ColumnMatch {
-		e, err := NewLSHEnsemble(64, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs := r.Columns()
-		doms := make([]map[string]bool, len(refs))
-		for i, ref := range refs {
-			doms[i] = r.Domain(ref)
-		}
-		e.Index(refs, doms)
-		return e.Query(query, 0.5)
-	}
-	if a, b := index(mem), index(part); !reflect.DeepEqual(a, b) {
-		t.Fatalf("LSH query: %v vs %v", a, b)
-	}
-}
-
-// TestDiscoverFeaturesOverPartitionedTables: feature search over partitioned
-// candidate tables — domain pruning from global dictionaries, lazy
-// materialization for the joins — ranks identically to in-memory tables.
+// TestDiscoverFeaturesOverPartitionedTables: feature search over a candidate
+// table rebuilt row by row from a partitioned view ranks identically to the
+// in-memory table the view covers.
 func TestDiscoverFeaturesOverPartitionedTables(t *testing.T) {
 	r := rng.New(31)
 	q := dataset.New(dataset.NewSchema(
@@ -148,8 +44,17 @@ func TestDiscoverFeaturesOverPartitionedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pd := feat.Partitions(128)
+	rebuilt := dataset.New(pd.Schema())
+	rows := make([]int, pd.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	if err := pd.AppendRowsTo(rebuilt, rows); err != nil {
+		t.Fatal(err)
+	}
 	part := NewRepository()
-	if err := part.AddPartitioned("feat", feat.Partitions(128)); err != nil {
+	if err := part.Add("feat", rebuilt); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DiscoverFeatures(part, fq)
@@ -161,10 +66,5 @@ func TestDiscoverFeaturesOverPartitionedTables(t *testing.T) {
 	}
 	if len(want) == 0 || want[0].Column.Column != "f_sig" {
 		t.Fatalf("expected f_sig ranked first: %v", want)
-	}
-	// Materialization is cached: the second call reuses the same dataset.
-	tab := part.Table("feat")
-	if tab.Rows() != tab.Rows() {
-		t.Fatal("Rows not cached")
 	}
 }

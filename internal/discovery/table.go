@@ -17,34 +17,10 @@ import (
 	"redi/internal/dataset"
 )
 
-// Table is a named dataset registered in a repository. Exactly one of Data
-// and Part is set at registration: Part marks a table backed by a
-// partitioned (possibly out-of-core) view, whose domain indexes were built
-// from global dictionaries without reading any row page. Rows materializes
-// such a table on first row-level use.
+// Table is a named dataset registered in a repository.
 type Table struct {
 	Name string
 	Data *dataset.Dataset
-	Part *dataset.Partitioned
-}
-
-// Rows returns the table's rows as an in-memory dataset. Tables registered
-// from a partitioned view materialize on first call and cache the result;
-// domain-level search never triggers this, only row-backed consumers
-// (feature-search joins, correlation sketches) do.
-func (t *Table) Rows() *dataset.Dataset {
-	if t.Data == nil && t.Part != nil {
-		d := dataset.New(t.Part.Schema())
-		rows := make([]int, t.Part.NumRows())
-		for i := range rows {
-			rows[i] = i
-		}
-		if err := t.Part.AppendRowsTo(d, rows); err != nil {
-			panic(fmt.Sprintf("discovery: materializing table %q: %v", t.Name, err))
-		}
-		t.Data = d
-	}
-	return t.Data
 }
 
 // ColumnRef identifies one column of one table.
@@ -80,26 +56,10 @@ func NewRepository() *Repository {
 
 // Add registers a table. It returns an error on a duplicate name.
 func (r *Repository) Add(name string, d *dataset.Dataset) error {
-	return r.register(&Table{Name: name, Data: d}, d.Schema(), d.Domain)
-}
-
-// AddPartitioned registers a partitioned (possibly out-of-core) view as a
-// table. Domain and keyword indexes come straight from the view's global
-// dictionaries — the exact value sets, with zero page reads — so a
-// repository can index column files far larger than memory. Row-backed
-// consumers materialize the view lazily via Table.Rows.
-func (r *Repository) AddPartitioned(name string, pd *dataset.Partitioned) error {
-	return r.register(&Table{Name: name, Part: pd}, pd.Schema(), pd.Domain)
-}
-
-// register indexes a table's schema and categorical domains; domain yields
-// the distinct values of one categorical attribute, whatever the backend.
-func (r *Repository) register(t *Table, s *dataset.Schema, domain func(attr string) []string) error {
-	if _, dup := r.tables[t.Name]; dup {
-		return fmt.Errorf("discovery: duplicate table %q", t.Name)
+	if _, dup := r.tables[name]; dup {
+		return fmt.Errorf("discovery: duplicate table %q", name)
 	}
-	name := t.Name
-	r.tables[name] = t
+	r.tables[name] = &Table{Name: name, Data: d}
 	r.order = append(r.order, name)
 
 	terms := map[string]float64{}
@@ -109,13 +69,14 @@ func (r *Repository) register(t *Table, s *dataset.Schema, domain func(attr stri
 		}
 	}
 	addTerm(name)
+	s := d.Schema()
 	for i := 0; i < s.Len(); i++ {
 		a := s.Attr(i)
 		addTerm(a.Name)
 		if a.Kind == dataset.Categorical {
 			ref := ColumnRef{Table: name, Column: a.Name}
 			dom := map[string]bool{}
-			for _, v := range domain(a.Name) {
+			for _, v := range d.Domain(a.Name) {
 				dom[v] = true
 				addTerm(v)
 			}
@@ -285,17 +246,6 @@ func (r *Repository) scanColumns(query map[string]bool, threshold float64, score
 func DomainOf(d *dataset.Dataset, attr string) map[string]bool {
 	out := map[string]bool{}
 	for _, v := range d.Domain(attr) {
-		out[v] = true
-	}
-	return out
-}
-
-// DomainOfPartitioned extracts the value set of a categorical column of a
-// partitioned view from its global dictionary — no page reads — for use as
-// a search query.
-func DomainOfPartitioned(pd *dataset.Partitioned, attr string) map[string]bool {
-	out := map[string]bool{}
-	for _, v := range pd.Domain(attr) {
 		out[v] = true
 	}
 	return out

@@ -9,8 +9,8 @@ import (
 // PR 5 structurally: a value derived from the runtime class — obs.Now(),
 // Gauge.Value(), trace Span.Duration(), or the Value() of a handle created by
 // Registry.RuntimeCounter/RuntimeHistogram — must never flow into the
-// arguments of a deterministic-class sink (Counter.Add / Histogram.Observe /
-// ShardedCounter.Add on a handle created by Registry.Counter/Histogram).
+// arguments of a deterministic-class sink (Counter.Add / Histogram.Observe
+// on a handle created by Registry.Counter/Histogram).
 // Deterministic counters are the Snapshot surface whose bytes must be
 // bit-identical across runs and worker counts; one wall-clock-derived
 // increment silently breaks that contract for every consumer.
@@ -70,7 +70,7 @@ func checkObsFlow(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		isSink := (sel == "Add" || sel == "Observe") &&
-			(isObsType(pass, recv, "Counter") || isObsType(pass, recv, "Histogram") || isObsType(pass, recv, "ShardedCounter"))
+			(isObsType(pass, recv, "Counter") || isObsType(pass, recv, "Histogram"))
 		if !isSink {
 			return true
 		}

@@ -82,58 +82,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// shardSlot pads each shard's accumulator to a cache line so concurrent
-// workers do not false-share.
-type shardSlot struct {
-	n int64
-	_ [56]byte
-}
-
-// ShardedCounter gives each worker a private, cache-line-padded accumulator
-// and folds the shards into the parent Counter in ascending shard order on
-// Merge — the same discipline as rng.Split: shard identity, not scheduling,
-// determines where work lands. For a commutative integer sum the merge
-// order cannot change the total; keeping it deterministic anyway means the
-// pattern stays safe if a future metric is not commutative.
-type ShardedCounter struct {
-	c     *Counter
-	slots []shardSlot
-}
-
-// Sharded returns a per-shard view of c with the given shard count.
-// Returns nil (a no-op view) when c is nil.
-func (c *Counter) Sharded(shards int) *ShardedCounter {
-	if c == nil {
-		return nil
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedCounter{c: c, slots: make([]shardSlot, shards)}
-}
-
-// Add adds n to the given shard without synchronization; each shard must be
-// owned by one goroutine at a time. No-op on a nil receiver.
-func (s *ShardedCounter) Add(shard int, n int64) {
-	if s != nil {
-		s.slots[shard].n += n
-	}
-}
-
-// Merge folds all shards into the parent counter in shard order and resets
-// them. Call after the parallel section has joined.
-func (s *ShardedCounter) Merge() {
-	if s == nil {
-		return
-	}
-	total := int64(0)
-	for i := range s.slots {
-		total += s.slots[i].n
-		s.slots[i].n = 0
-	}
-	s.c.Add(total)
-}
-
 // Gauge is a runtime-class float metric (last write wins). Gauges may hold
 // machine- or schedule-dependent quantities and are therefore excluded from
 // the deterministic Snapshot. A nil Gauge is a no-op.

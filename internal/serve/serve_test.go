@@ -464,3 +464,103 @@ func TestServeConcurrent(t *testing.T) {
 		t.Fatalf("rows_ingested counter wrong:\n%s", snap)
 	}
 }
+
+// TestViewCompileUnderFreshIngest pins the shared-dictionary contract under
+// the race detector: readers compile predicates on Store.View() and count
+// them vectorized while the writer ingests batches of fresh ids and new
+// race values, with numeric nulls. Every count must equal the interpreted
+// predicate over the same snapshot.
+func TestViewCompileUnderFreshIngest(t *testing.T) {
+	schema := dataset.NewSchema(
+		dataset.Attribute{Name: "id", Kind: dataset.Categorical, Role: dataset.ID},
+		dataset.Attribute{Name: "race", Kind: dataset.Categorical, Role: dataset.Sensitive},
+		dataset.Attribute{Name: "sex", Kind: dataset.Categorical, Role: dataset.Sensitive},
+		dataset.Attribute{Name: "income", Kind: dataset.Numeric},
+	)
+	batch := func(k, n int) *dataset.Dataset {
+		r := rng.New(uint64(k))
+		d := dataset.New(schema)
+		for i := 0; i < n; i++ {
+			race := dataset.Cat([]string{"black", "white", fmt.Sprintf("fresh%d", k)}[r.Intn(3)])
+			income := dataset.Num(float64(r.Intn(100)))
+			if r.Intn(4) == 0 {
+				income = dataset.NullValue(dataset.Numeric)
+			}
+			d.MustAppendRow(dataset.Cat(fmt.Sprintf("b%d-%d", k, i)), race, dataset.Cat([]string{"F", "M"}[r.Intn(2)]), income)
+		}
+		return d
+	}
+	store, err := NewStore(batch(0, 100), StoreConfig{Threshold: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []string{
+		"race = 'fresh3'",
+		"id = 'b2-5' or id = 'b7-0'",
+		"race in ('fresh1', 'fresh6') and income > 50",
+		"income is null",
+		"not (race = 'black') and income between 10 and 60",
+	}
+	const readers, batches = 4, 12
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	// Every reader completes a pass after the writer has started and before
+	// it finishes, so each pass is unordered with the later ingests.
+	started := make(chan struct{})
+	var midway sync.WaitGroup
+	midway.Add(readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var once sync.Once
+			defer once.Do(midway.Done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, src := range preds {
+					snap := store.View()
+					cp, err := expr.Compile(src, snap)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					p, _ := expr.CompilePredicate(src, snap.Schema())
+					want := 0
+					for r := 0; r < snap.NumRows(); r++ {
+						if p.Match(snap, r) {
+							want++
+						}
+					}
+					if got := cp.CountFast(nil); got != want {
+						t.Errorf("%s over %d rows: CountFast = %d, interpreted = %d", src, snap.NumRows(), got, want)
+						return
+					}
+				}
+				select {
+				case <-started:
+					once.Do(midway.Done)
+				default:
+				}
+			}
+		}()
+	}
+	close(started)
+	for k := 1; k <= batches; k++ {
+		if k == batches/2 {
+			midway.Wait()
+		}
+		if _, _, err := store.Ingest(batch(k, 37), nil); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := store.View().NumRows(); got != 100+batches*37 {
+		t.Fatalf("resident rows = %d, want %d", got, 100+batches*37)
+	}
+}

@@ -2,6 +2,7 @@ package redi
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -61,7 +62,9 @@ func rebuildIndexes(d *dataset.Dataset, sens []string, threshold int) int {
 
 // BenchmarkIngestIncremental measures one ingest batch advancing the
 // resident store's indexes in place (groups, coverage bitmaps, LSH band
-// tables) plus the copy-on-write snapshot refresh.
+// tables) plus the snapshot refresh. Its batches carry ids p000000-p000499,
+// which the 20k seed already holds, so no dictionary grows: this is the
+// resident-id cost. BenchmarkIngestFresh measures batches of new ids.
 func BenchmarkIngestIncremental(b *testing.B) {
 	store, err := serve.NewStore(serveBenchSeed(b), serve.StoreConfig{Threshold: 25})
 	if err != nil {
@@ -73,6 +76,49 @@ func BenchmarkIngestIncremental(b *testing.B) {
 		if _, _, err := store.Ingest(batches[i%len(batches)], nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIngestFresh measures one 250-row ingest whose ids the store has
+// never seen, as in redibench's serve-ingest workload, at 50k and 200k
+// resident rows. Batch rows are cut from the population beyond the seed;
+// each iteration rebuilds its batch untimed with ids no earlier batch used,
+// so every ingest grows the id dictionary whatever b.N is.
+func BenchmarkIngestFresh(b *testing.B) {
+	const batchRows, cuts = 250, 32
+	for _, resident := range []int{50000, 200000} {
+		b.Run(fmt.Sprintf("resident=%dk", resident/1000), func(b *testing.B) {
+			pop := synth.Generate(synth.DefaultPopulation(resident+batchRows*cuts), rng.New(1)).Data
+			idCol := pop.Schema().MustIndex("id")
+			batch := func(i int) *dataset.Dataset {
+				out := dataset.New(pop.Schema())
+				lo := resident + batchRows*(i%cuts)
+				for r := lo; r < lo+batchRows; r++ {
+					row := pop.Row(r)
+					row[idCol] = dataset.Cat(fmt.Sprintf("%s.%d", row[idCol].Cat, i))
+					out.MustAppendRow(row...)
+				}
+				return out
+			}
+			store, err := serve.NewStore(pop.Head(resident), serve.StoreConfig{Threshold: 25})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The seed borrows the population's dictionaries; its first new
+			// id copies them once. Pay that before timing.
+			if _, _, err := store.Ingest(batch(-1), nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				next := batch(i)
+				b.StartTimer()
+				if _, _, err := store.Ingest(next, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
