@@ -91,7 +91,7 @@ func BenchmarkMUPsParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := coverage.NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
+		s := coverage.NewSpace(p.Data.Partitions(0), []string{"race", "sex", "label"}, 25, 0)
 		if mups := s.MUPs(parallel.Auto, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
@@ -177,7 +177,7 @@ func BenchmarkMUPs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := coverage.NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
+		s := coverage.NewSpace(p.Data.Partitions(0), []string{"race", "sex", "label"}, 25, 0)
 		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
@@ -365,7 +365,7 @@ func BenchmarkMUPsObs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := coverage.NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
+		s := coverage.NewSpace(p.Data.Partitions(0), []string{"race", "sex", "label"}, 25, 0)
 		s.Obs = reg
 		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"redi/internal/rng"
@@ -38,13 +39,14 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return out
 }
 
-// convertTemp converts a CSV to a column file in a temp dir.
+// convertTemp converts a CSV to a column file of partRows-row partitions
+// (0 = the default size) in a temp dir.
 func convertTemp(t *testing.T, csvPath string, partRows int) string {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "data.col")
 	args := []string{"-schema", popSchema, "-out", out}
 	if partRows > 0 {
-		args = append(args, "-partrows", "128")
+		args = append(args, "-partrows", strconv.Itoa(partRows))
 	}
 	if err := cmdConvert(append(args, csvPath)); err != nil {
 		t.Fatal(err)
@@ -126,9 +128,9 @@ func TestCmdAuditModesAgree(t *testing.T) {
 	}
 }
 
-// TestCmdTailorFromColumnFiles: tailoring from converted column files
-// produces the identical output CSV as from the original CSV sources under
-// the same seed.
+// TestCmdTailorFromColumnFiles: tailoring from converted column files, or
+// from a column file and a CSV, produces the identical output CSV as from
+// the original CSV sources under the same seed.
 func TestCmdTailorFromColumnFiles(t *testing.T) {
 	set := synth.GenerateSources(synth.SourceConfig{
 		Population:        synth.DefaultPopulation(0),
@@ -170,5 +172,9 @@ func TestCmdTailorFromColumnFiles(t *testing.T) {
 	}
 	if got := run(p1, p2, "-partition", "64"); got != want {
 		t.Fatalf("-partition tailor diverged:\n%s\nwant:\n%s", got, want)
+	}
+	// Mixed CSV and column-file sources are used in argument order.
+	if got := run(c1, p2, "-workers", "2"); got != want {
+		t.Fatalf("mixed-source tailor diverged:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -15,11 +15,12 @@
 // A schema spec is a comma-separated list of name:kind[:role] entries,
 // e.g. "id:cat:id,race:cat:sensitive,age:num,label:cat:target".
 //
-// audit, tailor, and query detect column files (written by convert) by
-// their magic and run partition-at-a-time over mapped pages instead of
-// loading rows; -partition N forces the same out-of-core execution path
-// onto a CSV input by viewing it in N-row partitions. Results are
-// bit-identical across all of these modes and any -workers setting.
+// audit, tailor, and query run every input partition-at-a-time. They
+// detect column files (written by convert) by their magic and scan their
+// mapped pages instead of loading rows; a CSV input is loaded and viewed in
+// -partition N row partitions (0, the default, means 65536; N must be a
+// multiple of 64). Results are bit-identical across input formats, partition
+// sizes and any -workers setting.
 package main
 
 import (
@@ -157,9 +158,10 @@ commands:
 run "redi <command> -h" for flags; every command needs -schema
   name:kind[:role],...   kind: cat|num   role: feature|sensitive|target|id
 
-audit, tailor, and query also accept column files written by convert
-(detected by magic; -schema is then taken from the file) and execute
-partition-at-a-time over mapped pages.`)
+audit, tailor, and query run partition-at-a-time over every input. They
+also accept column files written by convert (detected by magic; -schema is
+then taken from the file) and scan their mapped pages; -partition sets the
+partition size of CSV inputs.`)
 }
 
 // parseSchema parses "name:kind[:role],..." into a schema.
@@ -210,11 +212,9 @@ func loadCSV(path string, schema *dataset.Schema) (*dataset.Dataset, error) {
 	return dataset.ReadCSV(f, schema)
 }
 
-// input is one dataset argument resolved to a backend: exactly one of d
-// (in-memory rows) and pd (partition-at-a-time view) is set. cf is non-nil
-// when pd is file-backed and must be closed after use.
+// input is one dataset argument as a partition-at-a-time view. cf is
+// non-nil when pd is file-backed and must be closed after use.
 type input struct {
-	d  *dataset.Dataset
 	pd *dataset.Partitioned
 	cf *colfile.File
 }
@@ -225,19 +225,15 @@ func (in *input) close() {
 	}
 }
 
-func (in *input) schema() *dataset.Schema {
-	if in.pd != nil {
-		return in.pd.Schema()
-	}
-	return in.d.Schema()
-}
-
 // loadInput opens a dataset argument. Column files (detected by magic)
-// always become partitioned views over their own embedded schema — the
-// schema spec is not consulted — and map pages instead of loading rows.
-// CSVs load against the spec'd schema; partRows > 0 views the loaded rows
-// in partRows-row partitions, forcing the out-of-core execution path.
+// become views over their own embedded schema and geometry — the schema
+// spec is not consulted — and map pages instead of loading rows. CSVs load
+// against the spec'd schema and are viewed in partRows-row partitions (0
+// means the default size). partRows must be 0 or a positive multiple of 64.
 func loadInput(path string, schemaSpec string, partRows int, noMmap bool) (*input, error) {
+	if partRows < 0 || partRows%64 != 0 {
+		return nil, fmt.Errorf("-partition %d must be 0 or a positive multiple of 64", partRows)
+	}
 	if colfile.Sniff(path) {
 		cf, err := colfile.Open(path, colfile.OpenOptions{DisableMmap: noMmap})
 		if err != nil {
@@ -253,10 +249,7 @@ func loadInput(path string, schemaSpec string, partRows int, noMmap bool) (*inpu
 	if err != nil {
 		return nil, err
 	}
-	if partRows > 0 {
-		return &input{pd: d.Partitions(partRows)}, nil
-	}
-	return &input{d: d}, nil
+	return &input{pd: d.Partitions(partRows)}, nil
 }
 
 func cmdConvert(args []string) error {
@@ -345,7 +338,7 @@ func cmdAudit(args []string) error {
 	sensitive := fs.String("sensitive", "", "comma-separated sensitive attributes (default: schema roles)")
 	threshold := fs.Int("threshold", 10, "coverage threshold")
 	maxNull := fs.Float64("maxnull", 0.05, "maximum tolerated null rate")
-	partition := fs.Int("partition", 0, "view a CSV input in N-row partitions (out-of-core path; multiple of 64)")
+	partition := fs.Int("partition", 0, "partition size of a CSV input in rows (0 = 65536; multiple of 64)")
 	workers := fs.Int("workers", 0, "worker count for partition-parallel stages (0 = serial)")
 	noMmap := fs.Bool("no-mmap", false, "use the read-at pager instead of mmap for column files")
 	obsFlag := fs.Bool("obs", false, "print the observability report to stderr after the audit")
@@ -360,7 +353,7 @@ func cmdAudit(args []string) error {
 		return err
 	}
 	defer in.close()
-	sens := in.schema().ByRole(dataset.Sensitive)
+	sens := in.pd.Schema().ByRole(dataset.Sensitive)
 	if *sensitive != "" {
 		sens = strings.Split(*sensitive, ",")
 	}
@@ -373,12 +366,7 @@ func cmdAudit(args []string) error {
 		core.CompletenessRequirement{Sensitive: sens, MaxNullRate: *maxNull},
 	}
 	sp, finishTrace := startTrace(*tracePath, "audit")
-	var rep *core.AuditReport
-	if in.pd != nil {
-		rep = core.AuditPartitioned(in.pd, reqs, *workers, sp)
-	} else {
-		rep = core.Audit(in.d, reqs, sp)
-	}
+	rep := core.Audit(in.pd, reqs, *workers, sp)
 	if err := finishTrace(); err != nil {
 		return err
 	}
@@ -420,7 +408,7 @@ func cmdTailor(args []string) error {
 	outPath := fs.String("out", "", "output CSV path (default stdout)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	known := fs.Bool("known", true, "use known source distributions (RatioColl); false = UCB")
-	partition := fs.Int("partition", 0, "view CSV sources in N-row partitions (out-of-core path; multiple of 64)")
+	partition := fs.Int("partition", 0, "partition size of CSV sources in rows (0 = 65536; multiple of 64)")
 	workers := fs.Int("workers", 0, "worker count for partition-parallel stages (0 = serial)")
 	noMmap := fs.Bool("no-mmap", false, "use the read-at pager instead of mmap for column files")
 	obsFlag := fs.Bool("obs", false, "print the observability report to stderr after the run")
@@ -434,37 +422,25 @@ func cmdTailor(args []string) error {
 	if err != nil {
 		return err
 	}
-	// In-memory and partitioned sources coexist in one pipeline; the
-	// pipeline orders partitioned sources after in-memory ones, so costs
-	// and per-source stats follow that order, not the argument order.
-	var sources []*dataset.Dataset
-	var partSources []*dataset.Partitioned
+	// CSV and column-file sources mix freely; the pipeline uses them in
+	// argument order.
+	var sources []*dataset.Partitioned
 	for _, path := range fs.Args() {
 		in, err := loadInput(path, *schemaSpec, *partition, *noMmap)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		defer in.close()
-		if in.pd != nil {
-			partSources = append(partSources, in.pd)
-		} else {
-			sources = append(sources, in.d)
-		}
+		sources = append(sources, in.pd)
 	}
-	var schema *dataset.Schema
-	if len(sources) > 0 {
-		schema = sources[0].Schema()
-	} else {
-		schema = partSources[0].Schema()
-	}
-	sens := schema.ByRole(dataset.Sensitive)
+	sens := sources[0].Schema().ByRole(dataset.Sensitive)
 	if *sensitive != "" {
 		sens = strings.Split(*sensitive, ",")
 	}
 	reg, finishObs := startObs(*obsFlag, *obsJSON)
 	sp, finishTrace := startTrace(*tracePath, "tailor")
 	p := &core.Pipeline{
-		Sources: sources, PartitionedSources: partSources, Workers: *workers,
+		Sources: sources, Workers: *workers,
 		Sensitive: sens, KnownDistributions: *known, Obs: reg, Trace: sp,
 	}
 	res, err := p.Run(need, nil, rng.New(*seed))
@@ -525,7 +501,7 @@ func cmdQuery(args []string) error {
 	doCount := fs.Bool("count", false, "print only the number of matching rows (default)")
 	doSelect := fs.Bool("select", false, "write the matching rows as CSV to stdout")
 	explain := fs.Bool("explain", false, "print the parsed AST and disassembled bytecode to stderr")
-	partition := fs.Int("partition", 0, "view a CSV input in N-row partitions (out-of-core path; multiple of 64)")
+	partition := fs.Int("partition", 0, "partition size of a CSV input in rows (0 = 65536; multiple of 64)")
 	workers := fs.Int("workers", 0, "worker count for partition-parallel stages (0 = serial)")
 	noMmap := fs.Bool("no-mmap", false, "use the read-at pager instead of mmap for column files")
 	obsFlag := fs.Bool("obs", false, "print the observability report to stderr after the query")
@@ -548,49 +524,27 @@ func cmdQuery(args []string) error {
 	defer in.close()
 	_, finishObs := startObs(*obsFlag, *obsJSON)
 	sp, finishTrace := startTrace(*tracePath, "query")
-	if in.pd != nil {
-		pp, err := expr.CompilePartitioned(*exprSrc, in.pd)
-		if err != nil {
-			return err
-		}
-		if *explain {
-			n, _ := expr.Parse(*exprSrc) // already compiled, cannot fail
-			fmt.Fprintln(os.Stderr, "ast:", n.String())
-			fmt.Fprint(os.Stderr, pp.Program().Disassemble())
-		}
-		if *doSelect {
-			// Materialize only the matching rows: each touched partition's
-			// pages are fetched once by AppendRowsTo.
-			out := dataset.New(in.pd.Schema())
-			if err := in.pd.AppendRowsTo(out, pp.SelectIndices(*workers, sp)); err != nil {
-				return err
-			}
-			if err := out.WriteCSV(os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println(pp.Count(*workers, sp))
-		}
-		if err := finishTrace(); err != nil {
-			return err
-		}
-		return finishObs()
-	}
-	cp, err := expr.Compile(*exprSrc, in.d)
+	pp, err := expr.CompilePartitioned(*exprSrc, in.pd)
 	if err != nil {
 		return err
 	}
 	if *explain {
 		n, _ := expr.Parse(*exprSrc) // already compiled, cannot fail
 		fmt.Fprintln(os.Stderr, "ast:", n.String())
-		fmt.Fprint(os.Stderr, cp.Disassemble())
+		fmt.Fprint(os.Stderr, pp.Program().Disassemble())
 	}
 	if *doSelect {
-		if err := cp.Select(sp).WriteCSV(os.Stdout); err != nil {
+		// Materialize only the matching rows: each touched partition's
+		// pages are fetched once by AppendRowsTo.
+		out := dataset.New(in.pd.Schema())
+		if err := in.pd.AppendRowsTo(out, pp.SelectIndices(*workers, sp)); err != nil {
+			return err
+		}
+		if err := out.WriteCSV(os.Stdout); err != nil {
 			return err
 		}
 	} else {
-		fmt.Println(cp.CountFast(sp))
+		fmt.Println(pp.Count(*workers, sp))
 	}
 	if err := finishTrace(); err != nil {
 		return err

@@ -211,13 +211,13 @@ func TestCmdTailorObsReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sources []*dataset.Dataset
+	var sources []*dataset.Partitioned
 	for _, p := range paths {
 		d, err := loadCSV(p, schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sources = append(sources, d)
+		sources = append(sources, d.Partitions(0))
 	}
 	ref := obs.NewRegistry()
 	obs.Enable(ref)
@@ -253,6 +253,36 @@ func TestCmdAuditFailureExitPath(t *testing.T) {
 	}
 	if err := cmdAudit([]string{"-schema", "x:num", path}); err == nil {
 		t.Fatal("no sensitive attrs accepted")
+	}
+}
+
+// TestCmdPartitionFlagErrors: audit, query and tailor reject a -partition
+// that is neither 0 nor a positive multiple of 64 with an error naming the
+// flag, for CSV and column-file inputs alike.
+func TestCmdPartitionFlagErrors(t *testing.T) {
+	d := synth.Generate(synth.DefaultPopulation(200), rng.New(15)).Data
+	csvPath := writeTempCSV(t, d)
+	colPath := convertTemp(t, csvPath, 64)
+	out := filepath.Join(t.TempDir(), "out.csv")
+	for _, bad := range []string{"100", "-64", "32"} {
+		for _, path := range []string{csvPath, colPath} {
+			for name, run := range map[string]func() error{
+				"audit": func() error {
+					return cmdAudit([]string{"-schema", popSchema, "-partition", bad, path})
+				},
+				"query": func() error {
+					return cmdQuery([]string{"-schema", popSchema, "-e", "f0 > 0", "-partition", bad, path})
+				},
+				"tailor": func() error {
+					return cmdTailor([]string{"-schema", popSchema, "-need", "race=white;sex=F:1", "-out", out, "-partition", bad, path})
+				},
+			} {
+				err := run()
+				if err == nil || !strings.Contains(err.Error(), "-partition "+bad) {
+					t.Fatalf("%s -partition %s %s: err = %v, want a -partition error", name, bad, filepath.Ext(path), err)
+				}
+			}
+		}
 	}
 }
 

@@ -85,8 +85,12 @@ func main() {
 			}
 		}
 	}
+	sources := make([]*dataset.Partitioned, len(set.Sources))
+	for i, d := range set.Sources {
+		sources[i] = d.Partitions(0)
+	}
 	pipeline := &core.Pipeline{
-		Sources:            set.Sources,
+		Sources:            sources,
 		Costs:              set.Costs,
 		Sensitive:          set.SensitiveNames,
 		KnownDistributions: true,

@@ -49,8 +49,12 @@ func main() {
 		core.CoverageRequirement{Attrs: set.SensitiveNames, Threshold: 20},
 		core.CompletenessRequirement{Sensitive: set.SensitiveNames, MaxNullRate: 0.01},
 	}
+	sources := make([]*dataset.Partitioned, len(set.Sources))
+	for i, d := range set.Sources {
+		sources[i] = d.Partitions(0)
+	}
 	pipeline := &core.Pipeline{
-		Sources:            set.Sources,
+		Sources:            sources,
 		Sensitive:          set.SensitiveNames,
 		KnownDistributions: true,
 	}

@@ -64,7 +64,7 @@ func FindProblemSlices(m fairness.Model, des *fairness.Design, d *dataset.Datase
 	}
 	// Evaluate once; wrong[i] for each design example, plus its coded
 	// slice attributes.
-	space := coverage.NewSpace(d, cfg.Attrs, 1)
+	space := coverage.NewSpace(d.Partitions(0), cfg.Attrs, 1, 0)
 	codes := make([][]int, len(des.Rows))
 	wrong := make([]float64, len(des.Rows))
 	totalWrong := 0.0

@@ -14,6 +14,15 @@ func skewedData(t *testing.T, seed uint64, rows int) *dataset.Dataset {
 	return synth.Generate(synth.DefaultPopulation(rows), rng.New(seed)).Data
 }
 
+// partitionsOf views each dataset in partRows-row partitions (0 = default).
+func partitionsOf(ds []*dataset.Dataset, partRows int) []*dataset.Partitioned {
+	out := make([]*dataset.Partitioned, len(ds))
+	for i, d := range ds {
+		out[i] = d.Partitions(partRows)
+	}
+	return out
+}
+
 func TestDistributionRequirement(t *testing.T) {
 	d := skewedData(t, 1, 5000)
 	// Target = the data's own race marginal: should pass with tight TV.
@@ -24,7 +33,7 @@ func TestDistributionRequirement(t *testing.T) {
 		target[k] = dist[i]
 	}
 	req := DistributionRequirement{Attrs: []string{"race"}, Target: target, MaxTV: 0.01}
-	res := req.Check(d, nil)
+	res := req.Check(d.Partitions(0), 0, nil)
 	if !res.Satisfied || res.Score > 0.01 {
 		t.Fatalf("self-distribution failed: %+v", res)
 	}
@@ -34,7 +43,7 @@ func TestDistributionRequirement(t *testing.T) {
 		uniform[k] = 1.0 / float64(g.NumGroups())
 	}
 	req.Target = uniform
-	if res := req.Check(d, nil); res.Satisfied {
+	if res := req.Check(d.Partitions(0), 0, nil); res.Satisfied {
 		t.Fatalf("skewed data passed uniform target: %+v", res)
 	}
 }
@@ -48,7 +57,7 @@ func TestCountRequirement(t *testing.T) {
 			"race=asian": 10000, // impossible
 		},
 	}
-	res := req.Check(d, nil)
+	res := req.Check(d.Partitions(0), 0, nil)
 	if res.Satisfied {
 		t.Fatalf("impossible count passed: %+v", res)
 	}
@@ -56,7 +65,7 @@ func TestCountRequirement(t *testing.T) {
 		t.Fatalf("details missing failing group: %+v", res)
 	}
 	req.Min["race=asian"] = 1
-	if res := req.Check(d, nil); !res.Satisfied {
+	if res := req.Check(d.Partitions(0), 0, nil); !res.Satisfied {
 		t.Fatalf("satisfiable counts failed: %+v", res)
 	}
 }
@@ -64,11 +73,11 @@ func TestCountRequirement(t *testing.T) {
 func TestCoverageRequirement(t *testing.T) {
 	d := skewedData(t, 3, 2000)
 	loose := CoverageRequirement{Attrs: []string{"race", "sex"}, Threshold: 2}
-	if res := loose.Check(d, nil); !res.Satisfied {
+	if res := loose.Check(d.Partitions(0), 0, nil); !res.Satisfied {
 		t.Fatalf("loose coverage failed: %+v", res)
 	}
 	tight := CoverageRequirement{Attrs: []string{"race", "sex"}, Threshold: 1000}
-	res := tight.Check(d, nil)
+	res := tight.Check(d.Partitions(0), 0, nil)
 	if res.Satisfied || res.Score == 0 {
 		t.Fatalf("tight coverage passed: %+v", res)
 	}
@@ -88,13 +97,13 @@ func TestFeatureBiasRequirement(t *testing.T) {
 		MaxAssoc:  0.3,
 		MinCorr:   0.1,
 	}
-	res := req.Check(p.Data, nil)
+	res := req.Check(p.Data.Partitions(0), 0, nil)
 	if !res.Satisfied {
 		t.Fatalf("low-effect population failed feature audit: %+v", res)
 	}
 	// Impossible bar.
 	req.MinCorr = 0.999
-	if res := req.Check(p.Data, nil); res.Satisfied {
+	if res := req.Check(p.Data.Partitions(0), 0, nil); res.Satisfied {
 		t.Fatalf("impossible bar passed: %+v", res)
 	}
 }
@@ -102,20 +111,20 @@ func TestFeatureBiasRequirement(t *testing.T) {
 func TestCompletenessRequirement(t *testing.T) {
 	d := skewedData(t, 5, 3000)
 	req := CompletenessRequirement{MaxNullRate: 0.01}
-	if res := req.Check(d, nil); !res.Satisfied {
+	if res := req.Check(d.Partitions(0), 0, nil); !res.Satisfied {
 		t.Fatalf("complete data failed: %+v", res)
 	}
 	masked := synth.InjectMissing(d, synth.MissingConfig{
 		Attr: "f0", Rate: 0.3, Mech: synth.MAR, CondAttr: "race", CondValue: "black",
 	}, rng.New(6))
-	res := req.Check(masked, nil)
+	res := req.Check(masked.Partitions(0), 0, nil)
 	if res.Satisfied {
 		t.Fatalf("30%% missing passed: %+v", res)
 	}
 	// The per-group check must attribute the worst rate to the boosted
 	// group.
 	reqG := CompletenessRequirement{Sensitive: []string{"race"}, MaxNullRate: 0.01}
-	resG := reqG.Check(masked, nil)
+	resG := reqG.Check(masked.Partitions(0), 0, nil)
 	if !strings.Contains(resG.Details, "race=black") {
 		t.Fatalf("group attribution missing: %+v", resG)
 	}
@@ -126,10 +135,10 @@ func TestCompletenessRequirement(t *testing.T) {
 
 func TestAuditReport(t *testing.T) {
 	d := skewedData(t, 7, 500)
-	rep := Audit(d, []Requirement{
+	rep := Audit(d.Partitions(0), []Requirement{
 		CompletenessRequirement{MaxNullRate: 0.5},
 		CoverageRequirement{Attrs: []string{"race"}, Threshold: 100000},
-	}, nil)
+	}, 0, nil)
 	if len(rep.Results) != 2 {
 		t.Fatalf("results = %d", len(rep.Results))
 	}
@@ -168,7 +177,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		CompletenessRequirement{MaxNullRate: 0.01},
 	}
 	p := &Pipeline{
-		Sources:            set.Sources,
+		Sources:            partitionsOf(set.Sources, 0),
 		Costs:              set.Costs,
 		Sensitive:          set.SensitiveNames,
 		KnownDistributions: true,
@@ -231,7 +240,7 @@ func TestPipelineUnknownDistributions(t *testing.T) {
 			}
 		}
 	}
-	p := &Pipeline{Sources: set.Sources, Sensitive: set.SensitiveNames, MaxDraws: 2_000_000}
+	p := &Pipeline{Sources: partitionsOf(set.Sources, 0), Sensitive: set.SensitiveNames, MaxDraws: 2_000_000}
 	out, err := p.Run(need, nil, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +276,7 @@ func TestPipelineImputesNulls(t *testing.T) {
 		t.Skip("no available groups")
 	}
 	p := &Pipeline{
-		Sources:            set.Sources,
+		Sources:            partitionsOf(set.Sources, 0),
 		Sensitive:          set.SensitiveNames,
 		KnownDistributions: true,
 		MaxDraws:           2_000_000,
@@ -303,7 +312,7 @@ func TestPipelineErrors(t *testing.T) {
 		RowsPerSource:     100,
 		SkewConcentration: 3,
 	}, rng.New(12))
-	p = &Pipeline{Sources: set.Sources, Sensitive: set.SensitiveNames}
+	p = &Pipeline{Sources: partitionsOf(set.Sources, 0), Sensitive: set.SensitiveNames}
 	// A group absent from every source must fail fast.
 	if _, err := p.Run(map[dataset.GroupKey]int{"race=martian;sex=F": 5}, nil, rng.New(13)); err == nil {
 		t.Fatal("impossible group accepted")

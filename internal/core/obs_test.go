@@ -23,7 +23,7 @@ func obsPipeline(t *testing.T, reg *obs.Registry) *RunResult {
 		need[k] = 5
 	}
 	p := &Pipeline{
-		Sources:            []*dataset.Dataset{a, b},
+		Sources:            []*dataset.Partitioned{a.Partitions(0), b.Partitions(0)},
 		Sensitive:          []string{"race"},
 		KnownDistributions: true,
 		Obs:                reg,

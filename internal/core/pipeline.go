@@ -26,19 +26,16 @@ var now = obs.Now
 // requirements, and emit its nutritional label.
 type Pipeline struct {
 	// Sources are the candidate datasets (e.g. the per-institution
-	// extracts of Example 1).
-	Sources []*dataset.Dataset
-	// PartitionedSources are candidate partitioned views (e.g. converted
-	// column files too large to load), appended after Sources in source
-	// index order. Their group indexing and sampling run partition-at-a-
-	// time; only the rows tailoring keeps are ever materialized.
-	PartitionedSources []*dataset.Partitioned
+	// extracts of Example 1), as partitioned views: an in-memory dataset
+	// through Partitions, a converted column file too large to load through
+	// its own view. Group indexing and sampling run partition-at-a-time;
+	// only the rows tailoring keeps are ever materialized.
+	Sources []*dataset.Partitioned
 	// Workers is the worker count for partition-parallel stages
 	// (parallel.Workers semantics; 0 = serial). Results are bit-identical
 	// at any setting.
 	Workers int
-	// Costs[i] is the per-sample cost of source i (default 1), indexed
-	// over Sources then PartitionedSources.
+	// Costs[i] is the per-sample cost of source i (default 1).
 	Costs []float64
 	// Sensitive lists the grouping attributes (default: schema roles).
 	Sensitive []string
@@ -76,17 +73,13 @@ type RunResult struct {
 // collected rows, imputes nulls in the numeric feature attributes with
 // group-conditional means, audits the result, and builds its label.
 func (p *Pipeline) Run(need map[dataset.GroupKey]int, reqs []Requirement, r *rng.RNG) (*RunResult, error) {
-	nSrc := len(p.Sources) + len(p.PartitionedSources)
+	nSrc := len(p.Sources)
 	if nSrc == 0 {
 		return nil, errors.New("core: pipeline has no sources")
 	}
 	sensitive := p.Sensitive
 	if len(sensitive) == 0 {
-		if len(p.Sources) > 0 {
-			sensitive = p.Sources[0].Schema().ByRole(dataset.Sensitive)
-		} else {
-			sensitive = p.PartitionedSources[0].Schema().ByRole(dataset.Sensitive)
-		}
+		sensitive = p.Sources[0].Schema().ByRole(dataset.Sensitive)
 	}
 	if len(sensitive) == 0 {
 		return nil, errors.New("core: no sensitive attributes")
@@ -101,16 +94,10 @@ func (p *Pipeline) Run(need map[dataset.GroupKey]int, reqs []Requirement, r *rng
 			keys = append(keys, k)
 		}
 	}
-	// In-memory sources first, then partitioned views; the group indexes
-	// are bit-identical across the two backends, so mixed pipelines see one
-	// consistent key universe.
 	isp := p.Trace.Child("pipeline.index")
 	sourceGroups := make([]*dataset.Groups, nSrc)
-	for i, s := range p.Sources {
-		sourceGroups[i] = s.GroupByTraced(isp, sensitive...)
-	}
-	for i, pd := range p.PartitionedSources {
-		sourceGroups[len(p.Sources)+i] = pd.GroupBy(p.Workers, nil, sensitive...)
+	for i, pd := range p.Sources {
+		sourceGroups[i] = pd.GroupBy(p.Workers, isp, sensitive...)
 	}
 	for _, g := range sourceGroups {
 		for _, k := range g.Keys() {
@@ -136,13 +123,7 @@ func (p *Pipeline) Run(need map[dataset.GroupKey]int, reqs []Requirement, r *rng
 		if p.Costs != nil {
 			cost = p.Costs[i]
 		}
-		var src dt.Source
-		var err error
-		if i < len(p.Sources) {
-			src, err = dt.NewDatasetSource(p.Sources[i], sourceGroups[i], keys, cost)
-		} else {
-			src, err = dt.NewPartitionedSource(p.PartitionedSources[i-len(p.Sources)], sourceGroups[i], keys, cost)
-		}
+		src, err := dt.NewPartitionedSource(p.Sources[i], sourceGroups[i], keys, cost)
 		if err != nil {
 			return nil, fmt.Errorf("core: source %d: %w", i, err)
 		}
@@ -260,9 +241,7 @@ func (p *Pipeline) Run(need map[dataset.GroupKey]int, reqs []Requirement, r *rng
 	out.Data = data
 
 	auditSpan, endAudit := step("audit")
-	out.Audit = audit(reqs, reg, auditSpan, func(req Requirement, rs *trace.Span) CheckResult {
-		return req.Check(data, rs)
-	})
+	out.Audit = audit(data.Partitions(0), reqs, p.Workers, reg, auditSpan)
 	pass := "passed"
 	if !out.Audit.Satisfied() {
 		pass = "FAILED"

@@ -27,13 +27,13 @@ func TestCoverageRemedyToTailoring(t *testing.T) {
 	// some intersectional group at this threshold.
 	inHouse := set.Sources[0].Head(700)
 	const threshold = 40
-	space := coverage.NewSpace(inHouse, sens, threshold)
+	space := coverage.NewSpace(inHouse.Partitions(0), sens, threshold, 0)
 	mups := space.MUPs(0, nil)
 	if len(mups) == 0 {
 		t.Skip("no MUPs in this draw; coverage already satisfied")
 	}
 	req := CoverageRequirement{Attrs: sens, Threshold: threshold}
-	if res := req.Check(inHouse, nil); res.Satisfied {
+	if res := req.Check(inHouse.Partitions(0), 0, nil); res.Satisfied {
 		t.Fatal("audit passed despite MUPs")
 	}
 
@@ -63,7 +63,7 @@ func TestCoverageRemedyToTailoring(t *testing.T) {
 	}
 
 	p := &Pipeline{
-		Sources:            set.Sources,
+		Sources:            partitionsOf(set.Sources, 0),
 		Sensitive:          sens,
 		KnownDistributions: true,
 		MaxDraws:           2_000_000,
@@ -103,7 +103,7 @@ func TestNeedFromRemedyKeys(t *testing.T) {
 		d.MustAppendRow(dataset.Cat("white"), dataset.Cat("M"))
 	}
 	d.MustAppendRow(dataset.Cat("black"), dataset.Cat("F"))
-	space := coverage.NewSpace(d, []string{"race", "sex"}, 5)
+	space := coverage.NewSpace(d.Partitions(0), []string{"race", "sex"}, 5, 0)
 	plan := space.Remedy(space.MUPs(0, nil))
 	need := NeedFromRemedy(space, plan)
 	// The key format must match dataset.GroupBy keys.

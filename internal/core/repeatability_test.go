@@ -34,9 +34,9 @@ func TestRequirementChecksRepeatable(t *testing.T) {
 		CompletenessRequirement{Sensitive: []string{"race", "sex"}, MaxNullRate: 0.0},
 	}
 	for _, req := range reqs {
-		first := req.Check(d, nil)
+		first := req.Check(d.Partitions(0), 0, nil)
 		for i := 1; i < repeatabilityRounds; i++ {
-			got := req.Check(d, nil)
+			got := req.Check(d.Partitions(0), 0, nil)
 			if got != first {
 				t.Fatalf("%s: check not repeatable\nrun 0: %+v\nrun %d: %+v", req.Name(), first, i, got)
 			}
@@ -85,7 +85,7 @@ func TestPipelineClockSeam(t *testing.T) {
 	for _, k := range g.Keys() {
 		need[k] = 5
 	}
-	p := &Pipeline{Sources: []*dataset.Dataset{d}, Sensitive: []string{"race"}, KnownDistributions: true}
+	p := &Pipeline{Sources: []*dataset.Partitioned{d.Partitions(0)}, Sensitive: []string{"race"}, KnownDistributions: true}
 	run := func() []time.Duration {
 		tick = 0
 		res, err := p.Run(need, nil, rng.New(11))

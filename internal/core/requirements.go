@@ -22,10 +22,12 @@ import (
 type Requirement interface {
 	// Name identifies the requirement in audit reports.
 	Name() string
-	// Check audits d and reports the outcome. A non-nil span receives the
-	// check's kernel spans (group indexing, MUP walk) and work tallies; a
-	// nil span is the untraced path.
-	Check(d *dataset.Dataset, sp *trace.Span) CheckResult
+	// Check audits pd partition-at-a-time with the given worker count
+	// (parallel.Workers semantics; 0 = serial) and reports the outcome,
+	// which is the same at any worker count and partition size. A non-nil
+	// span receives the check's kernel spans (group indexing, MUP walk) and
+	// work tallies; a nil span is the untraced path.
+	Check(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult
 }
 
 // CheckResult is the outcome of auditing one requirement.
@@ -67,21 +69,18 @@ func (r *AuditReport) String() string {
 	return s
 }
 
-// Audit checks d against every requirement. Under a non-nil span each
-// requirement gets an "audit.<name>" child (with a satisfied 0/1
-// attribute) holding its kernel spans; a nil span is the untraced path.
-// Counters go to the process-wide registry, if enabled.
-func Audit(d *dataset.Dataset, reqs []Requirement, sp *trace.Span) *AuditReport {
-	return audit(reqs, obs.Active(nil), sp, func(req Requirement, rs *trace.Span) CheckResult {
-		return req.Check(d, rs)
-	})
+// Audit checks pd against every requirement with the given worker count.
+// Under a non-nil span each requirement gets an "audit.<name>" child (with
+// a satisfied 0/1 attribute) holding its kernel spans; a nil span is the
+// untraced path. Counters go to the process-wide registry, if enabled.
+func Audit(pd *dataset.Partitioned, reqs []Requirement, workers int, sp *trace.Span) *AuditReport {
+	return audit(pd, reqs, workers, obs.Active(nil), sp)
 }
 
-// audit is the one audit loop behind Audit, AuditPartitioned and the
-// pipeline's audit step (which passes its run-private registry so audit
-// counters land in the step's delta). check runs one requirement under its
-// span.
-func audit(reqs []Requirement, reg *obs.Registry, sp *trace.Span, check func(Requirement, *trace.Span) CheckResult) *AuditReport {
+// audit is the one audit loop behind Audit and the pipeline's audit step
+// (which passes its run-private registry so audit counters land in the
+// step's delta).
+func audit(pd *dataset.Partitioned, reqs []Requirement, workers int, reg *obs.Registry, sp *trace.Span) *AuditReport {
 	rep := &AuditReport{}
 	failed := 0
 	for _, req := range reqs {
@@ -89,7 +88,7 @@ func audit(reqs []Requirement, reg *obs.Registry, sp *trace.Span, check func(Req
 		if sp != nil {
 			rs = sp.Child("audit." + req.Name())
 		}
-		res := check(req, rs)
+		res := req.Check(pd, workers, rs)
 		if !res.Satisfied {
 			failed++
 		}
@@ -194,18 +193,8 @@ func (r DistributionRequirement) Name() string { return "distribution-representa
 
 // Check implements Requirement: the group indexing lands in a
 // "dataset.groupby" span under sp.
-func (r DistributionRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
-	return r.checkGroups(d.GroupByTraced(sp, r.Attrs...))
-}
-
-// CheckPartitioned implements PartitionedRequirement: the group index comes
-// from the partition-parallel GroupBy, which is bit-identical to the
-// in-memory one, so the TV distance is too.
-func (r DistributionRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
-	return r.checkGroups(pd.GroupBy(workers, sp, r.Attrs...))
-}
-
-func (r DistributionRequirement) checkGroups(groups *dataset.Groups) CheckResult {
+func (r DistributionRequirement) Check(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
+	groups := pd.GroupBy(workers, sp, r.Attrs...)
 	res := CheckResult{Requirement: r.Name()}
 	// Align the observed distribution with the target's key set: keys
 	// absent from the data get probability 0 and vice versa.
@@ -247,17 +236,10 @@ type CountRequirement struct {
 // Name implements Requirement.
 func (r CountRequirement) Name() string { return "group-counts" }
 
-// Check implements Requirement.
-func (r CountRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
-	return r.checkGroups(d.GroupByTraced(sp, r.Attrs...))
-}
-
-// CheckPartitioned implements PartitionedRequirement.
-func (r CountRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
-	return r.checkGroups(pd.GroupBy(workers, sp, r.Attrs...))
-}
-
-func (r CountRequirement) checkGroups(groups *dataset.Groups) CheckResult {
+// Check implements Requirement: the group indexing lands in a
+// "dataset.groupby" span under sp.
+func (r CountRequirement) Check(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
+	groups := pd.GroupBy(workers, sp, r.Attrs...)
 	res := CheckResult{Requirement: r.Name(), Satisfied: true}
 	worst := math.Inf(1)
 	// Sorted keys keep the failing-group listing in Details stable
@@ -297,18 +279,11 @@ type CoverageRequirement struct {
 // Name implements Requirement.
 func (r CoverageRequirement) Name() string { return "coverage" }
 
-// Check implements Requirement: the MUP walk lands in a
-// "coverage.mup_walk" span under sp with the walk's per-level tallies.
-func (r CoverageRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
-	space := coverage.NewSpace(d, r.Attrs, r.Threshold)
-	return r.checkSpace(space, space.MUPs(0, sp))
-}
-
-// CheckPartitioned implements PartitionedRequirement: the space is built
-// partition-at-a-time and the MUP walk sharded over workers; both are
-// bit-identical to the in-memory path, and so is the walk's span.
-func (r CoverageRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
-	space := coverage.NewSpacePartitioned(pd, r.Attrs, r.Threshold, workers)
+// Check implements Requirement: the space is built partition-at-a-time and
+// the MUP walk, sharded over workers, lands in a "coverage.mup_walk" span
+// under sp with the walk's per-level tallies.
+func (r CoverageRequirement) Check(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
+	space := coverage.NewSpace(pd, r.Attrs, r.Threshold, workers)
 	return r.checkSpace(space, space.MUPs(workers, sp))
 }
 
@@ -353,8 +328,10 @@ type FeatureBiasRequirement struct {
 // Name implements Requirement.
 func (r FeatureBiasRequirement) Name() string { return "unbiased-informative-features" }
 
-// Check implements Requirement. The bias ranking has no kernel span.
-func (r FeatureBiasRequirement) Check(d *dataset.Dataset, _ *trace.Span) CheckResult {
+// Check implements Requirement over a materialization of pd's rows: the
+// bias ranking is row-oriented and has no kernel span.
+func (r FeatureBiasRequirement) Check(pd *dataset.Partitioned, _ int, _ *trace.Span) CheckResult {
+	d := MaterializePartitioned(pd)
 	res := CheckResult{Requirement: r.Name()}
 	min := r.MinFeatures
 	if min == 0 {
@@ -382,6 +359,21 @@ func (r FeatureBiasRequirement) Check(d *dataset.Dataset, _ *trace.Span) CheckRe
 	return res
 }
 
+// MaterializePartitioned builds an in-memory dataset holding every row of
+// the view — the escape hatch for row-oriented consumers. The result's
+// dictionaries and codes match a dataset built by appending the same rows.
+func MaterializePartitioned(pd *dataset.Partitioned) *dataset.Dataset {
+	out := dataset.New(pd.Schema())
+	rows := make([]int, pd.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	if err := pd.AppendRowsTo(out, rows); err != nil {
+		panic(fmt.Sprintf("core: materializing partitioned view: %v", err))
+	}
+	return out
+}
+
 // CompletenessRequirement is the Completeness half of §2.4: every listed
 // attribute's null rate must stay at or below MaxNullRate, both overall
 // and within every demographic group (so that missingness cannot hide in a
@@ -395,46 +387,48 @@ type CompletenessRequirement struct {
 // Name implements Requirement.
 func (r CompletenessRequirement) Name() string { return "completeness" }
 
-// Check implements Requirement: sp records how many attributes and rows
-// the null scans covered.
-func (r CompletenessRequirement) Check(d *dataset.Dataset, sp *trace.Span) CheckResult {
+// Check implements Requirement: null rates come from compiled IsNull counts
+// over the partitions' null codes and validity words, and per-group rates
+// from one group index over the sensitive attributes, shared by every
+// attribute that has nulls. sp records how many attributes and rows the
+// null scans covered; the scans themselves run untraced.
+func (r CompletenessRequirement) Check(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
 	attrs := r.Attrs
 	if len(attrs) == 0 {
-		attrs = d.Schema().Names()
+		attrs = pd.Schema().Names()
 	}
+	var groups *dataset.Groups // built on the first attribute with nulls
 	worst := 0.0
 	worstAt := ""
 	for _, a := range attrs {
-		// Compiled null-mask count: one fused scan over the column's codes
-		// or null mask instead of a per-row Value walk.
-		nulls := d.Count(dataset.IsNull(a))
+		pp, ok := pd.CompilePredicate(dataset.IsNull(a))
+		if !ok {
+			panic("core: IsNull predicate failed to compile")
+		}
+		nulls := pp.Count(workers, nil)
 		rate := 0.0
-		if d.NumRows() > 0 {
-			rate = float64(nulls) / float64(d.NumRows())
+		if pd.NumRows() > 0 {
+			rate = float64(nulls) / float64(pd.NumRows())
 		}
 		if rate > worst {
 			worst, worstAt = rate, a
 		}
 		if len(r.Sensitive) > 0 && nulls > 0 {
+			if groups == nil {
+				groups = pd.GroupBy(workers, nil, r.Sensitive...)
+			}
 			// Gid order is ascending key order, so the argmax tie-break is
 			// deterministic: with equal rates the lexicographically first
 			// group is reported.
-			fracs, groups := profile.GroupMissingness(d, a, r.Sensitive)
-			for gid, frac := range fracs {
+			for gid, frac := range profile.GroupMissingness(pd, groups, a, workers) {
 				if frac > worst {
 					worst, worstAt = frac, fmt.Sprintf("%s within %s", a, groups.Key(gid))
 				}
 			}
 		}
 	}
-	return r.result(worst, worstAt, len(attrs), d.NumRows(), sp)
-}
-
-// result scores the worst null rate found by Check or CheckPartitioned and
-// records the scan's extent on sp.
-func (r CompletenessRequirement) result(worst float64, worstAt string, attrs, rows int, sp *trace.Span) CheckResult {
-	sp.SetAttr("attrs_checked", int64(attrs))
-	sp.SetAttr("rows", int64(rows))
+	sp.SetAttr("attrs_checked", int64(len(attrs)))
+	sp.SetAttr("rows", int64(pd.NumRows()))
 	res := CheckResult{Requirement: r.Name(), Score: worst, Satisfied: worst <= r.MaxNullRate}
 	res.Details = fmt.Sprintf("worst null rate %.4f at %s (max %.4f)", worst, worstAt, r.MaxNullRate)
 	if worstAt == "" {

@@ -35,12 +35,12 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestAuditTraceGolden pins the span tree of an in-memory audit over all
+// TestAuditTraceGolden pins the span tree of an audit of in-memory rows over all
 // five requirement kinds.
 func TestAuditTraceGolden(t *testing.T) {
 	d := skewedData(t, 41, 3000)
 	root := trace.New("audit")
-	Audit(d, pipelineReqs(d), root)
+	Audit(d.Partitions(0), pipelineReqs(d), 0, root)
 	root.End()
 	checkGolden(t, "audit_trace", root.DetString())
 }
@@ -57,7 +57,7 @@ func TestPipelineTraceGolden(t *testing.T) {
 	}
 	root := trace.New("tailor")
 	p := &Pipeline{
-		Sources:            []*dataset.Dataset{a, b},
+		Sources:            []*dataset.Partitioned{a.Partitions(0), b.Partitions(0)},
 		Sensitive:          []string{"race"},
 		KnownDistributions: true,
 		Trace:              root,

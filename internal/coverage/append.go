@@ -17,9 +17,9 @@ import (
 // layer passes the pre-ingest row count; it panics on a mismatch.
 //
 // Equivalence contract: after any schedule of AppendRows calls the space is
-// bit-identical to NewSpace(d, attrs, threshold) — same Domains, same
-// bitmap words, same value counts — so Count and MUPs return
-// identical results at any worker count.
+// bit-identical to a cold NewSpace over d's rows — same Domains, same bitmap
+// words, same value counts — so Count and MUPs return identical results at
+// any worker count.
 //
 // AppendRows requires exclusive access: it swaps the scratch pool when the
 // word length grows, so no Count/MUPs call may run concurrently. The
@@ -49,7 +49,6 @@ func (s *Space) AppendRows(d *dataset.Dataset, fromRow int) {
 				s.valCounts[i][c]++
 			}
 		}
-		s.cols[i] = append(s.cols[i], codes...)
 	}
 	if bitmap.WordsFor(n) != bitmap.WordsFor(s.numRows) {
 		s.pool = bitmap.NewPool(n)

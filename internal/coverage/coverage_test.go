@@ -50,7 +50,7 @@ func TestPatternBasics(t *testing.T) {
 
 func TestSpaceCounting(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 3)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 3, 0)
 	if s.Count(s.Root()) != 15 {
 		t.Fatalf("root count = %d", s.Count(s.Root()))
 	}
@@ -66,7 +66,7 @@ func TestSpaceCounting(t *testing.T) {
 
 func TestChildrenCanonical(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 3)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 3, 0)
 	// Children of the root: specialize each position.
 	kids := s.Children(s.Root())
 	if len(kids) != 4 { // 2 race values + 2 sex values
@@ -94,7 +94,7 @@ func mupKeys(s *Space, mups []MUP) []string {
 
 func TestMUPsSimple(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 3)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 3, 0)
 	mups := s.MUPs(0, nil)
 	// The only uncovered pattern with covered parents is
 	// race=black, sex=F (count 0): race=black has 5 and sex=F has 5.
@@ -113,7 +113,7 @@ func TestMUPsMatchNaive(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		cfg := synth.DefaultPopulation(300)
 		p := synth.Generate(cfg, rng.New(seed))
-		s := NewSpace(p.Data, []string{"race", "sex", "label"}, 20)
+		s := NewSpace(p.Data.Partitions(0), []string{"race", "sex", "label"}, 20, 0)
 		fast := mupKeys(s, s.MUPs(0, nil))
 		slow := mupKeys(s, s.NaiveMUPs())
 		if len(fast) != len(slow) {
@@ -129,7 +129,7 @@ func TestMUPsMatchNaive(t *testing.T) {
 
 func TestMUPsRootUncovered(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 1000)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 1000, 0)
 	mups := s.MUPs(0, nil)
 	if len(mups) != 1 || mups[0].Pattern.Level() != 0 {
 		t.Fatalf("expected root MUP, got %v", mupKeys(s, mups))
@@ -138,14 +138,14 @@ func TestMUPsRootUncovered(t *testing.T) {
 
 func TestMUPsNoneWhenCovered(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 1)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 1, 0)
 	// Threshold 1: black/F is still uncovered (count 0).
 	mups := s.MUPs(0, nil)
 	if len(mups) != 1 {
 		t.Fatalf("MUPs = %v", mupKeys(s, mups))
 	}
 	// Threshold 0: everything covered.
-	s0 := NewSpace(d, []string{"race", "sex"}, 0)
+	s0 := NewSpace(d.Partitions(0), []string{"race", "sex"}, 0, 0)
 	if got := s0.MUPs(0, nil); len(got) != 0 {
 		t.Fatalf("threshold-0 MUPs = %v", mupKeys(s0, got))
 	}
@@ -153,7 +153,7 @@ func TestMUPsNoneWhenCovered(t *testing.T) {
 
 func TestCoveragePercent(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 3)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 3, 0)
 	// Combinations: white/F, white/M, black/M covered; black/F not.
 	if pct := s.CoveragePercent(); pct != 0.75 {
 		t.Fatalf("CoveragePercent = %v", pct)
@@ -162,7 +162,7 @@ func TestCoveragePercent(t *testing.T) {
 
 func TestUncoveredCombinations(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 3)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 3, 0)
 	mups := s.MUPs(0, nil)
 	combos := s.UncoveredCombinations(mups)
 	if len(combos) != 1 || s.Describe(combos[0]) != "race=black, sex=F" {
@@ -177,7 +177,7 @@ func TestUncoveredCombinations(t *testing.T) {
 func TestRemedyCoversAllMUPs(t *testing.T) {
 	cfg := synth.DefaultPopulation(300)
 	p := synth.Generate(cfg, rng.New(3))
-	s := NewSpace(p.Data, []string{"race", "sex"}, 30)
+	s := NewSpace(p.Data.Partitions(0), []string{"race", "sex"}, 30, 0)
 	mups := s.MUPs(0, nil)
 	if len(mups) == 0 {
 		t.Skip("no MUPs in this draw")
@@ -204,7 +204,7 @@ func TestRemedyCoversAllMUPs(t *testing.T) {
 
 func TestRemedyEmpty(t *testing.T) {
 	d := tiny(t)
-	s := NewSpace(d, []string{"race", "sex"}, 1)
+	s := NewSpace(d.Partitions(0), []string{"race", "sex"}, 1, 0)
 	if plan := s.Remedy(nil); plan != nil {
 		t.Fatalf("Remedy(nil) = %v", plan)
 	}
@@ -213,7 +213,7 @@ func TestRemedyEmpty(t *testing.T) {
 func TestRandomRemedyCostAtLeastGreedy(t *testing.T) {
 	cfg := synth.DefaultPopulation(400)
 	p := synth.Generate(cfg, rng.New(5))
-	s := NewSpace(p.Data, []string{"race", "sex", "label"}, 25)
+	s := NewSpace(p.Data.Partitions(0), []string{"race", "sex", "label"}, 25, 0)
 	mups := s.MUPs(0, nil)
 	if len(mups) == 0 {
 		t.Skip("no MUPs in this draw")
@@ -316,7 +316,7 @@ func TestRejectedAppendRowLeavesCoverage(t *testing.T) {
 		}
 	}
 	attrs := []string{"race", "sex"}
-	if s := NewSpace(d, attrs, 5); len(s.MUPs(0, nil)) != 0 {
+	if s := NewSpace(d.Partitions(0), attrs, 5, 0); len(s.MUPs(0, nil)) != 0 {
 		t.Fatalf("fixture has MUPs %v", mupKeys(s, s.MUPs(0, nil)))
 	}
 	if err := d.AppendRow(dataset.Cat("martian"), dataset.Cat("F"), dataset.Cat("not-a-number")); err == nil {
@@ -328,7 +328,7 @@ func TestRejectedAppendRowLeavesCoverage(t *testing.T) {
 	if _, dict := d.Codes("race"); len(dict) != 2 {
 		t.Fatalf("race dictionary = %v after rejected append, want [white black]", dict)
 	}
-	s := NewSpace(d, attrs, 5)
+	s := NewSpace(d.Partitions(0), attrs, 5, 0)
 	if after := mupKeys(s, s.MUPs(0, nil)); len(after) != 0 {
 		t.Fatalf("MUPs = %v after rejected append, want none", after)
 	}

@@ -57,10 +57,14 @@ type JoinSpace struct {
 
 // NewJoinSpace prepares coverage over left ⋈ right on the given join keys,
 // with pattern attributes leftAttrs from the left relation and rightAttrs
-// from the right. It panics if no pattern attributes are given or an
-// attribute is not categorical.
-func NewJoinSpace(left *dataset.Dataset, leftKey string, leftAttrs []string,
-	right *dataset.Dataset, rightKey string, rightAttrs []string, threshold int) *JoinSpace {
+// from the right, without materializing either side's rows or the join:
+// each side is scanned partition-at-a-time to group its rows by join key,
+// then the flat per-key layouts and value bitmaps are filled from the
+// partitions' code pages. Join keys must be categorical on both sides; rows
+// with a null or empty key are excluded. It panics if no pattern attributes
+// are given or an attribute is not categorical.
+func NewJoinSpace(left *dataset.Partitioned, leftKey string, leftAttrs []string,
+	right *dataset.Partitioned, rightKey string, rightAttrs []string, threshold int) *JoinSpace {
 	if len(leftAttrs)+len(rightAttrs) == 0 {
 		panic("coverage: NewJoinSpace requires at least one pattern attribute")
 	}
@@ -68,23 +72,29 @@ func NewJoinSpace(left *dataset.Dataset, leftKey string, leftAttrs []string,
 		Threshold: threshold,
 		numLeft:   len(leftAttrs),
 	}
-	collect := func(d *dataset.Dataset, key string, attrs []string) (cols [][]int32, rowsByKey map[string][]int) {
-		keys := d.Strings(key)
-		cols = make([][]int32, len(attrs))
+	collect := func(pd *dataset.Partitioned, key string, attrs []string) (cols []int, byKey map[string][]int) {
+		schema := pd.Schema()
+		keyCol := schema.MustIndex(key)
+		keyDict := pd.Dict(key) // panics if the key is not categorical
+		cols = make([]int, len(attrs))
 		for i, a := range attrs {
-			codes, dict := d.Codes(a)
-			cols[i] = codes
-			js.Domains = append(js.Domains, dict)
+			cols[i] = schema.MustIndex(a)
+			js.Domains = append(js.Domains, pd.Dict(a))
 			js.Attrs = append(js.Attrs, a)
 		}
-		rowsByKey = map[string][]int{}
-		for r := 0; r < d.NumRows(); r++ {
-			if keys[r] == "" {
-				continue
+		byKey = map[string][]int{}
+		src := pd.Source()
+		partRows := pd.PartRows()
+		for p := 0; p < pd.NumPartitions(); p++ {
+			base := p * partRows
+			for r, c := range src.PartitionCatCodes(p, keyCol) {
+				if c < 0 || keyDict[c] == "" {
+					continue
+				}
+				byKey[keyDict[c]] = append(byKey[keyDict[c]], base+r)
 			}
-			rowsByKey[keys[r]] = append(rowsByKey[keys[r]], r)
 		}
-		return cols, rowsByKey
+		return cols, byKey
 	}
 	lCols, lByKey := collect(left, leftKey, leftAttrs)
 	rCols, rByKey := collect(right, rightKey, rightAttrs)
@@ -96,11 +106,16 @@ func NewJoinSpace(left *dataset.Dataset, leftKey string, leftAttrs []string,
 	}
 	sort.Strings(js.keys)
 
-	// Flatten each side grouped by key and build the value bitmaps.
+	// Flatten one side: global row indices grouped by key become the flat
+	// layout, with codes pulled partition-at-a-time (each partition's code
+	// page is fetched once per attribute and sliced for every row in it).
 	// domOff maps the side's local attribute index to its position in
 	// js.Domains (0 for left, numLeft for right); bitmaps cover the full
 	// dictionary, even values absent from the joined rows.
-	flatten := func(byKey map[string][]int, cols [][]int32, nAttrs, domOff int) (off []int, flat [][]int32, bits [][]bitmap.Bitmap) {
+	flatten := func(pd *dataset.Partitioned, byKey map[string][]int, cols []int, domOff int) (off []int, flat [][]int32, bits [][]bitmap.Bitmap) {
+		src := pd.Source()
+		partRows := pd.PartRows()
+		nAttrs := len(cols)
 		off = make([]int, len(js.keys)+1)
 		n := 0
 		for ki, k := range js.keys {
@@ -109,19 +124,28 @@ func NewJoinSpace(left *dataset.Dataset, leftKey string, leftAttrs []string,
 		}
 		off[len(js.keys)] = n
 		flat = make([][]int32, nAttrs)
-		bits = make([][]bitmap.Bitmap, nAttrs)
 		for a := 0; a < nAttrs; a++ {
 			flat[a] = make([]int32, n)
 		}
+		pageCache := make(map[int][]int32, 1)
 		at := 0
 		for _, k := range js.keys {
-			for _, r := range byKey[k] {
-				for a := 0; a < nAttrs; a++ {
-					flat[a][at] = cols[a][r]
+			rows := byKey[k]
+			for a, ci := range cols {
+				clear(pageCache)
+				for i, r := range rows {
+					p := r / partRows
+					page, ok := pageCache[p]
+					if !ok {
+						page = src.PartitionCatCodes(p, ci)
+						pageCache[p] = page
+					}
+					flat[a][at+i] = page[r%partRows]
 				}
-				at++
 			}
+			at += len(rows)
 		}
+		bits = make([][]bitmap.Bitmap, nAttrs)
 		for a := 0; a < nAttrs; a++ {
 			bits[a] = make([]bitmap.Bitmap, len(js.Domains[domOff+a]))
 			for v := range bits[a] {
@@ -135,8 +159,8 @@ func NewJoinSpace(left *dataset.Dataset, leftKey string, leftAttrs []string,
 		}
 		return off, flat, bits
 	}
-	js.offL, js.leftCols, js.leftBits = flatten(lByKey, lCols, len(leftAttrs), 0)
-	js.offR, js.rightCols, js.rightBits = flatten(rByKey, rCols, len(rightAttrs), js.numLeft)
+	js.offL, js.leftCols, js.leftBits = flatten(left, lByKey, lCols, 0)
+	js.offR, js.rightCols, js.rightBits = flatten(right, rByKey, rCols, js.numLeft)
 	js.poolL = bitmap.NewPool(js.offL[len(js.keys)])
 	js.poolR = bitmap.NewPool(js.offR[len(js.keys)])
 	js.totalJoin = js.factorCount(nil, nil)

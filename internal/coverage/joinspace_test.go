@@ -40,13 +40,13 @@ func joinFixture(t *testing.T, seed uint64, n int) (left, right *dataset.Dataset
 
 func TestJoinSpaceCountMatchesMaterialized(t *testing.T) {
 	left, right := joinFixture(t, 1, 600)
-	js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 10)
+	js := NewJoinSpace(left.Partitions(0), "zip", []string{"race"}, right.Partitions(0), "zipcode", []string{"region"}, 10)
 
 	joined, err := left.Join(right, "zip", "zipcode")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := NewSpace(joined, []string{"race", "region"}, 10)
+	ms := NewSpace(joined.Partitions(0), []string{"race", "region"}, 10, 0)
 
 	// Every pattern in the (small) lattice must agree. Dictionary codes
 	// differ between the two spaces, so translate patterns by value name.
@@ -97,12 +97,12 @@ func TestJoinSpaceCountMatchesMaterialized(t *testing.T) {
 func TestJoinSpaceMUPsMatchMaterialized(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		left, right := joinFixture(t, seed, 400)
-		js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 25)
+		js := NewJoinSpace(left.Partitions(0), "zip", []string{"race"}, right.Partitions(0), "zipcode", []string{"region"}, 25)
 		joined, err := left.Join(right, "zip", "zipcode")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms := NewSpace(joined, []string{"race", "region"}, 25)
+		ms := NewSpace(joined.Partitions(0), []string{"race", "region"}, 25, 0)
 
 		describe := func(mups []MUP, d func(Pattern) string) []string {
 			var out []string
@@ -137,7 +137,7 @@ func TestJoinSpaceSkipsNullKeys(t *testing.T) {
 		dataset.Attribute{Name: "b", Kind: dataset.Categorical},
 	))
 	right.MustAppendRow(dataset.Cat("x"), dataset.Cat("w"))
-	js := NewJoinSpace(left, "k", []string{"a"}, right, "k", []string{"b"}, 1)
+	js := NewJoinSpace(left.Partitions(0), "k", []string{"a"}, right.Partitions(0), "k", []string{"b"}, 1)
 	if got := js.Count(js.Root()); got != 1 {
 		t.Fatalf("join count = %d, want 1 (null key skipped)", got)
 	}
@@ -150,5 +150,5 @@ func TestJoinSpacePanicsWithoutAttrs(t *testing.T) {
 			t.Fatal("no pattern attrs did not panic")
 		}
 	}()
-	NewJoinSpace(left, "zip", nil, right, "zipcode", nil, 1)
+	NewJoinSpace(left.Partitions(0), "zip", nil, right.Partitions(0), "zipcode", nil, 1)
 }

@@ -28,7 +28,7 @@ func TestMUPsObsWorkerInvariance(t *testing.T) {
 	data := skewedTable(t, 5, 3000, 5)
 	attrs := data.Schema().Names()
 	serial := captureWalk(t, func(reg *obs.Registry) {
-		s := NewSpace(data, attrs, 25)
+		s := NewSpace(data.Partitions(0), attrs, 25, 0)
 		s.Obs = reg
 		s.MUPs(0, nil)
 	})
@@ -39,7 +39,7 @@ func TestMUPsObsWorkerInvariance(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 8} {
 		got := captureWalk(t, func(reg *obs.Registry) {
-			s := NewSpace(data, attrs, 25)
+			s := NewSpace(data.Partitions(0), attrs, 25, 0)
 			s.Obs = reg
 			s.MUPs(w, nil)
 		})
@@ -54,7 +54,7 @@ func TestMUPsObsWorkerInvariance(t *testing.T) {
 func TestJoinSpaceObsWorkerInvariance(t *testing.T) {
 	left, right := joinFixture(t, 3, 800)
 	serial := captureWalk(t, func(reg *obs.Registry) {
-		js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15)
+		js := NewJoinSpace(left.Partitions(0), "zip", []string{"race"}, right.Partitions(0), "zipcode", []string{"region"}, 15)
 		js.Obs = reg
 		js.MUPs(0, nil)
 	})
@@ -63,7 +63,7 @@ func TestJoinSpaceObsWorkerInvariance(t *testing.T) {
 	}
 	for _, w := range []int{1, 8} {
 		got := captureWalk(t, func(reg *obs.Registry) {
-			js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15)
+			js := NewJoinSpace(left.Partitions(0), "zip", []string{"race"}, right.Partitions(0), "zipcode", []string{"region"}, 15)
 			js.Obs = reg
 			js.MUPs(w, nil)
 		})

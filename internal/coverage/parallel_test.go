@@ -38,12 +38,12 @@ func TestMUPsParallelDeterminism(t *testing.T) {
 	for _, d := range []int{3, 5, 6} {
 		data := skewedTable(t, d, 3000, uint64(d))
 		attrs := data.Schema().Names()
-		serial := NewSpace(data, attrs, 25).MUPs(0, nil)
+		serial := NewSpace(data.Partitions(0), attrs, 25, 0).MUPs(0, nil)
 		if len(serial) == 0 {
 			t.Fatalf("d=%d: no MUPs; determinism check is vacuous", d)
 		}
 		for _, w := range []int{1, 8} {
-			got := NewSpace(data, attrs, 25).MUPs(w, nil)
+			got := NewSpace(data.Partitions(0), attrs, 25, 0).MUPs(w, nil)
 			if !reflect.DeepEqual(got, serial) {
 				t.Fatalf("d=%d workers=%d: parallel MUPs diverge from serial\nserial: %v\ngot:    %v", d, w, serial, got)
 			}
@@ -54,7 +54,7 @@ func TestMUPsParallelDeterminism(t *testing.T) {
 // TestMUPsParallelRootUncovered covers the degenerate single-MUP path.
 func TestMUPsParallelRootUncovered(t *testing.T) {
 	data := skewedTable(t, 3, 10, 1)
-	s := NewSpace(data, data.Schema().Names(), 1000)
+	s := NewSpace(data.Partitions(0), data.Schema().Names(), 1000, 0)
 	got := s.MUPs(8, nil)
 	if len(got) != 1 || got[0].Pattern.Level() != 0 {
 		t.Fatalf("root-uncovered MUPs = %v", got)
@@ -65,9 +65,9 @@ func TestMUPsParallelRootUncovered(t *testing.T) {
 // factorized join space.
 func TestJoinSpaceMUPsParallelDeterminism(t *testing.T) {
 	left, right := joinFixture(t, 3, 800)
-	serial := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15).MUPs(0, nil)
+	serial := NewJoinSpace(left.Partitions(0), "zip", []string{"race"}, right.Partitions(0), "zipcode", []string{"region"}, 15).MUPs(0, nil)
 	for _, w := range []int{1, 8} {
-		js := NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, 15)
+		js := NewJoinSpace(left.Partitions(0), "zip", []string{"race"}, right.Partitions(0), "zipcode", []string{"region"}, 15)
 		if got := js.MUPs(w, nil); !reflect.DeepEqual(got, serial) {
 			t.Fatalf("workers=%d: join-space parallel MUPs diverge\nserial: %v\ngot:    %v", w, serial, got)
 		}

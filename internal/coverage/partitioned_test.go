@@ -43,31 +43,30 @@ func checkMUPsEqual(t *testing.T, ctx string, got, want []MUP) {
 }
 
 // TestSpacePartitionedMatchesInMemory: a space built partition-at-a-time
-// yields exactly the counts and MUPs of the in-memory build, at any worker
-// count for both the build and the walk.
+// carries the in-memory dictionaries as its domains and yields the counts
+// of the row-scan oracle over the in-memory codes, and the MUPs of the
+// oracle-only enumeration, at any partition size and worker count for both
+// the build and the walk.
 func TestSpacePartitionedMatchesInMemory(t *testing.T) {
 	r := rng.New(31)
 	attrs := []string{"race", "sex", "region"}
 	for _, rows := range []int{0, 40, 500} {
 		d := covPartData(r, rows)
+		cols := scanCodes(d, attrs)
 		threshold := 1 + rows/30
-		want := NewSpace(d, attrs, threshold)
-		wantMUPs := want.MUPs(0, nil)
-		for _, partRows := range []int{64, 256} {
+		var wantMUPs []MUP
+		for _, partRows := range []int{64, 128, 0} {
 			pd := d.Partitions(partRows)
-			for _, workers := range []int{1, 2, 8} {
-				s := NewSpacePartitioned(pd, attrs, threshold, workers)
+			for _, workers := range []int{0, 1, 2, 8} {
+				s := NewSpace(pd, attrs, threshold, workers)
 				ctx := fmt.Sprintf("rows=%d partRows=%d workers=%d", rows, partRows, workers)
-				if len(s.Domains) != len(want.Domains) {
-					t.Fatalf("%s: domain count mismatch", ctx)
-				}
-				for i := range want.Domains {
-					if fmt.Sprint(s.Domains[i]) != fmt.Sprint(want.Domains[i]) {
-						t.Fatalf("%s: domain %d = %v, want %v", ctx, i, s.Domains[i], want.Domains[i])
+				for i, a := range attrs {
+					if _, dict := d.Codes(a); fmt.Sprint(s.Domains[i]) != fmt.Sprint(dict) {
+						t.Fatalf("%s: domain %d = %v, want %v", ctx, i, s.Domains[i], dict)
 					}
 				}
 				// Spot-check counts over random patterns against the
-				// in-memory space.
+				// row-scan oracle.
 				for trial := 0; trial < 50; trial++ {
 					p := s.Root()
 					for i := range p {
@@ -75,9 +74,12 @@ func TestSpacePartitionedMatchesInMemory(t *testing.T) {
 							p[i] = r.Intn(len(s.Domains[i]))
 						}
 					}
-					if got, w := s.Count(p), want.Count(p); got != w {
-						t.Fatalf("%s: Count(%v) = %d, want %d", ctx, p, got, w)
+					if got, w := s.Count(p), countScan(cols, p); got != w {
+						t.Fatalf("%s: Count(%v) = %d, oracle %d", ctx, p, got, w)
 					}
+				}
+				if wantMUPs == nil {
+					wantMUPs = scanMUPs(s, cols)
 				}
 				checkMUPsEqual(t, ctx, s.MUPs(workers, nil), wantMUPs)
 			}
@@ -85,8 +87,9 @@ func TestSpacePartitionedMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestJoinSpacePartitionedMatchesInMemory: the factorized join space built
-// from partitioned views matches the in-memory build exactly.
+// TestJoinSpacePartitionedMatchesInMemory: the factorized join space counts
+// what its row-scan oracle counts, and its size, counts and MUPs are the
+// same at any partition size of either side and any worker count.
 func TestJoinSpacePartitionedMatchesInMemory(t *testing.T) {
 	r := rng.New(32)
 	mkSide := func(rows, nkeys int, prefix string) *dataset.Dataset {
@@ -107,30 +110,31 @@ func TestJoinSpacePartitionedMatchesInMemory(t *testing.T) {
 	left := mkSide(300, 12, "l")
 	right := mkSide(260, 16, "r")
 	threshold := 25
-	want := NewJoinSpace(left, "k", []string{"la"}, right, "k", []string{"ra"}, threshold)
+	want := NewJoinSpace(left.Partitions(0), "k", []string{"la"}, right.Partitions(0), "k", []string{"ra"}, threshold)
 	wantMUPs := want.MUPs(0, nil)
 
-	pl := left.Partitions(64)
-	pr := right.Partitions(128)
-	js := NewJoinSpacePartitioned(pl, "k", []string{"la"}, pr, "k", []string{"ra"}, threshold)
-	if js.totalJoin != want.totalJoin {
-		t.Fatalf("totalJoin = %d, want %d", js.totalJoin, want.totalJoin)
-	}
-	for trial := 0; trial < 80; trial++ {
-		p := js.Root()
-		for i := range p {
-			if r.Float64() < 0.5 {
-				p[i] = r.Intn(len(js.Domains[i]))
+	for _, parts := range [][2]int{{64, 128}, {128, 64}, {64, 0}} {
+		js := NewJoinSpace(left.Partitions(parts[0]), "k", []string{"la"}, right.Partitions(parts[1]), "k", []string{"ra"}, threshold)
+		ctx := fmt.Sprintf("partRows=%v", parts)
+		if js.totalJoin != want.totalJoin {
+			t.Fatalf("%s: totalJoin = %d, want %d", ctx, js.totalJoin, want.totalJoin)
+		}
+		for trial := 0; trial < 80; trial++ {
+			p := js.Root()
+			for i := range p {
+				if r.Float64() < 0.5 {
+					p[i] = r.Intn(len(js.Domains[i]))
+				}
+			}
+			if got, w := js.Count(p), js.countScan(p); got != w {
+				t.Fatalf("%s: Count(%v) = %d, oracle %d", ctx, p, got, w)
+			}
+			if got, w := js.Count(p), want.Count(p); got != w {
+				t.Fatalf("%s: Count(%v) = %d, default partitions %d", ctx, p, got, w)
 			}
 		}
-		if got, w := js.Count(p), want.Count(p); got != w {
-			t.Fatalf("Count(%v) = %d, want %d", p, got, w)
+		for _, workers := range []int{0, 1, 2, 8} {
+			checkMUPsEqual(t, fmt.Sprintf("%s workers=%d", ctx, workers), js.MUPs(workers, nil), wantMUPs)
 		}
-		if got, w := js.Count(p), js.countScan(p); got != w {
-			t.Fatalf("Count(%v) = %d, oracle %d", p, got, w)
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		checkMUPsEqual(t, fmt.Sprintf("workers=%d", workers), js.MUPs(workers, nil), wantMUPs)
 	}
 }

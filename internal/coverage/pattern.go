@@ -17,6 +17,7 @@ import (
 	"redi/internal/bitmap"
 	"redi/internal/dataset"
 	"redi/internal/obs"
+	"redi/internal/parallel"
 )
 
 // Wildcard marks an unconstrained position in a pattern.
@@ -104,7 +105,7 @@ func (p Pattern) key() string {
 // meaningful work.
 type Space struct {
 	Attrs     []string
-	Domains   [][]string // Domains[i] lists attribute i's values
+	Domains   [][]string // Domains[i] lists attribute i's values; shared with its dictionary, read-only
 	Threshold int
 	// Obs receives the walk's operation counters (DFS nodes, bitmap ANDs,
 	// MUPs per level). Nil falls back to the process-wide registry
@@ -113,7 +114,6 @@ type Space struct {
 	Obs *obs.Registry
 
 	numRows int
-	cols    [][]int32 // per-attribute codes (-1 null); the countScan oracle's input
 	// bits[i][v] marks the rows where attribute i has value v. Null
 	// codes appear in no bitmap, so they match only wildcards.
 	bits      [][]bitmap.Bitmap
@@ -122,34 +122,72 @@ type Space struct {
 }
 
 // NewSpace prepares a pattern space over the given categorical attributes of
-// d. Threshold is the minimum count for a pattern to be covered. It panics
-// if attrs is empty or an attribute is not categorical.
-func NewSpace(d *dataset.Dataset, attrs []string, threshold int) *Space {
+// a partitioned view. Threshold is the minimum count for a pattern to be
+// covered. It panics if attrs is empty or an attribute is not categorical.
+//
+// The per-(attribute, value) bitmaps are built partition-at-a-time with the
+// given worker count (parallel.Workers semantics; 0 = serial). Codes in
+// every partition index the view's global dictionaries, so the space —
+// domains, bitmaps, counts, and therefore every MUP enumeration — is the
+// same at any worker count and partition size: partition row ranges are
+// disjoint bitmap word ranges (PartRows is a multiple of 64), so shards fill
+// the shared bitmaps lock-free, and the per-value counts merge in shard
+// order. Only the bitmaps are materialized; the pages are scanned once and
+// not retained, which is what makes MUP enumeration work on datasets that
+// never fit in memory as rows.
+func NewSpace(pd *dataset.Partitioned, attrs []string, threshold int, workers int) *Space {
 	if len(attrs) == 0 {
 		panic("coverage: NewSpace requires at least one attribute")
 	}
+	schema := pd.Schema()
 	s := &Space{
 		Attrs:     append([]string(nil), attrs...),
 		Threshold: threshold,
-		numRows:   d.NumRows(),
-		pool:      bitmap.NewPool(d.NumRows()),
+		numRows:   pd.NumRows(),
+		pool:      bitmap.NewPool(pd.NumRows()),
 	}
-	s.cols = make([][]int32, len(attrs))
+	cols := make([]int, len(attrs))
 	s.bits = make([][]bitmap.Bitmap, len(attrs))
 	s.valCounts = make([][]int, len(attrs))
 	for i, a := range attrs {
-		codes, dict := d.Codes(a)
-		s.cols[i] = codes
+		cols[i] = schema.MustIndex(a)
+		dict := pd.Dict(a)
 		s.Domains = append(s.Domains, dict)
 		s.bits[i] = make([]bitmap.Bitmap, len(dict))
 		s.valCounts[i] = make([]int, len(dict))
 		for v := range dict {
 			s.bits[i][v] = bitmap.New(s.numRows)
 		}
-		for r, c := range codes {
-			if c >= 0 {
-				s.bits[i][c].Set(r)
-				s.valCounts[i][c]++
+	}
+
+	src := pd.Source()
+	partRows := pd.PartRows()
+	type tally struct{ counts [][]int }
+	shards := parallel.MapChunks(workers, pd.NumPartitions(), func(_, plo, phi int) tally {
+		t := tally{counts: make([][]int, len(attrs))}
+		for i := range attrs {
+			t.counts[i] = make([]int, len(s.Domains[i]))
+		}
+		for p := plo; p < phi; p++ {
+			base := p * partRows
+			for i, ci := range cols {
+				codes := src.PartitionCatCodes(p, ci)
+				bits := s.bits[i]
+				for r, c := range codes {
+					if c >= 0 {
+						//redi:allow parcapture partition row ranges are disjoint word ranges of each shared bitmap (PartRows is a multiple of 64), so shards never touch the same word
+						bits[c][(base+r)/64] |= 1 << (uint(base+r) % 64)
+						t.counts[i][c]++
+					}
+				}
+			}
+		}
+		return t
+	})
+	for _, t := range shards {
+		for i := range attrs {
+			for v, n := range t.counts[i] {
+				s.valCounts[i][v] += n
 			}
 		}
 	}
@@ -208,26 +246,6 @@ func (s *Space) Count(p Pattern) int {
 		}
 	}
 	s.pool.Put(acc)
-	return n
-}
-
-// countScan counts the rows matching p by scanning every row — the
-// pre-bitmap implementation, kept as the unexported test oracle the
-// property tests cross-check Count and the MUP walk against.
-func (s *Space) countScan(p Pattern) int {
-	n := 0
-	for r := 0; r < s.numRows; r++ {
-		ok := true
-		for i, v := range p {
-			if v != Wildcard && int(s.cols[i][r]) != v {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
 	return n
 }
 

@@ -8,6 +8,37 @@ import (
 	"redi/internal/rng"
 )
 
+// countScan counts the rows matching p by scanning every row — the
+// pre-bitmap implementation, kept as the oracle the property tests
+// cross-check Count and the MUP walk against. cols[i] holds attribute i's
+// codes (-1 null), as scanCodes returns them.
+func countScan(cols [][]int32, p Pattern) int {
+	n := 0
+	for r := range cols[0] {
+		ok := true
+		for i, v := range p {
+			if v != Wildcard && int(cols[i][r]) != v {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// scanCodes returns the codes of attrs in d: the countScan oracle's input,
+// indexed like the domains of a space over d.
+func scanCodes(d *dataset.Dataset, attrs []string) [][]int32 {
+	cols := make([][]int32, len(attrs))
+	for i, a := range attrs {
+		cols[i], _ = d.Codes(a)
+	}
+	return cols
+}
+
 // randomTable builds a small 3-attribute categorical table from raw bytes.
 func randomTable(cells []byte) *dataset.Dataset {
 	d := dataset.New(dataset.NewSchema(
@@ -35,7 +66,7 @@ func TestMUPInvariantsProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%20) + 1
-		s := NewSpace(d, []string{"a", "b", "c"}, tau)
+		s := NewSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0)
 		mups := s.MUPs(0, nil)
 		for i, m := range mups {
 			if s.Covered(m.Pattern) {
@@ -66,7 +97,7 @@ func TestMUPAgreementProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%15) + 1
-		s := NewSpace(d, []string{"a", "b", "c"}, tau)
+		s := NewSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0)
 		fast := s.MUPs(0, nil)
 		slow := s.NaiveMUPs()
 		if len(fast) != len(slow) {
@@ -88,9 +119,8 @@ func TestMUPAgreementProperty(t *testing.T) {
 	}
 }
 
-// Property: the bitmap intersection counter agrees with the old naive
-// row-scan counter (kept as the unexported oracle countScan) on every
-// pattern of the lattice of a random space.
+// Property: the bitmap intersection counter agrees with the row-scan
+// oracle countScan on every pattern of the lattice of a random space.
 func TestBitmapCountMatchesScanProperty(t *testing.T) {
 	f := func(cells []byte, tau8 uint8) bool {
 		d := randomTable(cells)
@@ -98,11 +128,12 @@ func TestBitmapCountMatchesScanProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%20) + 1
-		s := NewSpace(d, []string{"a", "b", "c"}, tau)
+		s := NewSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0)
+		cols := scanCodes(d, s.Attrs)
 		ok := true
 		var all func(p Pattern, from int)
 		all = func(p Pattern, from int) {
-			if s.Count(p) != s.countScan(p) {
+			if s.Count(p) != countScan(cols, p) {
 				ok = false
 				return
 			}
@@ -122,10 +153,10 @@ func TestBitmapCountMatchesScanProperty(t *testing.T) {
 	}
 }
 
-// scanMUPs enumerates MUPs using only the row-scan oracle — the fully
-// pre-bitmap algorithm, reconstructed for cross-checking.
-func scanMUPs(s *Space) []MUP {
-	scanCovered := func(p Pattern) bool { return s.countScan(p) >= s.Threshold }
+// scanMUPs enumerates the MUPs of s using only the row-scan oracle over
+// cols — the fully pre-bitmap algorithm, reconstructed for cross-checking.
+func scanMUPs(s *Space, cols [][]int32) []MUP {
+	scanCovered := func(p Pattern) bool { return countScan(cols, p) >= s.Threshold }
 	var out []MUP
 	var all func(p Pattern, from int)
 	all = func(p Pattern, from int) {
@@ -138,7 +169,7 @@ func scanMUPs(s *Space) []MUP {
 				}
 			}
 			if allCov {
-				out = append(out, MUP{Pattern: p.Clone(), Count: s.countScan(p)})
+				out = append(out, MUP{Pattern: p.Clone(), Count: countScan(cols, p)})
 			}
 		}
 		for i := from; i < len(p); i++ {
@@ -162,9 +193,9 @@ func TestMUPsMatchScanOracleProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%15) + 1
-		s := NewSpace(d, []string{"a", "b", "c"}, tau)
+		s := NewSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0)
 		fast := s.MUPs(0, nil)
-		slow := scanMUPs(s)
+		slow := scanMUPs(s, scanCodes(d, s.Attrs))
 		if len(fast) != len(slow) {
 			return false
 		}
@@ -213,7 +244,7 @@ func TestJoinSpaceCountMatchesScanProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%10) + 1
-		js := NewJoinSpace(left, "k", []string{"a"}, right, "k", []string{"b"}, tau)
+		js := NewJoinSpace(left.Partitions(0), "k", []string{"a"}, right.Partitions(0), "k", []string{"b"}, tau)
 		ok := true
 		var all func(p Pattern, from int)
 		all = func(p Pattern, from int) {
@@ -245,7 +276,7 @@ func TestRemedyCoversProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%10) + 1
-		s := NewSpace(d, []string{"a", "b", "c"}, tau)
+		s := NewSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0)
 		mups := s.MUPs(0, nil)
 		plan := s.Remedy(mups)
 		for _, m := range mups {

@@ -1,12 +1,9 @@
 package dataset
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"redi/internal/bitmap"
-	"redi/internal/trace"
 )
 
 // GroupKey identifies an intersectional group: the combination of values of
@@ -54,163 +51,13 @@ type Groups struct {
 // back to a byte-encoded tuple map.
 const denseGroupLimit = 1 << 20
 
-// GroupByTraced is GroupBy plus a "dataset.groupby" span under sp
-// recording the rows grouped and the distinct gids produced; a nil span is
-// the untraced path. It is the one kernel that keeps a separate traced
-// entry point: GroupBy(attrs...) is public surface that the benchmark
-// harness (cmd/redibench) compiles against, so it cannot take the span.
-func (d *Dataset) GroupByTraced(sp *trace.Span, attrs ...string) *Groups {
-	ev := sp.Child("dataset.groupby")
-	g := d.GroupBy(attrs...)
-	g.endSpan(ev)
-	return g
-}
-
-// endSpan closes a GroupBy span with the index's size.
-func (g *Groups) endSpan(ev *trace.Span) {
-	ev.SetAttr("rows", int64(g.n))
-	ev.SetAttr("gids", int64(g.NumGroups()))
-	ev.End()
-}
-
 // GroupBy indexes the dataset's rows by the given categorical attributes.
 // Rows with a null in any grouping attribute are assigned to no group
 // (ByRow = -1). It panics if an attribute is unknown or not categorical.
-//
-// The scan works entirely on dictionary codes: each row's code tuple is
-// composed into a provisional gid via a dense mixed-radix table (or a
-// tuple-keyed map when the dictionary product is large), then gids are
-// remapped into canonical sorted-key order. No key strings are built.
+// It is Partitioned.GroupBy over the default in-memory view, run serially
+// and untraced.
 func (d *Dataset) GroupBy(attrs ...string) *Groups {
-	A := len(attrs)
-	cols := make([]*catColumn, A)
-	for i, a := range attrs {
-		c, ok := d.cols[d.schema.MustIndex(a)].(*catColumn)
-		if !ok {
-			panic(fmt.Sprintf("dataset: GroupBy attribute %q is not categorical", a))
-		}
-		cols[i] = c
-	}
-	g := &Groups{
-		Attrs: append([]string(nil), attrs...),
-		ByRow: make([]int32, d.n),
-		n:     d.n,
-		dicts: make([][]string, A),
-	}
-	dims := make([]int, A)
-	product := 1 // -1 once the dense budget is exceeded
-	for i, c := range cols {
-		// Dictionaries are append-only; aliasing them is safe because every
-		// code referenced here stays in range even if the column grows later.
-		g.dicts[i] = c.vals
-		dims[i] = len(c.vals)
-		if product > 0 && dims[i] != 0 && product > denseGroupLimit/dims[i] {
-			product = -1
-			continue
-		}
-		if product >= 0 {
-			product *= dims[i]
-		}
-	}
-
-	// First pass: assign provisional gids in first-appearance order and
-	// record each distinct code tuple. An empty dictionary (dims == 0) makes
-	// product 0; no row can then form a complete tuple, so the zero-length
-	// table is never indexed.
-	var (
-		tuples []int32
-		counts []int
-	)
-	if product >= 0 {
-		table := make([]int32, product)
-		for i := range table {
-			table[i] = -1
-		}
-		for r := 0; r < d.n; r++ {
-			idx := 0
-			null := false
-			for a, c := range cols {
-				code := c.codes[r]
-				if code < 0 {
-					null = true
-					break
-				}
-				idx = idx*dims[a] + int(code)
-			}
-			if null {
-				g.ByRow[r] = -1
-				continue
-			}
-			gid := table[idx]
-			if gid < 0 {
-				gid = int32(len(counts))
-				table[idx] = gid
-				for _, c := range cols {
-					tuples = append(tuples, c.codes[r])
-				}
-				counts = append(counts, 0)
-			}
-			g.ByRow[r] = gid
-			counts[gid]++
-		}
-	} else {
-		index := make(map[string]int32)
-		key := make([]byte, 4*A)
-		for r := 0; r < d.n; r++ {
-			null := false
-			for a, c := range cols {
-				code := c.codes[r]
-				if code < 0 {
-					null = true
-					break
-				}
-				key[4*a] = byte(code)
-				key[4*a+1] = byte(code >> 8)
-				key[4*a+2] = byte(code >> 16)
-				key[4*a+3] = byte(code >> 24)
-			}
-			if null {
-				g.ByRow[r] = -1
-				continue
-			}
-			gid, ok := index[string(key)]
-			if !ok {
-				gid = int32(len(counts))
-				index[string(key)] = gid
-				for _, c := range cols {
-					tuples = append(tuples, c.codes[r])
-				}
-				counts = append(counts, 0)
-			}
-			g.ByRow[r] = gid
-			counts[gid]++
-		}
-	}
-
-	// Second pass: remap provisional gids into canonical order — ascending
-	// rendered-key order, matched without materializing the keys.
-	G := len(counts)
-	perm := make([]int, G)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(x, y int) bool {
-		return g.tupleLess(tuples[perm[x]*A:perm[x]*A+A], tuples[perm[y]*A:perm[y]*A+A])
-	})
-	remap := make([]int32, G)
-	g.Counts = make([]int, G)
-	g.tuples = make([]int32, len(tuples))
-	for newGid, old := range perm {
-		remap[old] = int32(newGid)
-		g.Counts[newGid] = counts[old]
-		copy(g.tuples[newGid*A:(newGid+1)*A], tuples[old*A:old*A+A])
-	}
-	for r, gid := range g.ByRow {
-		if gid >= 0 {
-			g.ByRow[r] = remap[gid]
-		}
-	}
-	return g
+	return d.Partitions(0).GroupBy(0, nil, attrs...)
 }
 
 // tupleLess reports whether the rendered key of code tuple tx sorts before

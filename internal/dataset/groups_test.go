@@ -54,35 +54,44 @@ func groupByOracle(d *Dataset, attrs ...string) (keys []GroupKey, counts []int, 
 
 func checkAgainstOracle(t *testing.T, d *Dataset, attrs ...string) {
 	t.Helper()
-	g := d.GroupBy(attrs...)
+	checkGroupsAgainstOracle(t, fmt.Sprint(attrs), d, d.GroupBy(attrs...), attrs...)
+}
+
+// checkGroupsAgainstOracle compares g, an index of d's rows, with
+// groupByOracle(d, attrs...).
+func checkGroupsAgainstOracle(t *testing.T, ctx string, d *Dataset, g *Groups, attrs ...string) {
+	t.Helper()
 	keys, counts, rows, byRow := groupByOracle(d, attrs...)
 	if g.NumGroups() != len(keys) {
-		t.Fatalf("NumGroups = %d, oracle %d (keys %v vs %v)", g.NumGroups(), len(keys), g.Keys(), keys)
+		t.Fatalf("%s: NumGroups = %d, oracle %d (keys %v vs %v)", ctx, g.NumGroups(), len(keys), g.Keys(), keys)
 	}
 	for gid, k := range keys {
 		if g.Key(gid) != k {
-			t.Fatalf("Key(%d) = %q, oracle %q (all: %v vs %v)", gid, g.Key(gid), k, g.Keys(), keys)
+			t.Fatalf("%s: Key(%d) = %q, oracle %q (all: %v vs %v)", ctx, gid, g.Key(gid), k, g.Keys(), keys)
 		}
 		if g.Counts[gid] != counts[gid] {
-			t.Fatalf("Counts[%d] = %d, oracle %d", gid, g.Counts[gid], counts[gid])
+			t.Fatalf("%s: Counts[%d] = %d, oracle %d", ctx, gid, g.Counts[gid], counts[gid])
 		}
 		got := g.Rows(gid)
 		want := rows[k]
 		if len(got) != len(want) {
-			t.Fatalf("Rows(%d) = %v, oracle %v", gid, got, want)
+			t.Fatalf("%s: Rows(%d) = %v, oracle %v", ctx, gid, got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("Rows(%d) = %v, oracle %v", gid, got, want)
+				t.Fatalf("%s: Rows(%d) = %v, oracle %v", ctx, gid, got, want)
 			}
 		}
 		if g.GID(k) != gid {
-			t.Fatalf("GID(%q) = %d, want %d", k, g.GID(k), gid)
+			t.Fatalf("%s: GID(%q) = %d, want %d", ctx, k, g.GID(k), gid)
 		}
+	}
+	if len(g.ByRow) != len(byRow) {
+		t.Fatalf("%s: ByRow length %d, oracle %d", ctx, len(g.ByRow), len(byRow))
 	}
 	for r, gi := range byRow {
 		if int(g.ByRow[r]) != gi {
-			t.Fatalf("ByRow[%d] = %d, oracle %d", r, g.ByRow[r], gi)
+			t.Fatalf("%s: ByRow[%d] = %d, oracle %d", ctx, r, g.ByRow[r], gi)
 		}
 	}
 }
@@ -125,7 +134,7 @@ func TestGroupByMatchesOracleRandomized(t *testing.T) {
 
 // The dictionary-product fallback: dictionaries large enough that the dense
 // lookup table would exceed its budget must take the tuple-map path and
-// still match the oracle exactly.
+// still match the oracle exactly, in one shard or merged across many.
 func TestGroupByMapFallbackMatchesOracle(t *testing.T) {
 	d := New(NewSchema(
 		Attribute{Name: "a", Kind: Categorical},
@@ -156,6 +165,10 @@ func TestGroupByMapFallbackMatchesOracle(t *testing.T) {
 		}
 	}
 	checkAgainstOracle(t, d, "a", "b", "c")
+	for _, workers := range []int{1, 2} {
+		ctx := fmt.Sprintf("partRows=128 workers=%d", workers)
+		checkGroupsAgainstOracle(t, ctx, d, d.Partitions(128).GroupBy(workers, nil, "a", "b", "c"), "a", "b", "c")
+	}
 }
 
 func TestGroupByEmptyDataset(t *testing.T) {

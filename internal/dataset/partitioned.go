@@ -47,12 +47,13 @@ type PartitionSource interface {
 	PartitionPresentCodes(p, col int) []int32
 }
 
-// Partitioned is a dataset view that executes partition-at-a-time: hot
-// paths (GroupBy, compiled predicates, coverage space construction) fan out
-// over partitions with internal/parallel and merge per-shard results in
-// shard order, so results are bit-identical to the in-memory path at any
-// worker count. Methods taking a workers argument follow the parallel
-// package's convention: 0 = serial, parallel.Auto = one worker per CPU.
+// Partitioned is a dataset view that executes partition-at-a-time. It is
+// the one input of grouping, coverage spaces, audits and tailoring; an
+// in-memory Dataset enters through Partitions. Hot paths fan out over
+// partitions with internal/parallel and merge per-shard results in shard
+// order, so results are bit-identical at any worker count and partition
+// size. Methods taking a workers argument follow the parallel package's
+// convention: 0 = serial, parallel.Auto = one worker per CPU.
 type Partitioned struct {
 	src PartitionSource
 	// Obs receives the partition counters (dataset.partitions_scanned,
@@ -115,10 +116,10 @@ func (pd *Partitioned) Dict(attr string) []string {
 }
 
 // dict returns categorical column col's dictionary values below the
-// source's watermark.
+// source's watermark, capped there so a caller's append copies them.
 func (pd *Partitioned) dict(col int) []string {
 	d, n := pd.src.Dict(col)
-	return d.Values()[:n]
+	return d.Values()[:n:n]
 }
 
 func (pd *Partitioned) counters() (scanned, pruned *obs.Counter) {
@@ -288,9 +289,9 @@ func (ms *memSource) PartitionNumValues(p, col int) ([]float64, []uint64) {
 func (ms *memSource) PartitionPresentCodes(p, col int) []int32 { return nil }
 
 // GroupBy indexes the view's rows by categorical attributes, partition-
-// parallel, producing a Groups bit-identical to the in-memory
-// Dataset.GroupBy on the same rows: same canonical gid order (ascending
-// rendered-key order), same ByRow, same Counts.
+// parallel. Rows with a null in any grouping attribute are assigned to no
+// group (ByRow = -1). Gids follow the canonical order: ascending rendered-key
+// order. It panics if an attribute is unknown or not categorical.
 //
 // Phase 1 shards the partitions: each shard scans its partitions' code
 // pages, assigning shard-local provisional gids (dense mixed-radix table
@@ -299,9 +300,9 @@ func (ms *memSource) PartitionPresentCodes(p, col int) []int32 { return nil }
 // shards' distinct tuples in shard order, sorts them into canonical
 // rendered-key order, and builds one local→final remap per shard. Phase 2
 // rewrites each shard's ByRow range through its remap. Every merge walks
-// shards in shard order, so the result is independent of the worker count.
-// Under a non-nil span it records the same "dataset.groupby" child as
-// Dataset.GroupByTraced.
+// shards in shard order, so the result is independent of the worker count
+// and the partition size. Under a non-nil span it records a
+// "dataset.groupby" child with the rows grouped and the gids produced.
 func (pd *Partitioned) GroupBy(workers int, sp *trace.Span, attrs ...string) *Groups {
 	ev := sp.Child("dataset.groupby")
 	A := len(attrs)
@@ -425,31 +426,40 @@ func (pd *Partitioned) GroupBy(workers int, sp *trace.Span, attrs ...string) *Gr
 	})
 
 	// Serial merge: unify shard-local tuples in shard order into global
-	// provisional gids, then remap those into canonical sorted-key order.
-	merged := make(map[string]int32)
+	// provisional gids, then remap those into canonical sorted-key order. A
+	// single shard's local gids already are the provisional ones.
 	var tuples []int32
 	var counts []int
 	shardMap := make([][]int32, len(shards))
-	key := make([]byte, 4*A)
-	for s, sh := range shards {
-		shardMap[s] = make([]int32, len(sh.counts))
-		for lg := range sh.counts {
-			t := sh.tuples[lg*A : (lg+1)*A]
-			for a, code := range t {
-				key[4*a] = byte(code)
-				key[4*a+1] = byte(code >> 8)
-				key[4*a+2] = byte(code >> 16)
-				key[4*a+3] = byte(code >> 24)
+	if len(shards) == 1 {
+		tuples, counts = shards[0].tuples, shards[0].counts
+		shardMap[0] = make([]int32, len(counts))
+		for lg := range shardMap[0] {
+			shardMap[0][lg] = int32(lg)
+		}
+	} else {
+		merged := make(map[string]int32)
+		key := make([]byte, 4*A)
+		for s, sh := range shards {
+			shardMap[s] = make([]int32, len(sh.counts))
+			for lg := range sh.counts {
+				t := sh.tuples[lg*A : (lg+1)*A]
+				for a, code := range t {
+					key[4*a] = byte(code)
+					key[4*a+1] = byte(code >> 8)
+					key[4*a+2] = byte(code >> 16)
+					key[4*a+3] = byte(code >> 24)
+				}
+				gid, ok := merged[string(key)]
+				if !ok {
+					gid = int32(len(counts))
+					merged[string(key)] = gid
+					tuples = append(tuples, t...)
+					counts = append(counts, 0)
+				}
+				counts[gid] += sh.counts[lg]
+				shardMap[s][lg] = gid
 			}
-			gid, ok := merged[string(key)]
-			if !ok {
-				gid = int32(len(counts))
-				merged[string(key)] = gid
-				tuples = append(tuples, t...)
-				counts = append(counts, 0)
-			}
-			counts[gid] += sh.counts[lg]
-			shardMap[s][lg] = gid
 		}
 	}
 	G := len(counts)
@@ -483,6 +493,8 @@ func (pd *Partitioned) GroupBy(workers int, sp *trace.Span, attrs ...string) *Gr
 			}
 		}
 	})
-	g.endSpan(ev)
+	ev.SetAttr("rows", int64(g.n))
+	ev.SetAttr("gids", int64(g.NumGroups()))
+	ev.End()
 	return g
 }

@@ -66,69 +66,6 @@ func (s *DistSource) Draw(r *rng.RNG) (int, int) { return s.Dist.Draw(r), -1 }
 // known-distribution strategies and by experiment ground truth).
 func (s *DistSource) Probs() []float64 { return s.Dist.Probs() }
 
-// DatasetSource is a Source backed by a concrete dataset: Draw samples a
-// row uniformly with replacement and reports the group of that row under a
-// fixed group index.
-type DatasetSource struct {
-	Data  *dataset.Dataset
-	byRow []int
-	k     int
-	c     float64
-}
-
-// NewDatasetSource wraps a dataset as a source. groups must be the GroupBy
-// index of d over the sensitive attributes, and keys the global group-key
-// order shared by all sources (a row whose key is missing from keys gets
-// group -1 and is re-drawn). cost is the per-draw cost.
-func NewDatasetSource(d *dataset.Dataset, groups *dataset.Groups, keys []dataset.GroupKey, cost float64) (*DatasetSource, error) {
-	if d.NumRows() == 0 {
-		return nil, errors.New("dt: empty source dataset")
-	}
-	pos := map[dataset.GroupKey]int{}
-	for i, k := range keys {
-		pos[k] = i
-	}
-	// Translate local gids to global key positions once; the per-row loop is
-	// then a slice index instead of a key-string map lookup.
-	toGlobal := make([]int, groups.NumGroups())
-	for gi := range toGlobal {
-		global, ok := pos[groups.Key(gi)]
-		if !ok {
-			global = -1
-		}
-		toGlobal[gi] = global
-	}
-	s := &DatasetSource{Data: d, byRow: make([]int, d.NumRows()), k: len(keys), c: cost}
-	for r := range s.byRow {
-		gi := groups.ByRow[r]
-		if gi < 0 {
-			s.byRow[r] = -1
-			continue
-		}
-		s.byRow[r] = toGlobal[gi]
-	}
-	return s, nil
-}
-
-// Cost returns the per-draw cost.
-func (s *DatasetSource) Cost() float64 { return s.c }
-
-// NumGroups returns the number of global groups.
-func (s *DatasetSource) NumGroups() int { return s.k }
-
-// Draw samples one row with replacement. Rows outside the global group set
-// are skipped (they still cost nothing extra: the draw is retried, modeling
-// a filter pushed into the source query).
-func (s *DatasetSource) Draw(r *rng.RNG) (int, int) {
-	for tries := 0; tries < 10000; tries++ {
-		row := r.Intn(s.Data.NumRows())
-		if g := s.byRow[row]; g >= 0 {
-			return g, row
-		}
-	}
-	panic("dt: source has no rows in the global group set")
-}
-
 // Strategy selects the next source to query given the tailoring state.
 // Implementations may keep online estimates via Observe.
 type Strategy interface {
@@ -329,30 +266,24 @@ func (e *Engine) RunBudget(s Strategy, need []int, budget float64, r *rng.RNG) (
 	return res, nil
 }
 
-// Materialize assembles the collected rows of a run over DatasetSources and
-// PartitionedSources into one dataset. Partitioned sources batch their rows
-// through AppendRowsTo, fetching each touched partition's pages once.
-// Sources that are not row-backed contribute nothing.
+// Materialize assembles the collected rows of a run over PartitionedSources
+// into one dataset. Each source batches its rows through AppendRowsTo,
+// fetching each touched partition's pages once. Sources that are not
+// row-backed contribute nothing.
 func (e *Engine) Materialize(res *Result) *dataset.Dataset {
 	var out *dataset.Dataset
 	for i, src := range e.Sources {
-		switch s := src.(type) {
-		case *DatasetSource:
-			if out == nil {
-				out = dataset.New(s.Data.Schema())
-			}
-			for _, row := range res.RowsBySrc[i] {
-				out.MustAppendRow(s.Data.Row(row)...)
-			}
-		case *PartitionedSource:
-			if out == nil {
-				out = dataset.New(s.Data.Schema())
-			}
-			if err := s.Data.AppendRowsTo(out, res.RowsBySrc[i]); err != nil {
-				// Row handles come from Draw over this very source, so a
-				// failure here is a programming error, not input.
-				panic(fmt.Sprintf("dt: materializing partitioned source %d: %v", i, err))
-			}
+		s, ok := src.(*PartitionedSource)
+		if !ok {
+			continue
+		}
+		if out == nil {
+			out = dataset.New(s.Data.Schema())
+		}
+		if err := s.Data.AppendRowsTo(out, res.RowsBySrc[i]); err != nil {
+			// Row handles come from Draw over this very source, so a
+			// failure here is a programming error, not input.
+			panic(fmt.Sprintf("dt: materializing source %d: %v", i, err))
 		}
 	}
 	return out

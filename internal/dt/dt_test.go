@@ -237,7 +237,10 @@ func TestEpsilonGreedyLearns(t *testing.T) {
 	}
 }
 
-func TestDatasetSourceAndMaterialize(t *testing.T) {
+// TestPartitionedSourceAndMaterialize: tailoring over row-backed sources of
+// different partition sizes collects, and materializes, exactly the
+// requested group counts.
+func TestPartitionedSourceAndMaterialize(t *testing.T) {
 	cfg := synth.DefaultPopulation(0)
 	set := synth.GenerateSources(synth.SourceConfig{
 		Population:        cfg,
@@ -249,8 +252,9 @@ func TestDatasetSourceAndMaterialize(t *testing.T) {
 	var sources []Source
 	available := make([]bool, len(set.Groups))
 	for i, d := range set.Sources {
-		g := d.GroupBy(set.SensitiveNames...)
-		s, err := NewDatasetSource(d, g, set.Groups, set.Costs[i])
+		pd := d.Partitions([]int{0, 64, 128}[i])
+		g := pd.GroupBy(0, nil, set.SensitiveNames...)
+		s, err := NewPartitionedSource(pd, g, set.Groups, set.Costs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,10 +303,10 @@ func TestDatasetSourceAndMaterialize(t *testing.T) {
 	}
 }
 
-func TestDatasetSourceEmpty(t *testing.T) {
+func TestPartitionedSourceEmpty(t *testing.T) {
 	d := dataset.New(dataset.NewSchema(dataset.Attribute{Name: "g", Kind: dataset.Categorical}))
 	g := d.GroupBy("g")
-	if _, err := NewDatasetSource(d, g, nil, 1); err == nil {
+	if _, err := NewPartitionedSource(d.Partitions(0), g, nil, 1); err == nil {
 		t.Fatal("empty dataset source accepted")
 	}
 }

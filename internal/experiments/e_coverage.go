@@ -46,12 +46,12 @@ func E3Coverage(seed uint64) *Table {
 		data := multiAttrData(d, 4000, rng.New(seed+uint64(d)))
 		attrs := data.Schema().Names()
 
-		sp := coverage.NewSpace(data, attrs, 25)
+		sp := coverage.NewSpace(data.Partitions(0), attrs, 25, 0)
 		start := time.Now()
 		mups := sp.MUPs(0, nil)
 		fast := time.Since(start)
 
-		sp2 := coverage.NewSpace(data, attrs, 25)
+		sp2 := coverage.NewSpace(data.Partitions(0), attrs, 25, 0)
 		start = time.Now()
 		naive := sp2.NaiveMUPs()
 		slow := time.Since(start)
@@ -79,7 +79,7 @@ func E13Remedy(seed uint64) *Table {
 	data := multiAttrData(4, 4000, rng.New(seed))
 	attrs := data.Schema().Names()
 	for _, tau := range []int{5, 10, 25, 50, 100} {
-		sp := coverage.NewSpace(data, attrs, tau)
+		sp := coverage.NewSpace(data.Partitions(0), attrs, tau, 0)
 		mups := sp.MUPs(0, nil)
 		greedy := coverage.RemedyCost(sp.Remedy(mups))
 		r := rng.New(seed + uint64(tau))

@@ -54,7 +54,7 @@ func E18JoinCoverage(seed uint64) *Table {
 		threshold := nLeft * fanout / 20
 
 		start := time.Now()
-		js := coverage.NewJoinSpace(left, "zip", []string{"race"}, right, "zipcode", []string{"region"}, threshold)
+		js := coverage.NewJoinSpace(left.Partitions(0), "zip", []string{"race"}, right.Partitions(0), "zipcode", []string{"region"}, threshold)
 		fastMUPs := js.MUPs(0, nil)
 		fast := time.Since(start)
 
@@ -63,7 +63,7 @@ func E18JoinCoverage(seed uint64) *Table {
 		if err != nil {
 			panic(err)
 		}
-		ms := coverage.NewSpace(joined, []string{"race", "region"}, threshold)
+		ms := coverage.NewSpace(joined.Partitions(0), []string{"race", "region"}, threshold, 0)
 		slowMUPs := ms.MUPs(0, nil)
 		slow := time.Since(start)
 

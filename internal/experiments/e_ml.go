@@ -230,8 +230,12 @@ func E12EndToEnd(seed uint64) *Table {
 			}
 		}
 	}
+	sources := make([]*dataset.Partitioned, len(set.Sources))
+	for i, d := range set.Sources {
+		sources[i] = d.Partitions(0)
+	}
 	p := &core.Pipeline{
-		Sources:            set.Sources,
+		Sources:            sources,
 		Costs:              set.Costs,
 		Sensitive:          set.SensitiveNames,
 		KnownDistributions: true,

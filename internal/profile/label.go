@@ -78,11 +78,12 @@ func BuildLabel(d *dataset.Dataset, cfg LabelConfig) *Label {
 		Missingness:       map[string]float64{},
 	}
 	if len(cfg.Sensitive) > 0 && d.NumRows() > 0 {
-		groups := d.GroupBy(cfg.Sensitive...)
+		pd := d.Partitions(0)
+		groups := pd.GroupBy(0, nil, cfg.Sensitive...)
 		for gid, c := range groups.Counts {
 			l.GroupCounts[string(groups.Key(gid))] = c
 		}
-		space := coverage.NewSpace(d, cfg.Sensitive, cfg.CoverageThreshold)
+		space := coverage.NewSpace(pd, cfg.Sensitive, cfg.CoverageThreshold, 0)
 		for _, m := range space.MUPs(0, nil) {
 			l.UncoveredPatterns = append(l.UncoveredPatterns, space.Describe(m.Pattern))
 		}
@@ -105,9 +106,8 @@ func BuildLabel(d *dataset.Dataset, cfg LabelConfig) *Label {
 			if p.Nulls == 0 {
 				continue
 			}
-			fracs, mg := GroupMissingness(d, p.Name, cfg.Sensitive)
-			for gid, frac := range fracs {
-				l.Missingness[p.Name+"|"+string(mg.Key(gid))] = frac
+			for gid, frac := range GroupMissingness(pd, groups, p.Name, 0) {
+				l.Missingness[p.Name+"|"+string(groups.Key(gid))] = frac
 			}
 		}
 	}

@@ -267,25 +267,30 @@ func RankAttrBias(d *dataset.Dataset, features []string, sensitive []string, tar
 	return out
 }
 
-// GroupMissingness reports, per group, the fraction of null cells of attr —
-// the §2.4 warning signal that missingness is demographically skewed. The
-// fractions are gid-aligned with the returned group index; callers render
+// GroupMissingness reports, per group of groups — an index of pd's rows —
+// the fraction of the group's rows where attr is null: the §2.4 warning
+// signal that missingness is demographically skewed. It walks the bitmap of
+// a compiled IsNull predicate, evaluated partition-parallel with the given
+// worker count. The fractions are gid-aligned with groups; callers render
 // key strings via groups.Key only where a widget is emitted.
-func GroupMissingness(d *dataset.Dataset, attr string, sensitive []string) ([]float64, *dataset.Groups) {
-	groups := d.GroupBy(sensitive...)
+func GroupMissingness(pd *dataset.Partitioned, groups *dataset.Groups, attr string, workers int) []float64 {
+	pp, ok := pd.CompilePredicate(dataset.IsNull(attr))
+	if !ok {
+		panic("profile: IsNull predicate failed to compile")
+	}
 	miss := make([]int, groups.NumGroups())
-	for r := 0; r < d.NumRows(); r++ {
-		if gi := groups.ByRow[r]; gi >= 0 && d.IsNull(r, attr) {
+	pp.SelectBitmap(workers).ForEach(func(row int) {
+		if gi := groups.ByRow[row]; gi >= 0 {
 			miss[gi]++
 		}
-	}
+	})
 	fracs := make([]float64, groups.NumGroups())
 	for gi, n := range groups.Counts {
 		if n > 0 {
 			fracs[gi] = float64(miss[gi]) / float64(n)
 		}
 	}
-	return fracs, groups
+	return fracs
 }
 
 // FormatProfile renders column profiles as an aligned text table for the

@@ -155,7 +155,8 @@ func TestGroupMissingness(t *testing.T) {
 	masked := synth.InjectMissing(d, synth.MissingConfig{
 		Attr: "f0", Rate: 0.2, Mech: synth.MAR, CondAttr: "race", CondValue: "black",
 	}, rng.New(4))
-	fracs, mg := GroupMissingness(masked, "f0", []string{"race"})
+	mg := masked.GroupBy("race")
+	fracs := GroupMissingness(masked.Partitions(64), mg, "f0", 2)
 	black, white := mg.GID("race=black"), mg.GID("race=white")
 	if black < 0 || white < 0 || fracs[black] <= fracs[white] {
 		t.Fatalf("missingness = %v (keys %v), black should dominate", fracs, mg.Keys())

@@ -120,10 +120,10 @@ func TestServeEquivalence(t *testing.T) {
 				t.Fatalf("batch %d: audit differs at workers %d:\n%s\nvs\n%s", batchNo, budgets[i+1], got, want)
 			}
 		}
-		cold := core.Audit(mirror, []core.Requirement{
+		cold := core.Audit(mirror.Partitions(0), []core.Requirement{
 			core.CoverageRequirement{Attrs: sens, Threshold: 5},
 			core.CompletenessRequirement{Sensitive: sens, MaxNullRate: 0.2},
-		}, nil)
+		}, 0, nil)
 		coldResp := auditResponse{Satisfied: cold.Satisfied()}
 		for _, res := range cold.Results {
 			coldResp.Results = append(coldResp.Results, auditResult{

@@ -105,7 +105,7 @@ func NewStore(d *dataset.Dataset, cfg StoreConfig) (*Store, error) {
 	lsh.Obs = reg
 	s := &Store{cfg: cfg, reg: reg, live: d, lsh: lsh}
 	s.groups = d.GroupBy(cfg.Sensitive...)
-	s.space = coverage.NewSpace(d, cfg.Sensitive, cfg.Threshold)
+	s.space = coverage.NewSpace(d.Partitions(0), cfg.Sensitive, cfg.Threshold, 0)
 	s.space.Obs = reg
 	schema := d.Schema()
 	for i := 0; i < schema.Len(); i++ {
@@ -211,7 +211,7 @@ func (s *Store) Audit(threshold int, maxNull float64, workers int, sp *trace.Spa
 	cs.SetAttr("satisfied", boolAttr(covRes.Satisfied))
 	cs.End()
 	cc := sp.Child("audit.completeness")
-	compRes := comp.Check(snap, cc)
+	compRes := comp.Check(snap.Partitions(0), workers, cc)
 	cc.SetAttr("satisfied", boolAttr(compRes.Satisfied))
 	cc.End()
 	return &core.AuditReport{Results: []core.CheckResult{covRes, compRes}}

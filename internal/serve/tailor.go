@@ -60,7 +60,7 @@ func (s *Store) Tailor(need map[dataset.GroupKey]int, seed uint64, maxDraws int,
 		}
 	}
 
-	src, err := dt.NewDatasetSource(s.snap, s.groups, keys, 1)
+	src, err := dt.NewPartitionedSource(s.snap.Partitions(0), s.groups, keys, 1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %w", err)
 	}

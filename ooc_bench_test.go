@@ -13,10 +13,12 @@ import (
 )
 
 // The BenchmarkOOC* pairs measure the out-of-core substrate against the
-// in-memory baseline on identical rows: InMemory runs the Dataset hot path,
-// Mapped runs the partition-at-a-time path over a freshly written column
-// file's mapped pages (warm cache — the file was just written). Both sides
-// run serial so the pairs isolate substrate overhead, not parallel speedup.
+// in-memory baseline on identical rows. Both run the one partition-at-a-time
+// path and differ only in the PartitionSource behind it: InMemory reads the
+// memSource backend (a Dataset viewed through Partitions), Mapped reads a
+// freshly written column file's mapped pages (warm cache — the file was
+// just written). Both sides run serial so the pairs isolate substrate
+// overhead, not parallel speedup.
 
 // oocFile writes rows to a column file and returns the partitioned view.
 func oocFile(b *testing.B, d *dataset.Dataset) *dataset.Partitioned {
@@ -43,7 +45,7 @@ func BenchmarkOOCMUPsInMemory(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := coverage.NewSpace(d, []string{"race", "sex", "label"}, 25)
+		s := coverage.NewSpace(d.Partitions(0), []string{"race", "sex", "label"}, 25, 0)
 		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}
@@ -55,7 +57,7 @@ func BenchmarkOOCMUPsMapped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := coverage.NewSpacePartitioned(pd, []string{"race", "sex", "label"}, 25, 0)
+		s := coverage.NewSpace(pd, []string{"race", "sex", "label"}, 25, 0)
 		if mups := s.MUPs(0, nil); len(mups) > 1000 {
 			b.Fatal("unexpected MUP explosion")
 		}

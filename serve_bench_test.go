@@ -43,7 +43,7 @@ func serveBenchBatches(b *testing.B, n int) []*dataset.Dataset {
 // LSH build over all resident rows.
 func rebuildIndexes(d *dataset.Dataset, sens []string, threshold int) int {
 	g := d.GroupBy(sens...)
-	sp := coverage.NewSpace(d, sens, threshold)
+	sp := coverage.NewSpace(d.Partitions(0), sens, threshold, 0)
 	lsh, err := discovery.NewIncrementalLSH(128)
 	if err != nil {
 		panic(err)

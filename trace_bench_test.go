@@ -47,7 +47,7 @@ func BenchmarkTraceServeAuditEnabled(b *testing.B)  { benchServeAuditTrace(b, 64
 // branches at walk granularity, not per DFS node, while a live span adds
 // one child span allocation and a handful of attribute writes per walk.
 func benchTraceMUPs(b *testing.B, live bool) {
-	sp := coverage.NewSpace(serveBenchSeed(b), []string{"race", "sex"}, 25)
+	sp := coverage.NewSpace(serveBenchSeed(b).Partitions(0), []string{"race", "sex"}, 25, 0)
 	sink := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
