@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -337,7 +338,7 @@ func cmdAudit(args []string) error {
 	schemaSpec := fs.String("schema", "", "schema spec")
 	sensitive := fs.String("sensitive", "", "comma-separated sensitive attributes (default: schema roles)")
 	threshold := fs.Int("threshold", 10, "coverage threshold")
-	maxNull := fs.Float64("maxnull", 0.05, "maximum tolerated null rate")
+	maxNull := fs.Float64("maxnull", defaultMaxNull, "maximum tolerated null rate")
 	partition := fs.Int("partition", 0, "partition size of a CSV input in rows (0 = 65536; multiple of 64)")
 	workers := fs.Int("workers", 0, "worker count for partition-parallel stages (0 = serial)")
 	noMmap := fs.Bool("no-mmap", false, "use the read-at pager instead of mmap for column files")
@@ -347,6 +348,9 @@ func cmdAudit(args []string) error {
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("audit needs exactly one input file")
+	}
+	if err := checkMaxNull(*maxNull); err != nil {
+		return err
 	}
 	in, err := loadInput(fs.Arg(0), *schemaSpec, *partition, *noMmap)
 	if err != nil {
@@ -376,6 +380,19 @@ func cmdAudit(args []string) error {
 	}
 	if !rep.Satisfied() {
 		os.Exit(1)
+	}
+	return nil
+}
+
+// defaultMaxNull is the completeness bound of `redi audit` and of `redi
+// serve`'s /audit when no -maxnull is given.
+const defaultMaxNull = 0.05
+
+// checkMaxNull rejects a -maxnull no audit can use: NaN, which fails every
+// comparison, so completeness could never pass, and a negative rate.
+func checkMaxNull(rate float64) error {
+	if math.IsNaN(rate) || rate < 0 {
+		return fmt.Errorf("-maxnull %v must be a null rate >= 0", rate)
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	sensitive := fs.String("sensitive", "", "comma-separated sensitive attributes (default: schema roles)")
 	threshold := fs.Int("threshold", 10, "default coverage threshold for /audit")
-	maxNull := fs.Float64("maxnull", 0.05, "default maximum tolerated null rate for /audit")
+	maxNull := fs.Float64("maxnull", defaultMaxNull, "default maximum tolerated null rate for /audit (0 tolerates none)")
 	workers := fs.Int("workers", 0, "per-request worker budget (0 = serial)")
 	concurrent := fs.Int("concurrent", 4, "max requests executing at once")
 	queue := fs.Int("queue", 64, "admission queue depth before 429")
@@ -32,6 +32,9 @@ func cmdServe(args []string) error {
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("serve needs exactly one CSV file")
+	}
+	if err := checkMaxNull(*maxNull); err != nil {
+		return err
 	}
 	schema, err := parseSchema(*schemaSpec)
 	if err != nil {

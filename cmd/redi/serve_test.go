@@ -58,3 +58,32 @@ func TestCmdServeErrors(t *testing.T) {
 		t.Fatal("missing replay log accepted")
 	}
 }
+
+// TestCmdMaxNullBound: audit and serve reject a NaN or negative -maxnull
+// with an error naming the flag, and serve -maxnull 0 audits requests
+// without a maxnull parameter at zero tolerance.
+func TestCmdMaxNullBound(t *testing.T) {
+	d := synth.Generate(synth.DefaultPopulation(200), rng.New(5)).Data
+	d = synth.InjectMissing(d, synth.MissingConfig{Attr: "f0", Rate: 0.01, Mech: synth.MCAR}, rng.New(6))
+	csvPath := writeTempCSV(t, d)
+	logPath := filepath.Join(t.TempDir(), "replay.jsonl")
+	if err := os.WriteFile(logPath, []byte(`{"method":"GET","path":"/audit?threshold=3"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"NaN", "-0.5", "-1"} {
+		err := cmdAudit([]string{"-schema", popSchema, "-maxnull", bad, csvPath})
+		if err == nil || !strings.Contains(err.Error(), "-maxnull "+bad) {
+			t.Fatalf("audit -maxnull %s: err = %v, want a -maxnull error", bad, err)
+		}
+		err = cmdServe([]string{"-schema", popSchema, "-maxnull", bad, "-replay", logPath, csvPath})
+		if err == nil || !strings.Contains(err.Error(), "-maxnull "+bad) {
+			t.Fatalf("serve -maxnull %s: err = %v, want a -maxnull error", bad, err)
+		}
+	}
+	out := captureStdout(t, func() error {
+		return cmdServe([]string{"-schema", popSchema, "-maxnull", "0", "-replay", logPath, csvPath})
+	})
+	if !strings.Contains(out, "(max 0.0000)") {
+		t.Fatalf("serve -maxnull 0 audited at another bound:\n%s", out)
+	}
+}

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"redi/internal/coverage"
@@ -387,48 +388,68 @@ type CompletenessRequirement struct {
 // Name implements Requirement.
 func (r CompletenessRequirement) Name() string { return "completeness" }
 
-// Check implements Requirement: null rates come from compiled IsNull counts
-// over the partitions' null codes and validity words, and per-group rates
-// from one group index over the sensitive attributes, shared by every
-// attribute that has nulls. sp records how many attributes and rows the
-// null scans covered; the scans themselves run untraced.
+// Check implements Requirement: it counts pd's nulls — compiled IsNull
+// counts over the partitions' null codes and validity words, per group
+// through one group index over the sensitive attributes, built once some
+// attribute has nulls — and evaluates the tallies as CheckTallies does. sp
+// records how many attributes and rows the null scans covered; the scans
+// themselves run untraced.
 func (r CompletenessRequirement) Check(pd *dataset.Partitioned, workers int, sp *trace.Span) CheckResult {
 	attrs := r.Attrs
 	if len(attrs) == 0 {
 		attrs = pd.Schema().Names()
 	}
-	var groups *dataset.Groups // built on the first attribute with nulls
+	return r.evaluate(countNulls(pd, attrs, r.Sensitive, nil, workers), attrs, sp)
+}
+
+// CheckTallies evaluates the requirement against already-counted — e.g.
+// incrementally maintained — null tallies instead of scanning a dataset, in
+// O(attributes × groups). With sensitive attributes set, the tallies' group
+// index must be over exactly r.Sensitive. Results are bit-identical to Check
+// on a dataset with the same rows, and sp gets the same attributes.
+func (r CompletenessRequirement) CheckTallies(t *NullTallies, sp *trace.Span) CheckResult {
+	attrs := r.Attrs
+	if len(attrs) == 0 {
+		attrs = t.attrs
+	}
+	return r.evaluate(t, attrs, sp)
+}
+
+// evaluate is the one completeness evaluation. Attributes are visited in
+// order, each overall rate before its per-group rates, and only a strictly
+// worse rate replaces the worst so far. Gid order is ascending key order, so
+// with equal rates the lexicographically first group is reported.
+func (r CompletenessRequirement) evaluate(t *NullTallies, attrs []string, sp *trace.Span) CheckResult {
 	worst := 0.0
 	worstAt := ""
 	for _, a := range attrs {
-		pp, ok := pd.CompilePredicate(dataset.IsNull(a))
-		if !ok {
-			panic("core: IsNull predicate failed to compile")
+		i := slices.Index(t.attrs, a)
+		if i < 0 {
+			panic(fmt.Sprintf("core: no null tally for attribute %q", a))
 		}
-		nulls := pp.Count(workers, nil)
+		nulls := t.nulls[i]
 		rate := 0.0
-		if pd.NumRows() > 0 {
-			rate = float64(nulls) / float64(pd.NumRows())
+		if t.rows > 0 {
+			rate = float64(nulls) / float64(t.rows)
 		}
 		if rate > worst {
 			worst, worstAt = rate, a
 		}
-		if len(r.Sensitive) > 0 && nulls > 0 {
-			if groups == nil {
-				groups = pd.GroupBy(workers, nil, r.Sensitive...)
+		if len(r.Sensitive) == 0 || nulls == 0 {
+			continue
+		}
+		for gid, miss := range t.byGid[i] {
+			frac := 0.0
+			if n := t.groups.Counts[gid]; n > 0 {
+				frac = float64(miss) / float64(n)
 			}
-			// Gid order is ascending key order, so the argmax tie-break is
-			// deterministic: with equal rates the lexicographically first
-			// group is reported.
-			for gid, frac := range profile.GroupMissingness(pd, groups, a, workers) {
-				if frac > worst {
-					worst, worstAt = frac, fmt.Sprintf("%s within %s", a, groups.Key(gid))
-				}
+			if frac > worst {
+				worst, worstAt = frac, fmt.Sprintf("%s within %s", a, t.groups.Key(gid))
 			}
 		}
 	}
 	sp.SetAttr("attrs_checked", int64(len(attrs)))
-	sp.SetAttr("rows", int64(pd.NumRows()))
+	sp.SetAttr("rows", int64(t.rows))
 	res := CheckResult{Requirement: r.Name(), Score: worst, Satisfied: worst <= r.MaxNullRate}
 	res.Details = fmt.Sprintf("worst null rate %.4f at %s (max %.4f)", worst, worstAt, r.MaxNullRate)
 	if worstAt == "" {

@@ -104,6 +104,31 @@ func (d *Dataset) IsNull(r int, attr string) bool {
 	return d.cols[d.schema.MustIndex(attr)].isNull(r)
 }
 
+// ForEachNull calls fn, in ascending order, with every row in [lo, hi)
+// whose attr cell is null. It reads the column's codes or validity words
+// directly, so the incremental index-maintenance paths can visit just the
+// freshly appended rows at O(hi-lo) with no per-cell lookup. It panics if
+// the attribute is unknown or the range is out of bounds.
+func (d *Dataset) ForEachNull(attr string, lo, hi int, fn func(row int)) {
+	if lo < 0 || lo > hi || hi > d.n {
+		panic(fmt.Sprintf("dataset: ForEachNull range [%d, %d) out of bounds for %d rows", lo, hi, d.n))
+	}
+	switch c := d.cols[d.schema.MustIndex(attr)].(type) {
+	case *catColumn:
+		for r, code := range c.codes[lo:hi] {
+			if code < 0 {
+				fn(lo + r)
+			}
+		}
+	case *numColumn:
+		for r := lo; r < hi; r++ {
+			if c.isNull(r) {
+				fn(r)
+			}
+		}
+	}
+}
+
 // Numeric returns the non-null float64 values of the named attribute along
 // with the row indices they came from. It panics if the attribute is not
 // numeric.

@@ -248,3 +248,49 @@ func TestDictAddAfterNewDict(t *testing.T) {
 		t.Fatalf("Values = %v, want [white black asian]", vals)
 	}
 }
+
+// TestForEachNull: the null rows ForEachNull visits in a range are exactly
+// those IsNull reports, in ascending order, for categorical and numeric
+// columns, across validity-word boundaries; a range past the rows panics.
+func TestForEachNull(t *testing.T) {
+	d := New(NewSchema(
+		Attribute{Name: "c", Kind: Categorical},
+		Attribute{Name: "x", Kind: Numeric},
+	))
+	r := rng.New(3)
+	for i := 0; i < 200; i++ {
+		c, x := Cat("v"), Num(1)
+		if r.Intn(4) == 0 {
+			c = NullValue(Categorical)
+		}
+		if r.Intn(3) == 0 {
+			x = NullValue(Numeric)
+		}
+		d.MustAppendRow(c, x)
+	}
+	for _, attr := range []string{"c", "x"} {
+		for _, span := range [][2]int{{0, 200}, {63, 130}, {70, 70}} {
+			var got, want []int
+			d.ForEachNull(attr, span[0], span[1], func(row int) { got = append(got, row) })
+			for row := span[0]; row < span[1]; row++ {
+				if d.IsNull(row, attr) {
+					want = append(want, row)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s %v: visited %v, want %v", attr, span, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s %v: visited %v, want %v", attr, span, got, want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("range past the rows accepted")
+		}
+	}()
+	d.ForEachNull("x", 190, 201, func(int) {})
+}

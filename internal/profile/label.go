@@ -106,7 +106,11 @@ func BuildLabel(d *dataset.Dataset, cfg LabelConfig) *Label {
 			if p.Nulls == 0 {
 				continue
 			}
-			for gid, frac := range GroupMissingness(pd, groups, p.Name, 0) {
+			for gid, miss := range GroupMissingness(pd, groups, p.Name, 0) {
+				frac := 0.0
+				if n := groups.Counts[gid]; n > 0 {
+					frac = float64(miss) / float64(n)
+				}
 				l.Missingness[p.Name+"|"+string(groups.Key(gid))] = frac
 			}
 		}

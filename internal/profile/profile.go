@@ -267,13 +267,14 @@ func RankAttrBias(d *dataset.Dataset, features []string, sensitive []string, tar
 	return out
 }
 
-// GroupMissingness reports, per group of groups — an index of pd's rows —
-// the fraction of the group's rows where attr is null: the §2.4 warning
-// signal that missingness is demographically skewed. It walks the bitmap of
-// a compiled IsNull predicate, evaluated partition-parallel with the given
-// worker count. The fractions are gid-aligned with groups; callers render
-// key strings via groups.Key only where a widget is emitted.
-func GroupMissingness(pd *dataset.Partitioned, groups *dataset.Groups, attr string, workers int) []float64 {
+// GroupMissingness counts, per group of groups — an index of pd's rows —
+// the group's rows where attr is null; divided by the group sizes
+// (groups.Counts) they are the §2.4 warning signal that missingness is
+// demographically skewed. It walks the bitmap of a compiled IsNull
+// predicate, evaluated partition-parallel with the given worker count. The
+// counts are gid-aligned with groups; callers render key strings via
+// groups.Key only where a widget is emitted.
+func GroupMissingness(pd *dataset.Partitioned, groups *dataset.Groups, attr string, workers int) []int {
 	pp, ok := pd.CompilePredicate(dataset.IsNull(attr))
 	if !ok {
 		panic("profile: IsNull predicate failed to compile")
@@ -284,13 +285,7 @@ func GroupMissingness(pd *dataset.Partitioned, groups *dataset.Groups, attr stri
 			miss[gi]++
 		}
 	})
-	fracs := make([]float64, groups.NumGroups())
-	for gi, n := range groups.Counts {
-		if n > 0 {
-			fracs[gi] = float64(miss[gi]) / float64(n)
-		}
-	}
-	return fracs
+	return miss
 }
 
 // FormatProfile renders column profiles as an aligned text table for the

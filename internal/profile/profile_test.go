@@ -3,6 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -156,10 +157,20 @@ func TestGroupMissingness(t *testing.T) {
 		Attr: "f0", Rate: 0.2, Mech: synth.MAR, CondAttr: "race", CondValue: "black",
 	}, rng.New(4))
 	mg := masked.GroupBy("race")
-	fracs := GroupMissingness(masked.Partitions(64), mg, "f0", 2)
+	miss := GroupMissingness(masked.Partitions(64), mg, "f0", 2)
+	want := make([]int, mg.NumGroups())
+	for r := 0; r < masked.NumRows(); r++ {
+		if gid := mg.ByRow[r]; gid >= 0 && masked.IsNull(r, "f0") {
+			want[gid]++
+		}
+	}
+	if !reflect.DeepEqual(miss, want) {
+		t.Fatalf("null counts %v, want %v (keys %v)", miss, want, mg.Keys())
+	}
+	rate := func(gid int) float64 { return float64(miss[gid]) / float64(mg.Counts[gid]) }
 	black, white := mg.GID("race=black"), mg.GID("race=white")
-	if black < 0 || white < 0 || fracs[black] <= fracs[white] {
-		t.Fatalf("missingness = %v (keys %v), black should dominate", fracs, mg.Keys())
+	if black < 0 || white < 0 || rate(black) <= rate(white) {
+		t.Fatalf("null counts %v (keys %v), black should dominate", miss, mg.Keys())
 	}
 }
 

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -25,8 +27,8 @@ type Config struct {
 	// StoreConfig parameterizes the resident store (name, sensitive attrs,
 	// coverage threshold, LSH width, per-request worker budget).
 	StoreConfig
-	// MaxNullRate is the default completeness bound for /audit (default
-	// 0.05).
+	// MaxNullRate is the completeness bound for /audit requests without a
+	// maxnull parameter: a null rate >= 0, where 0 tolerates no nulls.
 	MaxNullRate float64
 	// MaxConcurrent is the number of requests executing at once (default 4).
 	MaxConcurrent int
@@ -59,9 +61,6 @@ type Service struct {
 // NewService builds the store and its indexes from the seed dataset and
 // wires up the HTTP surface. The service takes ownership of d.
 func NewService(d *dataset.Dataset, cfg Config) (*Service, error) {
-	if cfg.MaxNullRate == 0 {
-		cfg.MaxNullRate = 0.05
-	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
 	}
@@ -131,6 +130,25 @@ func (e *apiError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) error {
 	return &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// maxBodyBytes bounds every request body, so a hostile or runaway client
+// cannot make the server buffer without limit.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes: a
+// longer body is a 413, any other decoding failure a 400 naming the
+// request kind.
+func decodeBody(w http.ResponseWriter, r *http.Request, kind string, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("%s request body exceeds %d bytes", kind, maxBodyBytes)}
+	}
+	if err != nil {
+		return badRequest("bad %s request: %v", kind, err)
+	}
+	return nil
 }
 
 // handle wraps a handler with admission, latency, outcome accounting,
@@ -219,7 +237,7 @@ func (s *Service) handleAudit(w http.ResponseWriter, r *http.Request, sp *trace.
 	maxNull := s.cfg.MaxNullRate
 	if v := r.URL.Query().Get("maxnull"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		if err != nil || math.IsNaN(f) || f < 0 {
 			return badRequest("bad maxnull %q", v)
 		}
 		maxNull = f
@@ -256,8 +274,8 @@ type tailorResponse struct {
 // returns the collected rows as CSV inside the JSON response.
 func (s *Service) handleTailor(w http.ResponseWriter, r *http.Request, sp *trace.Span) error {
 	var req tailorRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return badRequest("bad tailor request: %v", err)
+	if err := decodeBody(w, r, "tailor", &req); err != nil {
+		return err
 	}
 	if len(req.Need) == 0 {
 		return badRequest("tailor needs a non-empty need map")
@@ -342,8 +360,8 @@ type discoveryMatch struct {
 // posted value set.
 func (s *Service) handleDiscovery(w http.ResponseWriter, r *http.Request, sp *trace.Span) error {
 	var req discoveryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return badRequest("bad discovery request: %v", err)
+	if err := decodeBody(w, r, "discovery", &req); err != nil {
+		return err
 	}
 	if len(req.Values) == 0 {
 		return badRequest("discovery needs a non-empty values list")
@@ -370,8 +388,8 @@ type ingestRequest struct {
 // resident schema) and advances every index incrementally.
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request, sp *trace.Span) error {
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return badRequest("bad ingest request: %v", err)
+	if err := decodeBody(w, r, "ingest", &req); err != nil {
+		return err
 	}
 	dec := sp.Child("ingest.decode")
 	batch, err := dataset.ReadCSV(strings.NewReader(req.CSV), s.store.View().Schema())

@@ -69,6 +69,28 @@ func doReq(t *testing.T, h http.Handler, method, path, body string) (int, string
 	return rw.code, rw.buf.String()
 }
 
+// coldAudit renders the /audit response body for d as a cold rebuild
+// computes it: core.Audit over d's rows, no resident index.
+func coldAudit(t *testing.T, d *dataset.Dataset, sens []string, threshold int, maxNull float64) string {
+	t.Helper()
+	cold := core.Audit(d.Partitions(0), []core.Requirement{
+		core.CoverageRequirement{Attrs: sens, Threshold: threshold},
+		core.CompletenessRequirement{Sensitive: sens, MaxNullRate: maxNull},
+	}, 0, nil)
+	resp := auditResponse{Satisfied: cold.Satisfied()}
+	for _, res := range cold.Results {
+		resp.Results = append(resp.Results, auditResult{
+			Requirement: res.Requirement, Satisfied: res.Satisfied,
+			Score: res.Score, Details: res.Details,
+		})
+	}
+	b, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
+}
+
 func newTestService(t *testing.T, d *dataset.Dataset, workers int) *Service {
 	t.Helper()
 	svc, err := NewService(d, Config{
@@ -120,23 +142,8 @@ func TestServeEquivalence(t *testing.T) {
 				t.Fatalf("batch %d: audit differs at workers %d:\n%s\nvs\n%s", batchNo, budgets[i+1], got, want)
 			}
 		}
-		cold := core.Audit(mirror.Partitions(0), []core.Requirement{
-			core.CoverageRequirement{Attrs: sens, Threshold: 5},
-			core.CompletenessRequirement{Sensitive: sens, MaxNullRate: 0.2},
-		}, 0, nil)
-		coldResp := auditResponse{Satisfied: cold.Satisfied()}
-		for _, res := range cold.Results {
-			coldResp.Results = append(coldResp.Results, auditResult{
-				Requirement: res.Requirement, Satisfied: res.Satisfied,
-				Score: res.Score, Details: res.Details,
-			})
-		}
-		coldJSON, err := json.Marshal(coldResp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want != string(coldJSON)+"\n" {
-			t.Fatalf("batch %d: served audit differs from cold rebuild:\n%s\nvs\n%s", batchNo, want, coldJSON)
+		if cold := coldAudit(t, mirror, sens, 5, 0.2); want != cold {
+			t.Fatalf("batch %d: served audit differs from cold rebuild:\n%s\nvs\n%s", batchNo, want, cold)
 		}
 
 		// Query: count and select match compiled predicates on the mirror.

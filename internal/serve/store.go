@@ -5,19 +5,22 @@
 //
 // The consistency model has two tiers:
 //
-//   - Snapshot readers (/query, /tailor, completeness checks) work on a
-//     copy-on-write dataset snapshot captured at the last ingest. They grab
-//     the snapshot pointer under a read lock and then run lock-free — the
-//     snapshot is immutable — so they never block ingest and never see torn
-//     rows.
-//   - Index readers (/audit coverage walks, /discovery probes, tailoring's
-//     group index) read the resident mutable indexes and therefore hold the
-//     read lock for the duration; ingest (the sole writer) waits for them.
+//   - Snapshot readers (/query) work on a copy-on-write dataset snapshot
+//     captured at the last ingest. They grab the snapshot pointer under a
+//     read lock and then run lock-free — the snapshot is immutable — so
+//     they never block ingest and never see torn rows.
+//   - Index readers (/audit coverage walks and completeness checks,
+//     /discovery probes, /tailor's group index) read the resident mutable
+//     indexes and therefore hold the read lock for the duration; ingest (the
+//     sole writer) waits for them.
 //
 // Every index is maintained incrementally on append under the write lock —
-// dataset.Groups.Append, coverage.Space.AppendRows, and
-// discovery.IncrementalLSH.Upsert — each of which is contractually
-// bit-identical to a from-scratch rebuild over the same rows.
+// dataset.Groups.Append, core.NullTallies.Append, coverage.Space.AppendRows,
+// and discovery.IncrementalLSH.Upsert — each of which is contractually
+// bit-identical to a from-scratch rebuild over the same rows. The null
+// tallies count per group, so a batch that inserts a group (shifting the
+// gids after it) recounts them over the resident rows, the same O(rows) as
+// the group index's own remap; any other batch costs O(batch rows).
 package serve
 
 import (
@@ -62,6 +65,7 @@ type Store struct {
 	live   *dataset.Dataset
 	snap   *dataset.Dataset
 	groups *dataset.Groups
+	nulls  *core.NullTallies
 	space  *coverage.Space
 	lsh    *discovery.IncrementalLSH
 	// dictLens[i] is how much of catAttrs[i]'s dictionary has been fed to
@@ -74,9 +78,9 @@ type Store struct {
 	walkMu sync.Mutex
 }
 
-// NewStore builds the resident store: group index, coverage space, and LSH
-// ensemble over the seed dataset, plus the first snapshot. The store takes
-// ownership of d; callers must not mutate it afterwards.
+// NewStore builds the resident store: group index, null tallies, coverage
+// space, and LSH ensemble over the seed dataset, plus the first snapshot.
+// The store takes ownership of d; callers must not mutate it afterwards.
 func NewStore(d *dataset.Dataset, cfg StoreConfig) (*Store, error) {
 	if cfg.Name == "" {
 		cfg.Name = "resident"
@@ -105,7 +109,9 @@ func NewStore(d *dataset.Dataset, cfg StoreConfig) (*Store, error) {
 	lsh.Obs = reg
 	s := &Store{cfg: cfg, reg: reg, live: d, lsh: lsh}
 	s.groups = d.GroupBy(cfg.Sensitive...)
-	s.space = coverage.NewSpace(d.Partitions(0), cfg.Sensitive, cfg.Threshold, 0)
+	pd := d.Partitions(0)
+	s.nulls = core.NewNullTallies(pd, s.groups, 0)
+	s.space = coverage.NewSpace(pd, cfg.Sensitive, cfg.Threshold, 0)
 	s.space.Obs = reg
 	schema := d.Schema()
 	for i := 0; i < schema.Len(); i++ {
@@ -135,8 +141,8 @@ func (s *Store) warmGroups() {
 // Ingest appends a batch, advances every index incrementally, and refreshes
 // the snapshot. It returns the number of rows appended and the new total.
 // Each index-advance phase lands in its own child span under sp (nil =
-// untraced): append, groups_advance, space_advance, lsh_upsert,
-// snapshot_refresh.
+// untraced): append, groups_advance (the group index and the null tallies
+// aligned with it), space_advance, lsh_upsert, snapshot_refresh.
 func (s *Store) Ingest(batch *dataset.Dataset, sp *trace.Span) (ingested, total int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,6 +156,7 @@ func (s *Store) Ingest(batch *dataset.Dataset, sp *trace.Span) (ingested, total 
 	ap.End()
 	gp := sp.Child("ingest.groups_advance")
 	s.groups.Append(s.live, from)
+	s.nulls.Append(s.live, from)
 	gp.SetAttr("gids", int64(s.groups.NumGroups()))
 	gp.End()
 	cp := sp.Child("ingest.space_advance")
@@ -186,21 +193,18 @@ func (s *Store) View() *dataset.Dataset {
 }
 
 // Audit checks coverage (on the resident incremental pattern space) and
-// completeness (on the current snapshot) at the given threshold and null
-// rate. threshold <= 0 and maxNull < 0 fall back to the store defaults.
-// Under a non-nil span it records snapshot.acquire, audit.coverage
-// (with the MUP walk's tallies nested), and audit.completeness phases.
+// completeness (on the resident null tallies) at the given threshold and
+// maximum null rate; threshold <= 0 falls back to the store default. Under
+// a non-nil span it records snapshot.acquire (the read-lock wait),
+// audit.coverage (with the MUP walk's tallies nested), and
+// audit.completeness phases.
 func (s *Store) Audit(threshold int, maxNull float64, workers int, sp *trace.Span) *core.AuditReport {
 	if threshold <= 0 {
 		threshold = s.cfg.Threshold
 	}
-	if maxNull < 0 {
-		maxNull = 0.05
-	}
 	acq := sp.Child("snapshot.acquire")
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := s.snap
 	acq.End()
 	cov := core.CoverageRequirement{Attrs: s.cfg.Sensitive, Threshold: threshold}
 	comp := core.CompletenessRequirement{Sensitive: s.cfg.Sensitive, MaxNullRate: maxNull}
@@ -211,7 +215,7 @@ func (s *Store) Audit(threshold int, maxNull float64, workers int, sp *trace.Spa
 	cs.SetAttr("satisfied", boolAttr(covRes.Satisfied))
 	cs.End()
 	cc := sp.Child("audit.completeness")
-	compRes := comp.Check(snap.Partitions(0), workers, cc)
+	compRes := comp.CheckTallies(s.nulls, cc)
 	cc.SetAttr("satisfied", boolAttr(compRes.Satisfied))
 	cc.End()
 	return &core.AuditReport{Results: []core.CheckResult{covRes, compRes}}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"redi/internal/core"
 	"redi/internal/coverage"
 	"redi/internal/dataset"
 	"redi/internal/discovery"
@@ -37,12 +38,17 @@ func serveBenchBatches(b *testing.B, n int) []*dataset.Dataset {
 	return out
 }
 
+// nullsSink keeps rebuildIndexes' null tallies live, so the compiler cannot
+// drop their build.
+var nullsSink *core.NullTallies
+
 // rebuildIndexes is the no-resident-state baseline: what a server without
 // incremental maintenance pays after every ingest batch to serve the next
-// audit/tailor/discovery request — a full group index, coverage space, and
-// LSH build over all resident rows.
+// audit/tailor/discovery request — a full group index, null tallies,
+// coverage space, and LSH build over all resident rows.
 func rebuildIndexes(d *dataset.Dataset, sens []string, threshold int) int {
 	g := d.GroupBy(sens...)
+	nullsSink = core.NewNullTallies(d.Partitions(0), g, 0)
 	sp := coverage.NewSpace(d.Partitions(0), sens, threshold, 0)
 	lsh, err := discovery.NewIncrementalLSH(128)
 	if err != nil {
@@ -61,10 +67,11 @@ func rebuildIndexes(d *dataset.Dataset, sens []string, threshold int) int {
 }
 
 // BenchmarkIngestIncremental measures one ingest batch advancing the
-// resident store's indexes in place (groups, coverage bitmaps, LSH band
-// tables) plus the snapshot refresh. Its batches carry ids p000000-p000499,
-// which the 20k seed already holds, so no dictionary grows: this is the
-// resident-id cost. BenchmarkIngestFresh measures batches of new ids.
+// resident store's indexes in place (groups, null tallies, coverage
+// bitmaps, LSH band tables) plus the snapshot refresh. Its batches carry
+// ids p000000-p000499, which the 20k seed already holds, so no dictionary
+// grows: this is the resident-id cost. BenchmarkIngestFresh measures
+// batches of new ids.
 func BenchmarkIngestIncremental(b *testing.B) {
 	store, err := serve.NewStore(serveBenchSeed(b), serve.StoreConfig{Threshold: 25})
 	if err != nil {
