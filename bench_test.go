@@ -184,6 +184,42 @@ func BenchmarkMUPs(b *testing.B) {
 	}
 }
 
+// BenchmarkMUPsWideLattice measures MUP enumeration, space build included,
+// over a lattice too wide for the count cube: two Zipf-skewed attributes of
+// 1,500 values each (1,501² patterns), so the space counts with per-value
+// row bitmaps and every walk step below level 1 is an AND.
+func BenchmarkMUPsWideLattice(b *testing.B) {
+	const values, rows = 1500, 20000
+	d := dataset.New(dataset.NewSchema(
+		dataset.Attribute{Name: "a", Kind: dataset.Categorical},
+		dataset.Attribute{Name: "b", Kind: dataset.Categorical},
+	))
+	r := rng.New(1)
+	zipf := rng.NewCategorical(rng.ZipfWeights(values, 1.1))
+	for i := 0; i < rows; i++ {
+		a, v := i, (i*7)%values // the first rows carry every value once
+		if i >= values {
+			a, v = zipf.Draw(r), zipf.Draw(r)
+		}
+		d.MustAppendRow(dataset.Cat(fmt.Sprintf("a%d", a)), dataset.Cat(fmt.Sprintf("b%d", v)))
+	}
+	pd := d.Partitions(0)
+	reg := obs.NewRegistry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := coverage.NewSpace(pd, []string{"a", "b"}, 25, 0)
+		s.Obs = reg
+		if mups := s.MUPs(0, nil); len(mups) == 0 {
+			b.Fatal("no MUPs")
+		}
+	}
+	b.StopTimer()
+	if reg.Counter("coverage.bitmap_ands").Value() == 0 {
+		b.Fatal("the walk did no bitmap ANDs: the lattice is not above the cube limit")
+	}
+}
+
 // BenchmarkExactJoinSample measures uniform join-result samples per second.
 func BenchmarkExactJoinSample(b *testing.B) {
 	r := rng.New(1)

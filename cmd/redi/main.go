@@ -320,6 +320,9 @@ func cmdLabel(args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := schema.CheckSensitive(schema.ByRole(dataset.Sensitive)); err != nil {
+		return err
+	}
 	d, err := loadCSV(fs.Arg(0), schema)
 	if err != nil {
 		return err
@@ -349,6 +352,9 @@ func cmdAudit(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("audit needs exactly one input file")
 	}
+	if err := checkThreshold(*threshold); err != nil {
+		return err
+	}
 	if err := checkMaxNull(*maxNull); err != nil {
 		return err
 	}
@@ -357,9 +363,9 @@ func cmdAudit(args []string) error {
 		return err
 	}
 	defer in.close()
-	sens := in.pd.Schema().ByRole(dataset.Sensitive)
-	if *sensitive != "" {
-		sens = strings.Split(*sensitive, ",")
+	sens, err := resolveSensitive(*sensitive, in.pd)
+	if err != nil {
+		return err
 	}
 	if len(sens) == 0 {
 		return fmt.Errorf("no sensitive attributes (set -sensitive or schema roles)")
@@ -387,6 +393,31 @@ func cmdAudit(args []string) error {
 // defaultMaxNull is the completeness bound of `redi audit` and of `redi
 // serve`'s /audit when no -maxnull is given.
 const defaultMaxNull = 0.05
+
+// checkThreshold rejects a coverage -threshold below 1: every pattern has
+// at least 0 rows, so such a threshold passes any data.
+func checkThreshold(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-threshold %d must be at least 1", n)
+	}
+	return nil
+}
+
+// resolveSensitive returns the attributes a -sensitive flag names, or the
+// first source's sensitive role when the flag is empty, after checking that
+// every source holds each one as a categorical attribute.
+func resolveSensitive(flagVal string, srcs ...*dataset.Partitioned) ([]string, error) {
+	sens := srcs[0].Schema().ByRole(dataset.Sensitive)
+	if flagVal != "" {
+		sens = strings.Split(flagVal, ",")
+	}
+	for _, src := range srcs {
+		if err := src.Schema().CheckSensitive(sens); err != nil {
+			return nil, err
+		}
+	}
+	return sens, nil
+}
 
 // checkMaxNull rejects a -maxnull no audit can use: NaN, which fails every
 // comparison, so completeness could never pass, and a negative rate.
@@ -450,9 +481,9 @@ func cmdTailor(args []string) error {
 		defer in.close()
 		sources = append(sources, in.pd)
 	}
-	sens := sources[0].Schema().ByRole(dataset.Sensitive)
-	if *sensitive != "" {
-		sens = strings.Split(*sensitive, ",")
+	sens, err := resolveSensitive(*sensitive, sources...)
+	if err != nil {
+		return err
 	}
 	reg, finishObs := startObs(*obsFlag, *obsJSON)
 	sp, finishTrace := startTrace(*tracePath, "tailor")

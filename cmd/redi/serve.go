@@ -33,6 +33,9 @@ func cmdServe(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("serve needs exactly one CSV file")
 	}
+	if err := checkThreshold(*threshold); err != nil {
+		return err
+	}
 	if err := checkMaxNull(*maxNull); err != nil {
 		return err
 	}

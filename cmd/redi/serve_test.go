@@ -87,3 +87,59 @@ func TestCmdMaxNullBound(t *testing.T) {
 		t.Fatalf("serve -maxnull 0 audited at another bound:\n%s", out)
 	}
 }
+
+// TestCmdSensitiveAttrErrors: audit, tailor, serve and label reject a
+// sensitive attribute that the schema lacks or holds as numeric with an
+// error naming it, instead of panicking in a kernel.
+func TestCmdSensitiveAttrErrors(t *testing.T) {
+	const schema = "race:cat:sensitive,sex:cat:sensitive,age:num,income:num"
+	seed := filepath.Join("..", "..", "internal", "serve", "testdata", "seed.csv")
+	logPath := filepath.Join("..", "..", "internal", "serve", "testdata", "replay.jsonl")
+	out := filepath.Join(t.TempDir(), "out.csv")
+	for _, tc := range []struct{ sens, want string }{
+		{"race,nosuch", `sensitive attribute "nosuch" is not in the schema`},
+		{"race,age", `sensitive attribute "age" is numeric`},
+	} {
+		for name, run := range map[string]func() error{
+			"audit": func() error {
+				return cmdAudit([]string{"-schema", schema, "-sensitive", tc.sens, "-maxnull", "0.5", seed})
+			},
+			"tailor": func() error {
+				return cmdTailor([]string{"-schema", schema, "-sensitive", tc.sens, "-need", "race=black:1", "-out", out, seed})
+			},
+			"serve": func() error {
+				return cmdServe([]string{"-schema", schema, "-sensitive", tc.sens, "-replay", logPath, seed})
+			},
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s -sensitive %s: err = %v, want %q", name, tc.sens, err, tc.want)
+			}
+		}
+	}
+	err := cmdLabel([]string{"-schema", "race:cat:sensitive,sex:cat:sensitive,age:num:sensitive,income:num", seed})
+	if want := `sensitive attribute "age" is numeric`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("label with a numeric sensitive column: err = %v, want %q", err, want)
+	}
+}
+
+// TestCmdThresholdBound: audit and serve reject a coverage -threshold below
+// 1, which every pattern meets, with an error naming the flag.
+func TestCmdThresholdBound(t *testing.T) {
+	d := synth.Generate(synth.DefaultPopulation(200), rng.New(5)).Data
+	csvPath := writeTempCSV(t, d)
+	logPath := filepath.Join(t.TempDir(), "replay.jsonl")
+	if err := os.WriteFile(logPath, []byte(`{"method":"GET","path":"/audit"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"0", "-5"} {
+		want := "-threshold " + bad + " must be at least 1"
+		err := cmdAudit([]string{"-schema", popSchema, "-threshold", bad, "-maxnull", "0.5", csvPath})
+		if err == nil || err.Error() != want {
+			t.Fatalf("audit -threshold %s: err = %v, want %q", bad, err, want)
+		}
+		err = cmdServe([]string{"-schema", popSchema, "-threshold", bad, "-replay", logPath, csvPath})
+		if err == nil || err.Error() != want {
+			t.Fatalf("serve -threshold %s: err = %v, want %q", bad, err, want)
+		}
+	}
+}

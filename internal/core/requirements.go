@@ -290,14 +290,15 @@ func (r CoverageRequirement) Check(pd *dataset.Partitioned, workers int, sp *tra
 
 // CheckSpace evaluates the requirement against an already-built — e.g.
 // incrementally maintained — pattern space instead of deriving one from a
-// dataset, sharded over workers. The space's threshold is set from the
-// requirement before the walk; the caller must hold exclusive access to the
-// space for the duration (the MUP walk uses the space's shared bitmap
-// pool). Results are bit-identical to Check on a dataset with the same rows.
-// A non-nil span receives the walk's "coverage.mup_walk" child.
+// dataset, sharded over workers. It walks a shallow copy of the space at
+// the requirement's threshold and writes nothing shared, so any number of
+// checks, at any thresholds, may walk one space at once while nothing
+// appends to it. Results are bit-identical to Check on a dataset with the
+// same rows. A non-nil span receives the walk's "coverage.mup_walk" child.
 func (r CoverageRequirement) CheckSpace(space *coverage.Space, workers int, sp *trace.Span) CheckResult {
-	space.Threshold = r.Threshold
-	return r.checkSpace(space, space.MUPs(workers, sp))
+	at := *space
+	at.Threshold = r.Threshold
+	return r.checkSpace(&at, at.MUPs(workers, sp))
 }
 
 func (r CoverageRequirement) checkSpace(space *coverage.Space, mups []coverage.MUP) CheckResult {

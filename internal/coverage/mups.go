@@ -16,14 +16,17 @@ type MUP struct {
 }
 
 // rowSet is the per-node state the threaded DFS hands from parent to
-// child: the bitmap(s) of rows matching the node's pattern plus the match
-// count. Space uses only a; JoinSpace carries one bitmap per side (a =
-// left, b = right). A nil bitmap means "all rows" — the root and any side
-// with no constraints yet. ownedA/ownedB record whether the bitmap came
-// from the space's scratch pool (and must go back) or is a borrowed
-// precomputed value bitmap.
+// child: the node's match count plus what its children refine. A
+// cube-backed Space uses only cell, the node's index in the count cube. A
+// bitmap-backed Space uses a, the bitmap of rows matching the node's
+// pattern; JoinSpace carries one bitmap per side (a = left, b = right). A
+// nil bitmap means "all rows" — the root and any side with no constraints
+// yet. ownedA/ownedB record whether the bitmap came from the space's
+// scratch pool (and must go back) or is a borrowed precomputed value
+// bitmap.
 type rowSet struct {
 	a, b           bitmap.Bitmap
+	cell           int
 	count          int
 	ownedA, ownedB bool
 }
@@ -33,13 +36,13 @@ type rowSet struct {
 // implement it. Alongside the pattern-level queries, a space provides the
 // threaded-walk hooks: rootSet yields the root's row set, and childSet
 // refines a parent's row set into the child that specializes position pos
-// to value val — one fused AND+popcount instead of re-intersecting (or
-// re-scanning) from scratch. releaseSet returns pooled scratch.
+// to value val — a cube index step, or one fused AND+popcount instead of
+// re-intersecting (or re-scanning) from scratch. releaseSet returns pooled
+// scratch.
 type patternSpace interface {
 	Root() Pattern
 	Count(p Pattern) int
 	Covered(p Pattern) bool
-	Parents(p Pattern) []Pattern
 
 	threshold() int
 	numValues(pos int) int
@@ -61,7 +64,7 @@ const maxLevelBuckets = 16
 // schedule- or chunking-dependent quantity.
 type walkStats struct {
 	nodes        int64 // lattice nodes visited (including the root)
-	ands         int64 // fused bitmap refinements paid by childSet
+	ands         int64 // fused bitmap refinements paid by childSet (0 on the cube)
 	parentChecks int64 // Covered(parent) probes from MUP confirmation
 	mups         int64
 	mupsByLevel  [maxLevelBuckets]int64
@@ -114,17 +117,18 @@ type rootChild struct{ pos, val int }
 // a MUP iff all of its immediate generalizations are covered; its
 // descendants cannot be MUPs (they have an uncovered parent), so the
 // subtree is pruned. Patterns are visited at most once thanks to the
-// canonical child rule, and each visit costs one bitmap refinement of its
-// parent's row set — the prefix-intersection DFS.
+// canonical child rule, and each visit costs one refinement of its
+// parent's row set — a cube index step, or on bitmaps one AND (the
+// prefix-intersection DFS).
 //
 // The search runs with the given worker count (parallel.Workers semantics;
 // 0 = serial). The lattice is sharded by the root's canonical children:
 // each subtree is walked independently and the per-subtree MUP lists are
 // concatenated in child order, which is exactly the order the serial DFS
 // visits them — so the output is bit-identical at any worker count.
-// Workers share only the precomputed value bitmaps (read-only) and the
-// scratch pool (internally synchronized), so no pruning state leaks
-// between subtrees.
+// Workers share only the counts (read-only) and the bitmap scratch pool
+// (internally synchronized), so no pruning state leaks between subtrees,
+// and any number of walks may run over one space at once.
 //
 // Under a non-nil span the walk records one "coverage.mup_walk" child
 // whose attributes are its deterministic tallies — the same
@@ -203,7 +207,7 @@ func setWalkAttrs(ws *trace.Span, st *walkStats) {
 // (inclusive), whose rightmost constrained position is `rightmost` and
 // whose row set is rs. The pattern is refined in place: children extend p
 // strictly to the right of `rightmost` (the canonical child rule), each
-// paying a single intersection against its parent's row set.
+// paying a single refinement of its parent's row set.
 func walkSubtree(s patternSpace, p Pattern, rightmost int, rs rowSet, out *[]MUP, st *walkStats) {
 	st.nodes++
 	if rs.count < s.threshold() {
@@ -232,10 +236,20 @@ func walkSubtree(s patternSpace, p Pattern, rightmost int, rs rowSet, out *[]MUP
 // MUP counts, DFS nodes, bitmap refinements).
 func (s *Space) MUPs(workers int, sp *trace.Span) []MUP { return patternBreaker(s, workers, sp) }
 
+// allParentsCovered reports whether every immediate generalization of p is
+// covered, probing them in position order and stopping at the first
+// uncovered one. Each probe wildcards one position of p in place and
+// restores it, so p must not be shared with a concurrent reader.
 func allParentsCovered(s patternSpace, p Pattern, st *walkStats) bool {
-	for _, parent := range s.Parents(p) {
+	for i, v := range p {
+		if v == Wildcard {
+			continue
+		}
 		st.parentChecks++
-		if !s.Covered(parent) {
+		p[i] = Wildcard
+		covered := s.Covered(p)
+		p[i] = v
+		if !covered {
 			return false
 		}
 	}

@@ -45,8 +45,8 @@ func checkMUPsEqual(t *testing.T, ctx string, got, want []MUP) {
 // TestSpacePartitionedMatchesInMemory: a space built partition-at-a-time
 // carries the in-memory dictionaries as its domains and yields the counts
 // of the row-scan oracle over the in-memory codes, and the MUPs of the
-// oracle-only enumeration, at any partition size and worker count for both
-// the build and the walk.
+// oracle-only enumeration, on both counting backends at any partition size
+// and worker count for both the build and the walk.
 func TestSpacePartitionedMatchesInMemory(t *testing.T) {
 	r := rng.New(31)
 	attrs := []string{"race", "sex", "region"}
@@ -57,31 +57,33 @@ func TestSpacePartitionedMatchesInMemory(t *testing.T) {
 		var wantMUPs []MUP
 		for _, partRows := range []int{64, 128, 0} {
 			pd := d.Partitions(partRows)
-			for _, workers := range []int{0, 1, 2, 8} {
-				s := NewSpace(pd, attrs, threshold, workers)
-				ctx := fmt.Sprintf("rows=%d partRows=%d workers=%d", rows, partRows, workers)
-				for i, a := range attrs {
-					if _, dict := d.Codes(a); fmt.Sprint(s.Domains[i]) != fmt.Sprint(dict) {
-						t.Fatalf("%s: domain %d = %v, want %v", ctx, i, s.Domains[i], dict)
-					}
-				}
-				// Spot-check counts over random patterns against the
-				// row-scan oracle.
-				for trial := 0; trial < 50; trial++ {
-					p := s.Root()
-					for i := range p {
-						if r.Float64() < 0.5 && len(s.Domains[i]) > 0 {
-							p[i] = r.Intn(len(s.Domains[i]))
+			for _, b := range backends {
+				for _, workers := range []int{0, 1, 2, 8} {
+					s := newSpace(pd, attrs, threshold, workers, b.limit)
+					ctx := fmt.Sprintf("rows=%d partRows=%d %s workers=%d", rows, partRows, b.name, workers)
+					for i, a := range attrs {
+						if _, dict := d.Codes(a); fmt.Sprint(s.Domains[i]) != fmt.Sprint(dict) {
+							t.Fatalf("%s: domain %d = %v, want %v", ctx, i, s.Domains[i], dict)
 						}
 					}
-					if got, w := s.Count(p), countScan(cols, p); got != w {
-						t.Fatalf("%s: Count(%v) = %d, oracle %d", ctx, p, got, w)
+					// Spot-check counts over random patterns against the
+					// row-scan oracle.
+					for trial := 0; trial < 50; trial++ {
+						p := s.Root()
+						for i := range p {
+							if r.Float64() < 0.5 && len(s.Domains[i]) > 0 {
+								p[i] = r.Intn(len(s.Domains[i]))
+							}
+						}
+						if got, w := s.Count(p), countScan(cols, p); got != w {
+							t.Fatalf("%s: Count(%v) = %d, oracle %d", ctx, p, got, w)
+						}
 					}
+					if wantMUPs == nil {
+						wantMUPs = scanMUPs(s, cols)
+					}
+					checkMUPsEqual(t, ctx, s.MUPs(workers, nil), wantMUPs)
 				}
-				if wantMUPs == nil {
-					wantMUPs = scanMUPs(s, cols)
-				}
-				checkMUPsEqual(t, ctx, s.MUPs(workers, nil), wantMUPs)
 			}
 		}
 	}

@@ -87,22 +87,22 @@ func (p Pattern) key() string {
 }
 
 // Space is the pattern search space over a dataset's attributes of
-// interest: per-(attribute, value) row bitmaps, the attribute domains, and
-// the coverage threshold.
+// interest: the attribute domains, the coverage threshold, and the pattern
+// counts the walk reads.
 //
-// Counting is bitmap-based: NewSpace precomputes one bitmap per
-// (attribute, value) holding the rows carrying that value, so Count is an
-// intersection + popcount over machine words rather than a row scan.
+// NewSpace picks one of two counting backends from the lattice size
+// Π(|D_i|+1) (see cubeLimit):
 //
-// Earlier revisions memoized Count behind a string-keyed map + mutex; with
-// bitmap counts the memo was REMOVED rather than made single-flight. A
-// memoized lookup cost a pattern-key render, a map probe, and a lock
-// hand-off — more than the handful of word-AND/popcount loops a recount
-// costs — and deleting it also closes the duplicated-work race window the
-// old design tolerated (two workers could scan the same pattern
-// concurrently because the scan ran outside the lock). Count is now pure
-// and lock-free, so concurrent callers never contend or duplicate
-// meaningful work.
+//   - At or below the limit the space holds a dense cube of every
+//     pattern's row count. Count, the walk's refinements and its parent
+//     checks are index arithmetic.
+//   - Above it the space holds one row bitmap per (attribute, value), so
+//     Count is an intersection + popcount over machine words and each
+//     walk step ANDs its parent's row set with one value bitmap.
+//
+// Count is pure and lock-free on both backends; concurrent callers never
+// contend. (A string-keyed memo of earlier revisions cost more than the
+// recount it saved and was removed.)
 type Space struct {
 	Attrs     []string
 	Domains   [][]string // Domains[i] lists attribute i's values; shared with its dictionary, read-only
@@ -114,8 +114,16 @@ type Space struct {
 	Obs *obs.Registry
 
 	numRows int
-	// bits[i][v] marks the rows where attribute i has value v. Null
-	// codes appear in no bitmap, so they match only wildcards.
+
+	// Cube backend. cells[cell(p)] counts the rows matching p, where
+	// cell(p) = Σ (p[i]+1)·strides[i]: slot 0 of every attribute is its
+	// wildcard and slot v+1 its value v. Nil on bitmap-backed spaces.
+	cells   []int
+	strides []int
+
+	// Bitmap backend. bits[i][v] marks the rows where attribute i has
+	// value v. Null codes appear in no bitmap, so they match only
+	// wildcards. Nil on cube-backed spaces.
 	bits      [][]bitmap.Bitmap
 	valCounts [][]int // popcounts of bits[i][v]
 	pool      *bitmap.Pool
@@ -125,17 +133,21 @@ type Space struct {
 // a partitioned view. Threshold is the minimum count for a pattern to be
 // covered. It panics if attrs is empty or an attribute is not categorical.
 //
-// The per-(attribute, value) bitmaps are built partition-at-a-time with the
-// given worker count (parallel.Workers semantics; 0 = serial). Codes in
-// every partition index the view's global dictionaries, so the space —
-// domains, bitmaps, counts, and therefore every MUP enumeration — is the
-// same at any worker count and partition size: partition row ranges are
-// disjoint bitmap word ranges (PartRows is a multiple of 64), so shards fill
-// the shared bitmaps lock-free, and the per-value counts merge in shard
-// order. Only the bitmaps are materialized; the pages are scanned once and
-// not retained, which is what makes MUP enumeration work on datasets that
-// never fit in memory as rows.
+// The counts are built partition-at-a-time with the given worker count
+// (parallel.Workers semantics; 0 = serial): into the cube when the lattice
+// fits under cubeLimit, into per-(attribute, value) bitmaps otherwise.
+// Codes in every partition index the view's global dictionaries, so the
+// space — domains, counts, and therefore every MUP enumeration — is the
+// same at any worker count and partition size. The pages are scanned once
+// and not retained, which is what makes MUP enumeration work on datasets
+// that never fit in memory as rows.
 func NewSpace(pd *dataset.Partitioned, attrs []string, threshold int, workers int) *Space {
+	return newSpace(pd, attrs, threshold, workers, cubeLimit)
+}
+
+// newSpace is NewSpace with the cube's lattice limit as an argument; a
+// limit of 0 selects the bitmap backend for any lattice.
+func newSpace(pd *dataset.Partitioned, attrs []string, threshold, workers, limit int) *Space {
 	if len(attrs) == 0 {
 		panic("coverage: NewSpace requires at least one attribute")
 	}
@@ -144,28 +156,40 @@ func NewSpace(pd *dataset.Partitioned, attrs []string, threshold int, workers in
 		Attrs:     append([]string(nil), attrs...),
 		Threshold: threshold,
 		numRows:   pd.NumRows(),
-		pool:      bitmap.NewPool(pd.NumRows()),
 	}
 	cols := make([]int, len(attrs))
-	s.bits = make([][]bitmap.Bitmap, len(attrs))
-	s.valCounts = make([][]int, len(attrs))
 	for i, a := range attrs {
 		cols[i] = schema.MustIndex(a)
-		dict := pd.Dict(a)
-		s.Domains = append(s.Domains, dict)
-		s.bits[i] = make([]bitmap.Bitmap, len(dict))
-		s.valCounts[i] = make([]int, len(dict))
-		for v := range dict {
+		s.Domains = append(s.Domains, pd.Dict(a))
+	}
+	if dims := slotCounts(s.Domains); latticeFits(dims, limit) {
+		s.fillCube(pd, cols, dims, workers)
+	} else {
+		s.fillBits(pd, cols, workers)
+	}
+	return s
+}
+
+// fillBits builds the bitmap backend. Partition row ranges are disjoint
+// bitmap word ranges (PartRows is a multiple of 64), so shards fill the
+// shared bitmaps lock-free, and the per-value counts merge in shard order.
+func (s *Space) fillBits(pd *dataset.Partitioned, cols []int, workers int) {
+	s.pool = bitmap.NewPool(s.numRows)
+	s.bits = make([][]bitmap.Bitmap, len(cols))
+	s.valCounts = make([][]int, len(cols))
+	for i, dom := range s.Domains {
+		s.bits[i] = make([]bitmap.Bitmap, len(dom))
+		s.valCounts[i] = make([]int, len(dom))
+		for v := range dom {
 			s.bits[i][v] = bitmap.New(s.numRows)
 		}
 	}
-
 	src := pd.Source()
 	partRows := pd.PartRows()
 	type tally struct{ counts [][]int }
 	shards := parallel.MapChunks(workers, pd.NumPartitions(), func(_, plo, phi int) tally {
-		t := tally{counts: make([][]int, len(attrs))}
-		for i := range attrs {
+		t := tally{counts: make([][]int, len(cols))}
+		for i := range cols {
 			t.counts[i] = make([]int, len(s.Domains[i]))
 		}
 		for p := plo; p < phi; p++ {
@@ -185,13 +209,12 @@ func NewSpace(pd *dataset.Partitioned, attrs []string, threshold int, workers in
 		return t
 	})
 	for _, t := range shards {
-		for i := range attrs {
+		for i := range cols {
 			for v, n := range t.counts[i] {
 				s.valCounts[i][v] += n
 			}
 		}
 	}
-	return s
 }
 
 // NumAttrs returns the number of attributes in the space.
@@ -206,12 +229,16 @@ func (s *Space) Root() Pattern {
 	return p
 }
 
-// Count returns the number of rows matching p: the popcount of the
-// intersection of the constrained positions' value bitmaps. Zero
-// constraints count every row; one constraint is a precomputed popcount;
-// two fuse into a single AND-popcount pass; deeper patterns intersect into
+// Count returns the number of rows matching p. On a cube-backed space it
+// is one cell read. On a bitmap-backed space it is the popcount of the
+// intersection of the constrained positions' value bitmaps: zero
+// constraints count every row, one is a precomputed popcount, two fuse
+// into a single AND-popcount pass, and deeper patterns intersect into
 // pooled scratch. Pure and safe for concurrent use.
 func (s *Space) Count(p Pattern) int {
+	if s.cells != nil {
+		return s.cells[s.cell(p)]
+	}
 	first, second := -1, -1
 	rest := 0
 	for i, v := range p {
@@ -247,6 +274,15 @@ func (s *Space) Count(p Pattern) int {
 	}
 	s.pool.Put(acc)
 	return n
+}
+
+// cell returns p's index in the cube.
+func (s *Space) cell(p Pattern) int {
+	c := 0
+	for i, v := range p {
+		c += (v + 1) * s.strides[i] // a wildcard (-1) lands in slot 0
+	}
+	return c
 }
 
 // Covered reports whether p meets the coverage threshold.
@@ -289,18 +325,23 @@ func (s *Space) Children(p Pattern) []Pattern {
 }
 
 // threshold, numValues, rootSet, childSet, and releaseSet implement the
-// threaded-walk hooks (see mups.go): the DFS hands each node's row bitmap
-// down the lattice so a child's count is one AND off its parent's set
-// instead of a fresh intersection from the root.
+// threaded-walk hooks (see mups.go). On the cube a child's cell is its
+// parent's plus one slot offset. On bitmaps the DFS hands each node's row
+// bitmap down the lattice, so a child's count is one AND off its parent's
+// set instead of a fresh intersection from the root.
 
 func (s *Space) threshold() int      { return s.Threshold }
 func (s *Space) numValues(i int) int { return len(s.Domains[i]) }
 
 func (s *Space) rootSet() rowSet {
-	return rowSet{count: s.numRows} // nil bitmap = all rows
+	return rowSet{count: s.numRows} // cell 0 on the cube; nil bitmap = all rows
 }
 
 func (s *Space) childSet(parent rowSet, pos, val int, st *walkStats) rowSet {
+	if s.cells != nil {
+		c := parent.cell + (val+1)*s.strides[pos]
+		return rowSet{cell: c, count: s.cells[c]}
+	}
 	vb := s.bits[pos][val]
 	if parent.a == nil {
 		// Level-1 child: share the precomputed value bitmap read-only.

@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +39,14 @@ func scanCodes(d *dataset.Dataset, attrs []string) [][]int32 {
 	}
 	return cols
 }
+
+// backends are the lattice limits that select each counting backend of a
+// space over the same rows: cubeLimit takes the cube for any lattice at or
+// under it, 0 the bitmaps for every lattice.
+var backends = []struct {
+	name  string
+	limit int
+}{{"cube", cubeLimit}, {"bitmaps", 0}}
 
 // randomTable builds a small 3-attribute categorical table from raw bytes.
 func randomTable(cells []byte) *dataset.Dataset {
@@ -119,8 +128,8 @@ func TestMUPAgreementProperty(t *testing.T) {
 	}
 }
 
-// Property: the bitmap intersection counter agrees with the row-scan
-// oracle countScan on every pattern of the lattice of a random space.
+// Property: on both backends, Count agrees with the row-scan oracle
+// countScan on every pattern of the lattice of a random space.
 func TestBitmapCountMatchesScanProperty(t *testing.T) {
 	f := func(cells []byte, tau8 uint8) bool {
 		d := randomTable(cells)
@@ -128,25 +137,31 @@ func TestBitmapCountMatchesScanProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%20) + 1
-		s := NewSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0)
-		cols := scanCodes(d, s.Attrs)
-		ok := true
-		var all func(p Pattern, from int)
-		all = func(p Pattern, from int) {
-			if s.Count(p) != countScan(cols, p) {
-				ok = false
-				return
-			}
-			for i := from; i < len(p) && ok; i++ {
-				for v := range s.Domains[i] {
-					p[i] = v
-					all(p, i+1)
-					p[i] = Wildcard
+		for _, b := range backends {
+			s := newSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0, b.limit)
+			cols := scanCodes(d, s.Attrs)
+			ok := true
+			var all func(p Pattern, from int)
+			all = func(p Pattern, from int) {
+				if s.Count(p) != countScan(cols, p) {
+					ok = false
+					return
+				}
+				for i := from; i < len(p) && ok; i++ {
+					for v := range s.Domains[i] {
+						p[i] = v
+						all(p, i+1)
+						p[i] = Wildcard
+					}
 				}
 			}
+			all(s.Root(), 0)
+			if !ok {
+				t.Logf("%s: Count disagrees with the scan oracle", b.name)
+				return false
+			}
 		}
-		all(s.Root(), 0)
-		return ok
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -184,8 +199,8 @@ func scanMUPs(s *Space, cols [][]int32) []MUP {
 	return out
 }
 
-// Property: the bitmap-threaded pattern-breaker reports the bit-identical
-// MUP set (patterns AND counts) the row-scan oracle derives.
+// Property: on both backends, the threaded pattern-breaker reports the
+// bit-identical MUP set (patterns AND counts) the row-scan oracle derives.
 func TestMUPsMatchScanOracleProperty(t *testing.T) {
 	f := func(cells []byte, tau8 uint8) bool {
 		d := randomTable(cells)
@@ -193,26 +208,90 @@ func TestMUPsMatchScanOracleProperty(t *testing.T) {
 			return true
 		}
 		tau := int(tau8%15) + 1
-		s := NewSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0)
-		fast := s.MUPs(0, nil)
-		slow := scanMUPs(s, scanCodes(d, s.Attrs))
-		if len(fast) != len(slow) {
-			return false
-		}
-		seen := map[string]int{}
-		for _, m := range fast {
-			seen[s.Describe(m.Pattern)] = m.Count
-		}
-		for _, m := range slow {
-			c, ok := seen[s.Describe(m.Pattern)]
-			if !ok || c != m.Count {
+		for _, b := range backends {
+			s := newSpace(d.Partitions(0), []string{"a", "b", "c"}, tau, 0, b.limit)
+			fast := s.MUPs(0, nil)
+			slow := scanMUPs(s, scanCodes(d, s.Attrs))
+			if len(fast) != len(slow) {
+				t.Logf("%s: %d MUPs, oracle %d", b.name, len(fast), len(slow))
 				return false
+			}
+			seen := map[string]int{}
+			for _, m := range fast {
+				seen[s.Describe(m.Pattern)] = m.Count
+			}
+			for _, m := range slow {
+				c, ok := seen[s.Describe(m.Pattern)]
+				if !ok || c != m.Count {
+					t.Logf("%s: oracle MUP %s(%d) missing or miscounted", b.name, s.Describe(m.Pattern), m.Count)
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// boundaryTable builds a 2-attribute table whose dictionaries hold na and
+// nb values (each appears at least once), with the rest of its rows skewed
+// onto a few values so that both covered and uncovered patterns exist.
+func boundaryTable(na, nb, extra int, seed uint64) *dataset.Dataset {
+	d := dataset.New(dataset.NewSchema(
+		dataset.Attribute{Name: "a", Kind: dataset.Categorical},
+		dataset.Attribute{Name: "b", Kind: dataset.Categorical},
+	))
+	for i := 0; i < max(na, nb); i++ {
+		d.MustAppendRow(dataset.Cat(fmt.Sprintf("a%d", i%na)), dataset.Cat(fmt.Sprintf("b%d", i%nb)))
+	}
+	r := rng.New(seed)
+	for i := 0; i < extra; i++ {
+		a := dataset.Cat(fmt.Sprintf("a%d", r.Intn(4)))
+		if r.Intn(20) == 0 {
+			a = dataset.NullValue(dataset.Categorical)
+		}
+		d.MustAppendRow(a, dataset.Cat(fmt.Sprintf("b%d", r.Intn(3))))
+	}
+	return d
+}
+
+// TestCubeLimitBoundary pins the backend choice at the real limit: a
+// lattice of exactly cubeLimit patterns counts on the cube, one with a
+// value more on bitmaps, and both count every pattern as the row-scan
+// oracle does and find the MUPs the naive lattice scan finds.
+func TestCubeLimitBoundary(t *testing.T) {
+	n := 1
+	for (n+1)*(n+1) <= cubeLimit {
+		n++
+	}
+	n-- // (n+1)^2 <= cubeLimit < (n+2)^2
+	for _, tc := range []struct {
+		na, nb int
+		cube   bool
+	}{
+		{cubeLimit/(n+1) - 1, n, true},
+		{cubeLimit/(n+1) - 1, n + 1, false},
+	} {
+		d := boundaryTable(tc.na, tc.nb, 100, uint64(tc.nb))
+		s := NewSpace(d.Partitions(0), []string{"a", "b"}, 3, 0)
+		if got := s.cells != nil; got != tc.cube {
+			t.Fatalf("lattice %d (limit %d): cube-backed = %v, want %v", s.TotalPatterns(), cubeLimit, got, tc.cube)
+		}
+		cols := scanCodes(d, s.Attrs)
+		p := s.Root()
+		for a := Wildcard; a < tc.na; a++ {
+			for b := Wildcard; b < tc.nb; b++ {
+				p[0], p[1] = a, b
+				if got, want := s.Count(p), countScan(cols, p); got != want {
+					t.Fatalf("lattice %d: Count(%v) = %d, oracle %d", s.TotalPatterns(), p, got, want)
+				}
+			}
+		}
+		// Count matches the oracle on every pattern, so the naive lattice
+		// scan over Count is the reference MUP set.
+		checkMUPsEqual(t, fmt.Sprintf("lattice %d", s.TotalPatterns()), s.MUPs(2, nil), s.NaiveMUPs())
 	}
 }
 

@@ -64,6 +64,24 @@ func (s *Schema) MustIndex(name string) int {
 	return i
 }
 
+// CheckSensitive returns an error naming the first of names that cannot
+// be a sensitive attribute: one the schema lacks, or a numeric one, since
+// grouping and coverage need categorical attributes. It returns nil if
+// every name is a categorical attribute. Callers check names that come
+// from input once, where they enter, so the kernels need not.
+func (s *Schema) CheckSensitive(names []string) error {
+	for _, name := range names {
+		i, ok := s.byName[name]
+		if !ok {
+			return fmt.Errorf("sensitive attribute %q is not in the schema", name)
+		}
+		if s.attrs[i].Kind != Categorical {
+			return fmt.Errorf("sensitive attribute %q is %s; sensitive attributes must be categorical", name, s.attrs[i].Kind)
+		}
+	}
+	return nil
+}
+
 // Names returns the attribute names in order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.attrs))

@@ -174,6 +174,72 @@ func TestAuditUnderIngest(t *testing.T) {
 	}
 }
 
+// TestConcurrentAudits: audits walk the resident coverage space at the
+// same time, under the read lock only, each at its own threshold. Several
+// goroutines per threshold call /audit; every response must be the cold
+// audit at that threshold.
+func TestConcurrentAudits(t *testing.T) {
+	thresholds := []int{10, 50, 200, 1000, 5000}
+	const perThreshold, rounds = 2, 4
+	sens := []string{"race", "sex"}
+	// Race group sizes fall geometrically, so each threshold cuts the
+	// lattice in a different place.
+	seed := dataset.New(testSchema())
+	r := rng.New(21)
+	for k, n := range []int{3000, 1500, 700, 300, 120, 60, 25, 12, 5} {
+		for i := 0; i < n; i++ {
+			sex := dataset.Cat([]string{"F", "M", "M"}[r.Intn(3)])
+			seed.MustAppendRow(dataset.Cat(fmt.Sprintf("r%d", k)), sex, dataset.Num(float64(18+r.Intn(60))), dataset.Num(float64(20000+r.Intn(80000))))
+		}
+	}
+	want := map[int]string{}
+	distinct := map[string]bool{}
+	for _, tau := range thresholds {
+		want[tau] = coldAudit(t, seed, sens, tau, 0.1)
+		distinct[want[tau]] = true
+	}
+	if len(distinct) != len(thresholds) {
+		t.Fatalf("only %d distinct cold audits over %d thresholds; a threshold mix-up would go unseen", len(distinct), len(thresholds))
+	}
+	svc := newTestService(t, seed, 2)
+	var wg sync.WaitGroup
+	for _, tau := range thresholds {
+		for g := 0; g < perThreshold; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				path := fmt.Sprintf("/audit?threshold=%d&maxnull=0.1", tau)
+				for i := 0; i < rounds; i++ {
+					code, body := doReq(t, svc, "GET", path, "")
+					if code != http.StatusOK || body != want[tau] {
+						t.Errorf("threshold %d: status %d, body differs from the cold audit:\n got %s\nwant %s", tau, code, body, want[tau])
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestNewStoreSensitiveErrors: a sensitive attribute the schema lacks or
+// holds as numeric fails NewStore with an error naming it, instead of a
+// panic in the group or coverage index build.
+func TestNewStoreSensitiveErrors(t *testing.T) {
+	for _, tc := range []struct {
+		sens []string
+		want string
+	}{
+		{[]string{"race", "nosuch"}, `serve: sensitive attribute "nosuch" is not in the schema`},
+		{[]string{"race", "age"}, `serve: sensitive attribute "age" is numeric`},
+	} {
+		_, err := NewStore(makeBatch(1, 20), StoreConfig{Sensitive: tc.sens})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Sensitive %v: err = %v, want %q", tc.sens, err, tc.want)
+		}
+	}
+}
+
 // TestAuditMaxNullBound: /audit rejects a NaN or negative maxnull with
 // 400, and a service configured with MaxNullRate 0 audits requests without
 // a maxnull at zero tolerance.

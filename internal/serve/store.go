@@ -12,7 +12,9 @@
 //   - Index readers (/audit coverage walks and completeness checks,
 //     /discovery probes, /tailor's group index) read the resident mutable
 //     indexes and therefore hold the read lock for the duration; ingest (the
-//     sole writer) waits for them.
+//     sole writer) waits for them. Readers never wait for each other:
+//     concurrent audits walk the one coverage space at once, each at its
+//     own threshold.
 //
 // Every index is maintained incrementally on append under the write lock —
 // dataset.Groups.Append, core.NullTallies.Append, coverage.Space.AppendRows,
@@ -72,10 +74,6 @@ type Store struct {
 	// the LSH index; ingest upserts only the suffix beyond it.
 	catAttrs []string
 	dictLens []int
-
-	// walkMu serializes pattern-space walks: concurrent audits would race
-	// on the space's shared bitmap pool.
-	walkMu sync.Mutex
 }
 
 // NewStore builds the resident store: group index, null tallies, coverage
@@ -90,6 +88,9 @@ func NewStore(d *dataset.Dataset, cfg StoreConfig) (*Store, error) {
 	}
 	if len(cfg.Sensitive) == 0 {
 		return nil, errors.New("serve: no sensitive attributes (set StoreConfig.Sensitive or schema roles)")
+	}
+	if err := d.Schema().CheckSensitive(cfg.Sensitive); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 10
@@ -209,9 +210,7 @@ func (s *Store) Audit(threshold int, maxNull float64, workers int, sp *trace.Spa
 	cov := core.CoverageRequirement{Attrs: s.cfg.Sensitive, Threshold: threshold}
 	comp := core.CompletenessRequirement{Sensitive: s.cfg.Sensitive, MaxNullRate: maxNull}
 	cs := sp.Child("audit.coverage")
-	s.walkMu.Lock()
 	covRes := cov.CheckSpace(s.space, workers, cs)
-	s.walkMu.Unlock()
 	cs.SetAttr("satisfied", boolAttr(covRes.Satisfied))
 	cs.End()
 	cc := sp.Child("audit.completeness")
