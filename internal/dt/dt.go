@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"redi/internal/dataset"
 	"redi/internal/obs"
@@ -71,12 +72,60 @@ func (s *DistSource) Probs() []float64 { return s.Dist.Probs() }
 type Strategy interface {
 	// Name identifies the strategy in experiment output.
 	Name() string
-	// Next returns the index of the source to query. need[g] is the
-	// remaining count for group g; step is the number of draws so far.
-	Next(need []int, step int) int
+	// Next returns the index of the source to query given what the run
+	// still needs; step is the number of draws so far.
+	Next(need *Need, step int) int
 	// Observe reports the outcome of a draw from source i.
 	Observe(source, group int)
 }
+
+// Need is what a run still has to collect: Count[g] is group g's remaining
+// count, and Open lists the groups whose count is positive, in ascending
+// order. Strategies range over Open rather than over every group, so a draw
+// costs O(open groups × sources) however many groups the sources label,
+// and they visit the (group, count) pairs in the same order a scan of Count
+// would. The engine advances a run's Need after each kept tuple; strategies
+// must not modify it.
+type Need struct {
+	Count []int
+	Open  []int
+}
+
+// newNeed copies counts into a Need. It holds the engine's one
+// negative-count check.
+func newNeed(counts []int) (*Need, error) {
+	// One allocation holds Count and, behind it, Open at its largest.
+	k := len(counts)
+	buf := make([]int, 2*k)
+	n := &Need{Count: buf[:k:k], Open: buf[k:k]}
+	copy(n.Count, counts)
+	for g, c := range counts {
+		if c < 0 {
+			return nil, errors.New("dt: negative need")
+		}
+		if c > 0 {
+			n.Open = append(n.Open, g)
+		}
+	}
+	return n, nil
+}
+
+// take counts one tuple of group g against the need and reports whether the
+// group still needed it. A group whose count reaches 0 leaves Open.
+func (n *Need) take(g int) bool {
+	if g < 0 || g >= len(n.Count) || n.Count[g] == 0 {
+		return false
+	}
+	n.Count[g]--
+	if n.Count[g] == 0 {
+		i, _ := slices.BinarySearch(n.Open, g)
+		n.Open = slices.Delete(n.Open, i, i+1)
+	}
+	return true
+}
+
+// met reports whether every count has reached 0.
+func (n *Need) met() bool { return len(n.Open) == 0 }
 
 // Result records one tailoring run.
 type Result struct {
@@ -91,10 +140,13 @@ type Result struct {
 	StepsCapped bool
 }
 
+// DefaultMaxDraws is the draw cap of an Engine whose MaxDraws is 0.
+const DefaultMaxDraws = 10_000_000
+
 // Engine runs strategies against sources.
 type Engine struct {
 	Sources []Source
-	// MaxDraws caps a run; 0 means 10^7.
+	// MaxDraws caps a run; 0 means DefaultMaxDraws.
 	MaxDraws int
 	// Obs receives the engine's operation counters (draws per source,
 	// collected per group, integer-milli cost). Nil falls back to the
@@ -134,65 +186,92 @@ func (e *Engine) observe(res *Result) {
 	}
 }
 
-// Run executes the strategy until every group's need is met or the draw cap
-// is reached. need is not modified. The returned Result reports the full
-// trace summary. It returns an error if there are no sources, needs and
-// sources disagree on the group count, or the strategy returns an invalid
-// source index.
-func (e *Engine) Run(s Strategy, need []int, r *rng.RNG) (*Result, error) {
+// start validates a run's sources and per-group counts and returns the
+// run's Need and an empty Result for the named strategy.
+func (e *Engine) start(name string, counts []int) (*Need, *Result, error) {
 	if len(e.Sources) == 0 {
-		return nil, errors.New("dt: no sources")
+		return nil, nil, errors.New("dt: no sources")
 	}
 	k := e.Sources[0].NumGroups()
 	for i, src := range e.Sources {
 		if src.NumGroups() != k {
-			return nil, fmt.Errorf("dt: source %d has %d groups, want %d", i, src.NumGroups(), k)
+			return nil, nil, fmt.Errorf("dt: source %d has %d groups, want %d", i, src.NumGroups(), k)
 		}
 	}
-	if len(need) != k {
-		return nil, fmt.Errorf("dt: need has %d groups, sources have %d", len(need), k)
+	if len(counts) != k {
+		return nil, nil, fmt.Errorf("dt: need has %d groups, sources have %d", len(counts), k)
 	}
-	cap := e.MaxDraws
-	if cap == 0 {
-		cap = 10_000_000
+	need, err := newNeed(counts)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	remaining := append([]int(nil), need...)
-	left := 0
-	for _, n := range remaining {
-		if n < 0 {
-			return nil, errors.New("dt: negative need")
-		}
-		left += n
-	}
-	res := &Result{
-		Strategy:   s.Name(),
+	return need, &Result{
+		Strategy:   name,
 		DrawsBySrc: make([]int, len(e.Sources)),
 		Collected:  make([]int, k),
 		RowsBySrc:  make([][]int, len(e.Sources)),
+	}, nil
+}
+
+// maxDraws returns the run's draw cap.
+func (e *Engine) maxDraws() int {
+	if e.MaxDraws == 0 {
+		return DefaultMaxDraws
 	}
-	for left > 0 {
+	return e.MaxDraws
+}
+
+// checkSource rejects a source index a strategy chose outside the engine's
+// sources.
+func (e *Engine) checkSource(strategy string, i int) error {
+	if i < 0 || i >= len(e.Sources) {
+		return fmt.Errorf("dt: strategy %s chose invalid source %d", strategy, i)
+	}
+	return nil
+}
+
+// pay records one draw from source i.
+func (res *Result) pay(i int, cost float64) {
+	res.Draws++
+	res.DrawsBySrc[i]++
+	res.TotalCost += cost
+}
+
+// keep records a kept tuple of group g drawn from source i; row-backed
+// sources add its row handle.
+func (res *Result) keep(i, g, row int) {
+	res.Collected[g]++
+	if row >= 0 {
+		res.RowsBySrc[i] = append(res.RowsBySrc[i], row)
+	}
+}
+
+// Run executes the strategy until every group's need is met or the draw cap
+// is reached. need is not modified. The returned Result reports the full
+// trace summary. It returns an error if there are no sources, needs and
+// sources disagree on the group count, a need is negative, or the strategy
+// returns an invalid source index.
+func (e *Engine) Run(s Strategy, need []int, r *rng.RNG) (*Result, error) {
+	left, res, err := e.start(s.Name(), need)
+	if err != nil {
+		return nil, err
+	}
+	cap := e.maxDraws()
+	for !left.met() {
 		if res.Draws >= cap {
 			res.StepsCapped = true
 			e.observe(res)
 			return res, nil
 		}
-		i := s.Next(remaining, res.Draws)
-		if i < 0 || i >= len(e.Sources) {
-			return nil, fmt.Errorf("dt: strategy %s chose invalid source %d", s.Name(), i)
+		i := s.Next(left, res.Draws)
+		if err := e.checkSource(s.Name(), i); err != nil {
+			return nil, err
 		}
 		g, row := e.Sources[i].Draw(r)
 		s.Observe(i, g)
-		res.Draws++
-		res.DrawsBySrc[i]++
-		res.TotalCost += e.Sources[i].Cost()
-		if g >= 0 && g < k && remaining[g] > 0 {
-			remaining[g]--
-			left--
-			res.Collected[g]++
-			if row >= 0 {
-				res.RowsBySrc[i] = append(res.RowsBySrc[i], row)
-			}
+		res.pay(i, e.Sources[i].Cost())
+		if left.take(g) {
+			res.keep(i, g, row)
 		} else {
 			res.Overflow++
 		}
@@ -208,26 +287,9 @@ func (e *Engine) Run(s Strategy, need []int, r *rng.RNG) (*Result, error) {
 // counts achieved; Fulfilled is true only when all needs were met within
 // budget.
 func (e *Engine) RunBudget(s Strategy, need []int, budget float64, r *rng.RNG) (*Result, error) {
-	if len(e.Sources) == 0 {
-		return nil, errors.New("dt: no sources")
-	}
-	k := e.Sources[0].NumGroups()
-	if len(need) != k {
-		return nil, fmt.Errorf("dt: need has %d groups, sources have %d", len(need), k)
-	}
-	remaining := append([]int(nil), need...)
-	left := 0
-	for _, n := range remaining {
-		if n < 0 {
-			return nil, errors.New("dt: negative need")
-		}
-		left += n
-	}
-	res := &Result{
-		Strategy:   s.Name(),
-		DrawsBySrc: make([]int, len(e.Sources)),
-		Collected:  make([]int, k),
-		RowsBySrc:  make([][]int, len(e.Sources)),
+	left, res, err := e.start(s.Name(), need)
+	if err != nil {
+		return nil, err
 	}
 	minCost := math.Inf(1)
 	for _, src := range e.Sources {
@@ -235,10 +297,10 @@ func (e *Engine) RunBudget(s Strategy, need []int, budget float64, r *rng.RNG) (
 			minCost = c
 		}
 	}
-	for left > 0 && res.TotalCost+minCost <= budget {
-		i := s.Next(remaining, res.Draws)
-		if i < 0 || i >= len(e.Sources) {
-			return nil, fmt.Errorf("dt: strategy %s chose invalid source %d", s.Name(), i)
+	for !left.met() && res.TotalCost+minCost <= budget {
+		i := s.Next(left, res.Draws)
+		if err := e.checkSource(s.Name(), i); err != nil {
+			return nil, err
 		}
 		if res.TotalCost+e.Sources[i].Cost() > budget {
 			// The chosen source is unaffordable; cheaper sources may
@@ -247,21 +309,14 @@ func (e *Engine) RunBudget(s Strategy, need []int, budget float64, r *rng.RNG) (
 		}
 		g, row := e.Sources[i].Draw(r)
 		s.Observe(i, g)
-		res.Draws++
-		res.DrawsBySrc[i]++
-		res.TotalCost += e.Sources[i].Cost()
-		if g >= 0 && g < k && remaining[g] > 0 {
-			remaining[g]--
-			left--
-			res.Collected[g]++
-			if row >= 0 {
-				res.RowsBySrc[i] = append(res.RowsBySrc[i], row)
-			}
+		res.pay(i, e.Sources[i].Cost())
+		if left.take(g) {
+			res.keep(i, g, row)
 		} else {
 			res.Overflow++
 		}
 	}
-	res.Fulfilled = left == 0
+	res.Fulfilled = left.met()
 	e.observe(res)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package dt
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"redi/internal/dataset"
@@ -118,15 +119,25 @@ func TestRatioCollBeatsRandom(t *testing.T) {
 	}
 }
 
+// needOf builds the Need a run over counts starts from.
+func needOf(t *testing.T, counts ...int) *Need {
+	t.Helper()
+	n, err := newNeed(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestCouponCollPrefersUsefulSource(t *testing.T) {
 	_, probs, _ := twoSources()
 	c := NewCouponColl(probs)
 	// Only group 1 needed: source 1 has higher P(group 1).
-	if got := c.Next([]int{0, 10}, 0); got != 1 {
+	if got := c.Next(needOf(t, 0, 10), 0); got != 1 {
 		t.Fatalf("CouponColl chose %d, want 1", got)
 	}
 	// Only group 0 needed: source 0 wins.
-	if got := c.Next([]int{10, 0}, 0); got != 0 {
+	if got := c.Next(needOf(t, 10, 0), 0); got != 0 {
 		t.Fatalf("CouponColl chose %d, want 0", got)
 	}
 }
@@ -136,7 +147,7 @@ func TestRatioCollFocusesHardGroup(t *testing.T) {
 	c := NewRatioColl(probs, costs)
 	// Group 1 is the hard group; cheapest per expected group-1 tuple:
 	// source 0: 1/0.05 = 20, source 1: 2/0.6 = 3.33 -> source 1.
-	if got := c.Next([]int{5, 5}, 0); got != 1 {
+	if got := c.Next(needOf(t, 5, 5), 0); got != 1 {
 		t.Fatalf("RatioColl chose %d, want 1", got)
 	}
 }
@@ -311,6 +322,21 @@ func TestPartitionedSourceEmpty(t *testing.T) {
 	}
 }
 
+// TestPartitionedSourceIndexLength: the source draws row handles from the
+// group index it shares, so an index over other rows is rejected.
+func TestPartitionedSourceIndexLength(t *testing.T) {
+	d := dataset.New(dataset.NewSchema(dataset.Attribute{Name: "g", Kind: dataset.Categorical}))
+	for _, v := range []string{"a", "b", "a"} {
+		d.MustAppendRow(dataset.Cat(v))
+	}
+	g := d.GroupBy("g")
+	d.MustAppendRow(dataset.Cat("b"))
+	_, err := NewPartitionedSource(d.Partitions(0), g, g.Keys(), 1)
+	if want := "dt: group index covers 3 rows, source has 4"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 func TestRunRange(t *testing.T) {
 	sources, probs, costs := twoSources()
 	e := &Engine{Sources: sources}
@@ -344,6 +370,50 @@ func TestRunRangeValidation(t *testing.T) {
 	}
 	if _, err := e.RunRange(NewRatioColl(probs, costs), []int{5}, []int{5}, rng.New(1)); err == nil {
 		t.Fatal("wrong group count accepted")
+	}
+	// A negative lower bound must not cancel another group's need.
+	if res, err := e.RunRange(NewRatioColl(probs, costs), []int{-5, 3}, []int{0, 3}, rng.New(1)); err == nil || err.Error() != "dt: negative need" {
+		t.Fatalf("negative lower bound: res = %+v, err = %v", res, err)
+	}
+}
+
+// TestNeedTracksOpenGroups: Open holds exactly the groups with a positive
+// count, ascending, as take counts tuples against them.
+func TestNeedTracksOpenGroups(t *testing.T) {
+	n := needOf(t, 0, 2, 0, 1, 3)
+	want := func(open ...int) {
+		t.Helper()
+		if !slices.Equal(n.Open, open) {
+			t.Fatalf("Open = %v, want %v (Count %v)", n.Open, open, n.Count)
+		}
+		for g, c := range n.Count {
+			if (c > 0) != slices.Contains(open, g) {
+				t.Fatalf("group %d has count %d but Open = %v", g, c, n.Open)
+			}
+		}
+	}
+	want(1, 3, 4)
+	for _, g := range []int{-1, 0, 2, 5} {
+		if n.take(g) {
+			t.Fatalf("take(%d) counted a group that needs nothing", g)
+		}
+	}
+	if !n.take(3) || n.take(3) {
+		t.Fatal("group 3 needed exactly one tuple")
+	}
+	want(1, 4)
+	n.take(4)
+	n.take(1)
+	n.take(1)
+	want(4)
+	n.take(4)
+	n.take(4)
+	want()
+	if !n.met() {
+		t.Fatal("need with no open group not met")
+	}
+	if _, err := newNeed([]int{1, -1}); err == nil || err.Error() != "dt: negative need" {
+		t.Fatalf("negative count: err = %v", err)
 	}
 }
 

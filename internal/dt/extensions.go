@@ -21,57 +21,29 @@ func (e *Engine) RunRange(s Strategy, lo, hi []int, r *rng.RNG) (*Result, error)
 			return nil, fmt.Errorf("dt: group %d has lo %d > hi %d", g, lo[g], hi[g])
 		}
 	}
-	if len(e.Sources) == 0 {
-		return nil, errors.New("dt: no sources")
+	left, res, err := e.start(s.Name(), lo)
+	if err != nil {
+		return nil, err
 	}
-	k := e.Sources[0].NumGroups()
-	if len(lo) != k {
-		return nil, fmt.Errorf("dt: need has %d groups, sources have %d", len(lo), k)
-	}
-	cap := e.MaxDraws
-	if cap == 0 {
-		cap = 10_000_000
-	}
-
-	remaining := append([]int(nil), lo...)
-	left := 0
-	for _, n := range remaining {
-		left += n
-	}
-	res := &Result{
-		Strategy:   s.Name(),
-		DrawsBySrc: make([]int, len(e.Sources)),
-		Collected:  make([]int, k),
-		RowsBySrc:  make([][]int, len(e.Sources)),
-	}
-	for left > 0 {
+	cap := e.maxDraws()
+	for !left.met() {
 		if res.Draws >= cap {
 			res.StepsCapped = true
 			return res, nil
 		}
-		i := s.Next(remaining, res.Draws)
-		if i < 0 || i >= len(e.Sources) {
-			return nil, fmt.Errorf("dt: strategy %s chose invalid source %d", s.Name(), i)
+		i := s.Next(left, res.Draws)
+		if err := e.checkSource(s.Name(), i); err != nil {
+			return nil, err
 		}
 		g, row := e.Sources[i].Draw(r)
 		s.Observe(i, g)
-		res.Draws++
-		res.DrawsBySrc[i]++
-		res.TotalCost += e.Sources[i].Cost()
+		res.pay(i, e.Sources[i].Cost())
 		switch {
-		case g >= 0 && g < k && remaining[g] > 0:
-			remaining[g]--
-			left--
-			res.Collected[g]++
-			if row >= 0 {
-				res.RowsBySrc[i] = append(res.RowsBySrc[i], row)
-			}
-		case g >= 0 && g < k && res.Collected[g] < hi[g]:
+		case left.take(g):
+			res.keep(i, g, row)
+		case g >= 0 && g < len(hi) && res.Collected[g] < hi[g]:
 			// Lower bound met but upper bound not reached: keep it.
-			res.Collected[g]++
-			if row >= 0 {
-				res.RowsBySrc[i] = append(res.RowsBySrc[i], row)
-			}
+			res.keep(i, g, row)
 		default:
 			res.Overflow++
 		}
@@ -156,10 +128,7 @@ func (e *Engine) RunMulti(name string, q *MultiQuery, choose MultiChooser, r *rn
 	if len(q.ComboValues) != k {
 		return nil, fmt.Errorf("dt: query has %d combos, sources have %d groups", len(q.ComboValues), k)
 	}
-	cap := e.MaxDraws
-	if cap == 0 {
-		cap = 10_000_000
-	}
+	cap := e.maxDraws()
 	remaining := make([][]int, len(q.Needs))
 	for a := range q.Needs {
 		remaining[a] = append([]int(nil), q.Needs[a]...)

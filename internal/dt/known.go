@@ -22,14 +22,12 @@ func (c *CouponColl) Name() string { return "CouponColl" }
 func (c *CouponColl) Observe(int, int) {}
 
 // Next implements Strategy.
-func (c *CouponColl) Next(need []int, _ int) int {
+func (c *CouponColl) Next(need *Need, _ int) int {
 	best, bestP := 0, -1.0
 	for i, p := range c.Probs {
 		hit := 0.0
-		for g, n := range need {
-			if n > 0 {
-				hit += p[g]
-			}
+		for _, g := range need.Open {
+			hit += p[g]
 		}
 		if hit > bestP {
 			best, bestP = i, hit
@@ -61,14 +59,11 @@ func (c *RatioColl) Name() string { return "RatioColl" }
 func (c *RatioColl) Observe(int, int) {}
 
 // Next implements Strategy.
-func (c *RatioColl) Next(need []int, _ int) int {
+func (c *RatioColl) Next(need *Need, _ int) int {
 	// Hardest group: largest remaining expected cost under its best
 	// source.
 	gStar, worst := -1, -1.0
-	for g, n := range need {
-		if n == 0 {
-			continue
-		}
+	for _, g := range need.Open {
 		best := math.Inf(1)
 		for i, p := range c.Probs {
 			if p[g] > 0 {
@@ -77,7 +72,7 @@ func (c *RatioColl) Next(need []int, _ int) int {
 				}
 			}
 		}
-		work := float64(n) * best
+		work := float64(need.Count[g]) * best
 		if work > worst {
 			gStar, worst = g, work
 		}

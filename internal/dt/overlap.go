@@ -83,7 +83,7 @@ func (s *UniverseSource) Probs() []float64 {
 // it can reason about duplicates across overlapping sources.
 type DedupStrategy interface {
 	Name() string
-	Next(need []int, step int) int
+	Next(need *Need, step int) int
 	// ObserveDraw reports a draw's source, group, universe id, and
 	// whether the tuple was fresh (not collected before).
 	ObserveDraw(source, group, id int, fresh bool)
@@ -94,40 +94,20 @@ type DedupStrategy interface {
 // from any source; repeats are overflow. The result's Collected counts
 // distinct useful tuples.
 func (e *Engine) RunDedup(s DedupStrategy, need []int, r *rng.RNG) (*Result, error) {
-	if len(e.Sources) == 0 {
-		return nil, errors.New("dt: no sources")
+	left, res, err := e.start(s.Name(), need)
+	if err != nil {
+		return nil, err
 	}
-	k := e.Sources[0].NumGroups()
-	if len(need) != k {
-		return nil, fmt.Errorf("dt: need has %d groups, sources have %d", len(need), k)
-	}
-	cap := e.MaxDraws
-	if cap == 0 {
-		cap = 10_000_000
-	}
-	remaining := append([]int(nil), need...)
-	left := 0
-	for _, n := range remaining {
-		if n < 0 {
-			return nil, errors.New("dt: negative need")
-		}
-		left += n
-	}
-	res := &Result{
-		Strategy:   s.Name(),
-		DrawsBySrc: make([]int, len(e.Sources)),
-		Collected:  make([]int, k),
-		RowsBySrc:  make([][]int, len(e.Sources)),
-	}
+	cap := e.maxDraws()
 	seen := map[int]bool{}
-	for left > 0 {
+	for !left.met() {
 		if res.Draws >= cap {
 			res.StepsCapped = true
 			return res, nil
 		}
-		i := s.Next(remaining, res.Draws)
-		if i < 0 || i >= len(e.Sources) {
-			return nil, fmt.Errorf("dt: strategy %s chose invalid source %d", s.Name(), i)
+		i := s.Next(left, res.Draws)
+		if err := e.checkSource(s.Name(), i); err != nil {
+			return nil, err
 		}
 		g, id := e.Sources[i].Draw(r)
 		fresh := !seen[id]
@@ -137,12 +117,8 @@ func (e *Engine) RunDedup(s DedupStrategy, need []int, r *rng.RNG) (*Result, err
 			seen[id] = true
 		}
 		s.ObserveDraw(i, g, id, fresh)
-		res.Draws++
-		res.DrawsBySrc[i]++
-		res.TotalCost += e.Sources[i].Cost()
-		if fresh && g >= 0 && g < k && remaining[g] > 0 {
-			remaining[g]--
-			left--
+		res.pay(i, e.Sources[i].Cost())
+		if fresh && left.take(g) {
 			res.Collected[g]++
 			res.RowsBySrc[i] = append(res.RowsBySrc[i], id)
 		} else {
@@ -202,14 +178,12 @@ func (c *OverlapAwareColl) ObserveDraw(_, _, id int, fresh bool) {
 }
 
 // Next implements DedupStrategy.
-func (c *OverlapAwareColl) Next(need []int, _ int) int {
+func (c *OverlapAwareColl) Next(need *Need, _ int) int {
 	best, bestScore := 0, -1.0
 	for i := range c.costs {
 		exp := 0.0
-		for g, n := range need {
-			if n > 0 {
-				exp += float64(c.fresh[i][g]) / float64(c.size[i])
-			}
+		for _, g := range need.Open {
+			exp += float64(c.fresh[i][g]) / float64(c.size[i])
 		}
 		score := exp / c.costs[i]
 		if score > bestScore {
@@ -228,7 +202,7 @@ type BlindAdapter struct{ S Strategy }
 func (b BlindAdapter) Name() string { return b.S.Name() + "(blind)" }
 
 // Next implements DedupStrategy.
-func (b BlindAdapter) Next(need []int, step int) int { return b.S.Next(need, step) }
+func (b BlindAdapter) Next(need *Need, step int) int { return b.S.Next(need, step) }
 
 // ObserveDraw implements DedupStrategy.
 func (b BlindAdapter) ObserveDraw(source, group, _ int, _ bool) { b.S.Observe(source, group) }

@@ -194,7 +194,7 @@ func TestBlindAdapterDelegates(t *testing.T) {
 	if b.Name() != "RandomColl(blind)" {
 		t.Fatalf("Name = %q", b.Name())
 	}
-	if i := b.Next([]int{1}, 0); i < 0 || i > 2 {
+	if i := b.Next(needOf(t, 1), 0); i < 0 || i > 2 {
 		t.Fatalf("Next = %d", i)
 	}
 	b.ObserveDraw(0, 0, 7, true) // must not panic

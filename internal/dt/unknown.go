@@ -23,7 +23,7 @@ func (c *RandomColl) Name() string { return "RandomColl" }
 func (c *RandomColl) Observe(int, int) {}
 
 // Next implements Strategy.
-func (c *RandomColl) Next([]int, int) int { return c.R.Intn(c.NumSources) }
+func (c *RandomColl) Next(*Need, int) int { return c.R.Intn(c.NumSources) }
 
 // estimates maintains per-source empirical group distributions with a
 // uniform Dirichlet prior so that unseen groups keep non-zero probability.
@@ -59,14 +59,11 @@ func (e *estimates) p(source, group int) float64 {
 }
 
 // usefulness scores a source against the current needs: the estimated
-// probability of drawing any still-needed group, with scarce groups
-// up-weighted by their remaining counts' share.
-func (e *estimates) usefulness(source int, need []int) float64 {
+// probability of drawing any still-needed group.
+func (e *estimates) usefulness(source int, need *Need) float64 {
 	u := 0.0
-	for g, n := range need {
-		if n > 0 {
-			u += e.p(source, g)
-		}
+	for _, g := range need.Open {
+		u += e.p(source, g)
 	}
 	return u
 }
@@ -98,7 +95,7 @@ func (c *EpsilonGreedy) Name() string { return "EpsilonGreedy" }
 func (c *EpsilonGreedy) Observe(source, group int) { c.est.observe(source, group) }
 
 // Next implements Strategy.
-func (c *EpsilonGreedy) Next(need []int, _ int) int {
+func (c *EpsilonGreedy) Next(need *Need, _ int) int {
 	if c.R.Bool(c.Eps) {
 		return c.R.Intn(len(c.Costs))
 	}
@@ -134,7 +131,7 @@ func (c *UCBColl) Name() string { return "UCBColl" }
 func (c *UCBColl) Observe(source, group int) { c.est.observe(source, group) }
 
 // Next implements Strategy.
-func (c *UCBColl) Next(need []int, step int) int {
+func (c *UCBColl) Next(need *Need, step int) int {
 	// Query each source once before trusting any estimate.
 	for i, n := range c.est.draws {
 		if n == 0 {

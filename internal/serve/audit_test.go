@@ -125,10 +125,26 @@ func TestAuditUnderIngest(t *testing.T) {
 		want[coldAudit(t, mirror, sens, 3, 0.1)] = true
 	}
 	svc := newTestService(t, seed, 2)
+	readUnderIngest(t, svc, bodies, readers, func() error {
+		if code, body := doReq(t, svc, "GET", path, ""); code != http.StatusOK || !want[body] {
+			return fmt.Errorf("audit under ingest: status %d, body matches no prefix of the batches: %s", code, body)
+		}
+		return nil
+	})
+	if _, got := doReq(t, svc, "GET", path, ""); got != coldAudit(t, mirror, sens, 3, 0.1) {
+		t.Fatalf("final audit differs from a cold rebuild:\n%s", got)
+	}
+}
+
+// readUnderIngest calls read in a loop from each of readers goroutines
+// while it posts the ingest bodies in order, and returns once every reader
+// has stopped. Every reader completes a read after the writer has started
+// and before it is halfway through, so each is unordered with the later
+// ingests. A read reports a wrong response as an error.
+func readUnderIngest(t *testing.T, svc *Service, bodies []string, readers int, read func() error) {
+	t.Helper()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Every reader completes an audit after the writer has started and
-	// before it finishes, so each is unordered with the later ingests.
 	started := make(chan struct{})
 	var midway sync.WaitGroup
 	midway.Add(readers)
@@ -144,9 +160,8 @@ func TestAuditUnderIngest(t *testing.T) {
 					return
 				default:
 				}
-				code, body := doReq(t, svc, "GET", path, "")
-				if code != http.StatusOK || !want[body] {
-					t.Errorf("audit under ingest: status %d, body matches no prefix of the batches: %s", code, body)
+				if err := read(); err != nil {
+					t.Error(err)
 					return
 				}
 				select {
@@ -159,7 +174,7 @@ func TestAuditUnderIngest(t *testing.T) {
 	}
 	close(started)
 	for k, body := range bodies {
-		if k == batches/2 {
+		if k == len(bodies)/2 {
 			midway.Wait()
 		}
 		if code, resp := doReq(t, svc, "POST", "/ingest", body); code != http.StatusOK {
@@ -169,9 +184,6 @@ func TestAuditUnderIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, got := doReq(t, svc, "GET", path, ""); got != coldAudit(t, mirror, sens, 3, 0.1) {
-		t.Fatalf("final audit differs from a cold rebuild:\n%s", got)
-	}
 }
 
 // TestConcurrentAudits: audits walk the resident coverage space at the

@@ -13,6 +13,7 @@ import (
 
 	"redi/internal/colfile"
 	"redi/internal/dataset"
+	"redi/internal/dt"
 	"redi/internal/expr"
 	"redi/internal/obs"
 	"redi/internal/trace"
@@ -286,6 +287,11 @@ func (s *Service) handleTailor(w http.ResponseWriter, r *http.Request, sp *trace
 			return badRequest("negative count for group %q", k)
 		}
 		need[dataset.GroupKey(k)] = n
+	}
+	// A run holds the store's read lock, so ingest waits behind it: the
+	// draw budget may not exceed the engine's default cap.
+	if req.MaxDraws < 0 || req.MaxDraws > dt.DefaultMaxDraws {
+		return badRequest("max_draws %d outside [0, %d]", req.MaxDraws, dt.DefaultMaxDraws)
 	}
 	seed := req.Seed
 	if seed == 0 {
