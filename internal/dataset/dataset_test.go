@@ -3,6 +3,7 @@ package dataset
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"redi/internal/rng"
 )
@@ -246,6 +247,32 @@ func TestDictAddAfterNewDict(t *testing.T) {
 	}
 	if vals := d.Values(); len(vals) != 3 {
 		t.Fatalf("Values = %v, want [white black asian]", vals)
+	}
+}
+
+// TestDictCopiesInsertedValues: a value cut from a longer string, as
+// encoding/csv cuts every field from one string per record, is stored as a
+// copy, so the dictionary does not keep the whole record alive.
+func TestDictCopiesInsertedValues(t *testing.T) {
+	record := strings.Repeat("x", 64) + "hispanic" + strings.Repeat("y", 64)
+	field := record[64:72]
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(record)))
+	shares := func(v string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(v)))
+		return p >= lo && p < lo+uintptr(len(record))
+	}
+	if !shares(field) {
+		t.Fatal("fixture: the field does not share the record's bytes")
+	}
+	var d Dict
+	code := d.Add(field)
+	if v := d.Values()[code]; v != "hispanic" || shares(v) {
+		t.Fatalf("Add stored %q in the record's bytes", v)
+	}
+	ds := New(NewSchema(Attribute{Name: "race", Kind: Categorical}))
+	ds.MustAppendRow(Cat(field))
+	if v := ds.Row(0)[0].Cat; v != "hispanic" || shares(v) {
+		t.Fatalf("AppendRow stored %q in the record's bytes", v)
 	}
 }
 

@@ -1,6 +1,9 @@
 package dataset
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Dict is the append-only value↔code binding of a categorical column: value
 // i has code i, and a code keeps its meaning once assigned. Every holder of
@@ -39,7 +42,9 @@ func (d *Dict) Add(s string) int32 {
 }
 
 // insert appends s, which the owner has just looked up and not found —
-// unless the index was not built yet.
+// unless the index was not built yet. It keeps a copy of s: a value cut
+// from a longer string, such as a field of a CSV record, would otherwise
+// keep the whole string alive for as long as the dictionary.
 func (d *Dict) insert(s string) int32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -49,6 +54,7 @@ func (d *Dict) insert(s string) int32 {
 			return code
 		}
 	}
+	s = strings.Clone(s)
 	code := int32(len(d.vals))
 	d.vals = append(d.vals, s)
 	d.index[s] = code
