@@ -316,6 +316,9 @@ func cmdLabel(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("label needs exactly one CSV file")
 	}
+	if *threshold < 0 {
+		return fmt.Errorf("-threshold %d must be at least 1, or 0 for auto", *threshold)
+	}
 	schema, err := parseSchema(*schemaSpec)
 	if err != nil {
 		return err

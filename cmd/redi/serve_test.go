@@ -123,7 +123,8 @@ func TestCmdSensitiveAttrErrors(t *testing.T) {
 }
 
 // TestCmdThresholdBound: audit and serve reject a coverage -threshold below
-// 1, which every pattern meets, with an error naming the flag.
+// 1, which every pattern meets, with an error naming the flag; label, whose
+// 0 means auto, rejects a negative one.
 func TestCmdThresholdBound(t *testing.T) {
 	d := synth.Generate(synth.DefaultPopulation(200), rng.New(5)).Data
 	csvPath := writeTempCSV(t, d)
@@ -141,5 +142,9 @@ func TestCmdThresholdBound(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Fatalf("serve -threshold %s: err = %v, want %q", bad, err, want)
 		}
+	}
+	want := "-threshold -5 must be at least 1, or 0 for auto"
+	if err := cmdLabel([]string{"-schema", popSchema, "-threshold", "-5", csvPath}); err == nil || err.Error() != want {
+		t.Fatalf("label -threshold -5: err = %v, want %q", err, want)
 	}
 }
