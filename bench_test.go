@@ -169,6 +169,49 @@ func BenchmarkDTDraw(b *testing.B) {
 	}
 }
 
+// BenchmarkDTDrawManyGroups measures tailoring shaped like a /tailor
+// request: one source over 240 intersectional groups (the product of four
+// skewed marginals), RatioColl, and a need of the rarest group plus two
+// common ones, so thousands of draws pass while one to three groups are
+// open. It reports ns per draw.
+func BenchmarkDTDrawManyGroups(b *testing.B) {
+	probs := []float64{1}
+	for _, marginal := range [][]float64{
+		{0.64, 0.18, 0.12, 0.06},
+		{0.5, 0.5},
+		{0.12, 0.2, 0.2, 0.18, 0.17, 0.13},
+		{0.36, 0.22, 0.2, 0.18, 0.04},
+	} {
+		next := make([]float64, 0, len(probs)*len(marginal))
+		for _, p := range probs {
+			for _, q := range marginal {
+				next = append(next, p*q)
+			}
+		}
+		probs = next
+	}
+	need := make([]int, len(probs))
+	rarest := 0
+	for g, p := range probs {
+		if p < probs[rarest] {
+			rarest = g
+		}
+	}
+	need[rarest], need[0], need[100] = 2, 30, 10
+	e := &dt.Engine{Sources: []dt.Source{dt.NewDistSource(probs, 1)}}
+	draws := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Run(dt.NewRatioColl([][]float64{probs}, []float64{1}), need, rng.New(uint64(i)))
+		if err != nil || !res.Fulfilled {
+			b.Fatalf("run: %v, %+v", err, res)
+		}
+		draws += res.Draws
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(draws), "ns/draw")
+}
+
 // BenchmarkMUPs measures pattern-breaker MUP enumeration on a 5-attribute
 // dataset.
 func BenchmarkMUPs(b *testing.B) {

@@ -2,8 +2,10 @@ package redi
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 
@@ -160,6 +162,65 @@ type discardWriter struct {
 func (w *discardWriter) Header() http.Header         { return w.hdr }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 func (w *discardWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+
+// BenchmarkServeTailor drives /tailor through the full service stack over
+// 50k resident rows with 240 intersectional groups, as redibench's
+// serve-audit workload does: each request asks for 5 to 60 rows of one
+// group from the rarest quarter and of up to three more, never more than
+// half a group's rows.
+func BenchmarkServeTailor(b *testing.B) {
+	pop := synth.Generate(synth.PopulationConfig{
+		Rows: 50000,
+		Sensitive: []synth.SensitiveAttr{
+			{Name: "race", Values: []string{"white", "black", "hispanic", "asian"}, Weights: []float64{0.64, 0.18, 0.12, 0.06}},
+			{Name: "sex", Values: []string{"F", "M"}, Weights: []float64{0.5, 0.5}},
+			{Name: "age_band", Values: []string{"18-24", "25-34", "35-44", "45-54", "55-64", "65+"}, Weights: []float64{0.12, 0.2, 0.2, 0.18, 0.17, 0.13}},
+			{Name: "region", Values: []string{"south", "midwest", "northeast", "west", "territories"}, Weights: []float64{0.36, 0.22, 0.2, 0.18, 0.04}},
+		},
+		Features:    4,
+		GroupEffect: 1,
+		LabelNoise:  0.05,
+	}, rng.New(1))
+	svc, err := serve.NewService(pop.Data, serve.Config{StoreConfig: serve.StoreConfig{Threshold: 25}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	groups := pop.Data.GroupBy(pop.SensitiveNames...)
+	byCount := make([]int, groups.NumGroups())
+	for g := range byCount {
+		byCount[g] = g
+	}
+	sort.SliceStable(byCount, func(i, j int) bool { return groups.Counts[byCount[i]] < groups.Counts[byCount[j]] })
+	r := rng.New(2)
+	bodies := make([]string, 16)
+	for i := range bodies {
+		need := map[dataset.GroupKey]int{}
+		ask := func(g int) { need[groups.Key(g)] = max(1, min(5+r.Intn(56), groups.Counts[g]/2)) }
+		ask(byCount[r.Intn((len(byCount)+3)/4)])
+		for k := r.Intn(4); k > 0; k-- {
+			ask(r.Intn(len(byCount)))
+		}
+		body, err := json.Marshal(map[string]any{"need": need, "seed": 1 + r.Intn(1000)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = string(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, err := http.NewRequest("POST", "http://bench/tailor", strings.NewReader(bodies[i%len(bodies)]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := &discardWriter{code: http.StatusOK, hdr: http.Header{}}
+		svc.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("tailor status %d: %s", w.code, w.buf.String())
+		}
+	}
+}
 
 // BenchmarkServeAuditP99 drives /audit through the full service stack —
 // admission queue, handler, incremental coverage walk — and reports the
