@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"redi/internal/rng"
@@ -72,6 +73,54 @@ func TestCmdConvertErrors(t *testing.T) {
 	}
 	if err := cmdConvert([]string{"-schema", "bad", "-out", out, path}); err == nil {
 		t.Fatal("bad schema accepted")
+	}
+}
+
+// TestCmdConvertIsAtomic: a convert that fails part-way, here on a bad
+// number after several partitions were written, leaves no file at a new
+// -out path and leaves a file already at -out byte for byte as it was, with
+// no temporary file behind in either case.
+func TestCmdConvertIsAtomic(t *testing.T) {
+	d := synth.Generate(synth.DefaultPopulation(600), rng.New(16)).Data
+	good := writeTempCSV(t, d)
+	b, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(b), "\n")
+	fields := strings.Split(lines[500], ",")
+	fields[3] = "not-a-number"
+	lines[500] = strings.Join(fields, ",")
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh.col")
+	err = cmdConvert([]string{"-schema", popSchema, "-partrows", "64", "-out", fresh, bad})
+	if err == nil || !strings.Contains(err.Error(), "line 501,") {
+		t.Fatalf("bad CSV converted: %v", err)
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Fatalf("failed convert left a file at a new -out path: %v", err)
+	}
+	existing := filepath.Join(dir, "existing.col")
+	if err := cmdConvert([]string{"-schema", popSchema, "-partrows", "64", "-out", existing, good}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(existing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdConvert([]string{"-schema", popSchema, "-partrows", "64", "-out", existing, bad}); err == nil {
+		t.Fatal("bad CSV converted")
+	}
+	if after, err := os.ReadFile(existing); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed convert changed the file at -out (%d -> %d bytes, %v)", len(before), len(after), err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after the converts, want only existing.col (%v)", len(entries), err)
 	}
 }
 

@@ -3,9 +3,10 @@
 // values (float64), and validity bitmaps laid out as 64-bit words, so the
 // internal/bitmap kernels and the predicate VM's fill kernels run directly
 // on mapped pages with zero copies. A file is written once by Writer (or
-// ConvertCSV, which streams rows and never materializes the dataset) and
-// read by Open, which maps the body with syscall.Mmap where available and
-// falls back to a portable read-at pager otherwise.
+// ConvertCSV, which decodes the CSV a partition at a time and never
+// materializes the dataset) and read by Open, which maps the body with
+// syscall.Mmap where available and falls back to a portable read-at pager
+// otherwise.
 //
 // # File layout (version 1, little-endian)
 //

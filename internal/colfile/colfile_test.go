@@ -202,11 +202,57 @@ func TestWriterRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(dataset.Cat("a")); err == nil {
-		t.Fatal("short row accepted")
+	other := dataset.New(dataset.NewSchema(dataset.Attribute{Name: "g", Kind: dataset.Categorical}))
+	other.MustAppendRow(dataset.Cat("a"))
+	if err := w.AppendDataset(other); err == nil {
+		t.Fatal("schema mismatch accepted")
 	}
-	if err := w.Append(dataset.Num(1), dataset.Cat("a"), dataset.Num(1), dataset.Num(1)); err == nil {
-		t.Fatal("kind mismatch accepted")
+	d := buildTestData(rng.New(1), 65)
+	if err := w.AppendDataset(d.Head(64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendDataset(buildTestData(rng.New(2), 64)); err == nil {
+		t.Fatal("rows with another dictionary accepted")
+	}
+	if err := w.AppendDataset(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendDataset(d.Head(64)); err == nil {
+		t.Fatal("append after a partial partition accepted")
+	}
+}
+
+// TestWriterRenumbersFirstAppearance: the file dictionary lists values in
+// the order the rows first show them, not in the source dictionary's order,
+// so a file of reordered rows is coded as if its rows had been read in that
+// order.
+func TestWriterRenumbersFirstAppearance(t *testing.T) {
+	d := buildTestData(rng.New(15), 300)
+	idx := make([]int, d.NumRows())
+	for i := range idx {
+		idx[i] = len(idx) - 1 - i
+	}
+	rev := d.Gather(idx)
+	path := filepath.Join(t.TempDir(), "r.redic")
+	if err := WriteDataset(rev, path, WriterOptions{PartRows: 64}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := f.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	checkFileMatches(t, f, rev)
+	for i := 0; i < 2; i++ {
+		fd, n := f.Dict(i)
+		_, srcDict := rev.Codes(f.Schema().Attr(i).Name)
+		if got, want := fmt.Sprint(fd.Values()[:n]), fmt.Sprint(rev.Domain(f.Schema().Attr(i).Name)); got != want || i == 0 && got == fmt.Sprint(srcDict) {
+			t.Fatalf("column %d dictionary %s, want first-appearance order %s (source order %v)", i, got, want, srcDict)
+		}
 	}
 }
 

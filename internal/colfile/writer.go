@@ -2,11 +2,12 @@ package colfile
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 
-	"redi/internal/bitmap"
 	"redi/internal/dataset"
 )
 
@@ -18,25 +19,21 @@ type WriterOptions struct {
 	PartRows int
 }
 
-// Writer streams rows into a column file. It buffers exactly one partition
-// in memory (PartRows rows of typed column buffers) plus the per-column
-// global dictionaries, so peak memory is independent of the number of rows
-// written. Rows are encoded in append order; dictionaries grow in
-// first-appearance order, matching how an in-memory Dataset built from the
-// same row stream assigns its codes.
+// Writer writes a column file, one partition at a time. Each append writes
+// its rows as partitions of PartRows rows straight from the dataset's
+// column storage, so the writer buffers no rows; besides the appended
+// dataset it holds the file's dictionaries. Categorical codes are
+// renumbered into one dictionary per column in first-appearance order,
+// matching how an in-memory Dataset built from the same row stream assigns
+// its codes.
 type Writer struct {
 	w        *bufio.Writer
 	f        *os.File
 	schema   *dataset.Schema
 	partRows int
 
-	// one-partition column buffers (nil entries for the other kind)
-	catBuf   [][]int32
-	numBuf   [][]float64
-	validBuf [][]uint64
-	bufRows  int
-
-	dicts []*dataset.Dict // per categorical column; the writer owns them
+	dicts []fileDict // per column; unused for numeric columns
+	codes []int32    // one partition's renumbered codes
 
 	off     uint64
 	numRows int
@@ -44,6 +41,14 @@ type Writer struct {
 
 	err    error
 	closed bool
+}
+
+// fileDict is a categorical column's file dictionary and the translation
+// into it from the codes of src, the dictionary every append's rows use.
+type fileDict struct {
+	vals []string
+	src  *dataset.Dict
+	to   []int32 // file code of each src code; -1 until its first appearance
 }
 
 // NewWriter starts a column file on f, which must be positioned at offset
@@ -65,19 +70,7 @@ func NewWriter(f *os.File, schema *dataset.Schema, opts WriterOptions) (*Writer,
 		f:        f,
 		schema:   schema,
 		partRows: partRows,
-		catBuf:   make([][]int32, schema.Len()),
-		numBuf:   make([][]float64, schema.Len()),
-		validBuf: make([][]uint64, schema.Len()),
-		dicts:    make([]*dataset.Dict, schema.Len()),
-	}
-	for i := 0; i < schema.Len(); i++ {
-		if schema.Attr(i).Kind == dataset.Categorical {
-			w.catBuf[i] = make([]int32, 0, partRows)
-			w.dicts[i] = new(dataset.Dict)
-		} else {
-			w.numBuf[i] = make([]float64, 0, partRows)
-			w.validBuf[i] = make([]uint64, bitmap.WordsFor(partRows))
-		}
+		dicts:    make([]fileDict, schema.Len()),
 	}
 	// Reserve the header page; the real header lands in Close via WriteAt.
 	if err := w.pad(pageAlign); err != nil {
@@ -86,69 +79,48 @@ func NewWriter(f *os.File, schema *dataset.Schema, opts WriterOptions) (*Writer,
 	return w, nil
 }
 
-// Append buffers one row, flushing a full partition to disk. Values must
-// match the schema's kinds (or be null), as in Dataset.AppendRow.
-func (w *Writer) Append(vals ...dataset.Value) error {
+// AppendDataset appends d's rows, which must have the writer's schema, as
+// partitions of PartRows rows. Successive appends must share their
+// categorical dictionaries, as the chunks of one decode
+// (dataset.ReadCSVChunks) do. Only the last append may end in a partial
+// partition: once one has, a further append fails.
+func (w *Writer) AppendDataset(d *dataset.Dataset) error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.closed {
 		return fmt.Errorf("colfile: append after Close")
 	}
-	if len(vals) != w.schema.Len() {
-		return fmt.Errorf("colfile: row has %d values, schema has %d attributes", len(vals), w.schema.Len())
+	if !d.Schema().Equal(w.schema) {
+		return fmt.Errorf("colfile: schema mismatch: %v vs %v", d.Schema(), w.schema)
 	}
-	for i, v := range vals {
-		attr := w.schema.Attr(i)
-		if !v.Null && v.Kind != attr.Kind {
-			return fmt.Errorf("colfile: attribute %q: appending %s value to %s column", attr.Name, v.Kind, attr.Kind)
+	if d.NumRows() == 0 {
+		return nil
+	}
+	if w.numRows%w.partRows != 0 {
+		return fmt.Errorf("colfile: append after a partial partition")
+	}
+	src := d.Partitions(w.partRows).Source()
+	for i := range w.dicts {
+		if dict, _ := src.Dict(i); w.dicts[i].src != nil && dict != w.dicts[i].src {
+			return fmt.Errorf("colfile: attribute %q: appended rows use another dictionary than earlier appends", w.schema.Attr(i).Name)
 		}
 	}
-	for i, v := range vals {
-		if w.schema.Attr(i).Kind == dataset.Categorical {
-			if v.Null {
-				w.catBuf[i] = append(w.catBuf[i], -1)
-				continue
-			}
-			w.catBuf[i] = append(w.catBuf[i], w.dicts[i].Add(v.Cat))
-		} else {
-			r := w.bufRows
-			if v.Null {
-				w.numBuf[i] = append(w.numBuf[i], 0)
-			} else {
-				w.numBuf[i] = append(w.numBuf[i], v.Num)
-				w.validBuf[i][r/64] |= 1 << (uint(r) % 64)
-			}
-		}
-	}
-	w.bufRows++
-	w.numRows++
-	if w.bufRows == w.partRows {
-		return w.flushPartition()
-	}
-	return nil
-}
-
-// AppendDatasetRows streams every row of d through Append.
-func (w *Writer) AppendDatasetRows(d *dataset.Dataset) error {
-	for r := 0; r < d.NumRows(); r++ {
-		if err := w.Append(d.Row(r)...); err != nil {
+	for p := 0; p < src.NumPartitions(); p++ {
+		if err := w.writePartition(src, p); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// flushPartition writes the buffered rows as one page-aligned partition
+// writePartition writes partition p of src as the file's next partition
 // and records its blob offsets and present-code sets for the footer.
-func (w *Writer) flushPartition() error {
-	rows := w.bufRows
-	if rows == 0 {
-		return nil
-	}
+func (w *Writer) writePartition(src dataset.PartitionSource, p int) error {
 	if err := w.pad(alignUp(w.off, pageAlign) - w.off); err != nil {
 		return err
 	}
+	rows := src.PartitionRows(p)
 	pm := partMeta{
 		rows:    rows,
 		cols:    make([]colMeta, w.schema.Len()),
@@ -156,28 +128,16 @@ func (w *Writer) flushPartition() error {
 	}
 	for i := 0; i < w.schema.Len(); i++ {
 		if w.schema.Attr(i).Kind == dataset.Categorical {
-			off, err := w.blob(int32Bytes(w.catBuf[i]))
+			dict, n := src.Dict(i)
+			w.codes, pm.present[i] = w.dicts[i].renumber(dict, n, src.PartitionCatCodes(p, i), w.codes[:0])
+			off, err := w.blob(int32Bytes(w.codes))
 			if err != nil {
 				return err
 			}
 			pm.cols[i].off = off
-			seen := make([]bool, len(w.dicts[i].Values()))
-			for _, code := range w.catBuf[i] {
-				if code >= 0 {
-					seen[code] = true
-				}
-			}
-			var present []int32
-			for code, ok := range seen {
-				if ok {
-					present = append(present, int32(code))
-				}
-			}
-			pm.present[i] = present
-			w.catBuf[i] = w.catBuf[i][:0]
 		} else {
-			valid := w.validBuf[i][:bitmap.WordsFor(rows)]
-			valsOff, err := w.blob(float64Bytes(w.numBuf[i]))
+			vals, valid := src.PartitionNumValues(p, i)
+			valsOff, err := w.blob(float64Bytes(vals))
 			if err != nil {
 				return err
 			}
@@ -187,15 +147,46 @@ func (w *Writer) flushPartition() error {
 			}
 			pm.cols[i].off = valsOff
 			pm.cols[i].validityOff = validOff
-			w.numBuf[i] = w.numBuf[i][:0]
-			for j := range w.validBuf[i] {
-				w.validBuf[i][j] = 0
-			}
 		}
 	}
 	w.parts = append(w.parts, pm)
-	w.bufRows = 0
+	w.numRows += rows
 	return nil
+}
+
+// renumber appends to out the file codes of codes, which index the first n
+// values of dict, giving each value new to the file the next code. It
+// returns out and the sorted file codes present in it.
+func (fd *fileDict) renumber(dict *dataset.Dict, n int, codes, out []int32) ([]int32, []int32) {
+	fd.src = dict
+	vals := dict.Values()
+	for len(fd.to) < n {
+		fd.to = append(fd.to, -1)
+	}
+	for _, c := range codes {
+		if c < 0 {
+			out = append(out, -1)
+			continue
+		}
+		if fd.to[c] < 0 {
+			fd.to[c] = int32(len(fd.vals))
+			fd.vals = append(fd.vals, vals[c])
+		}
+		out = append(out, fd.to[c])
+	}
+	seen := make([]bool, len(fd.vals))
+	for _, c := range out {
+		if c >= 0 {
+			seen[c] = true
+		}
+	}
+	var present []int32
+	for code, ok := range seen {
+		if ok {
+			present = append(present, int32(code))
+		}
+	}
+	return out, present
 }
 
 // blob writes b at the next 64-byte boundary and returns its offset.
@@ -235,9 +226,9 @@ func (w *Writer) write(b []byte) error {
 	return w.err
 }
 
-// Close flushes the final partial partition, writes the footer, and
-// rewrites the header with the final geometry. The file is not valid until
-// Close returns nil. Close does not close the underlying *os.File.
+// Close writes the footer and rewrites the header with the final
+// geometry. The file is not valid until Close returns nil. Close does not
+// close the underlying *os.File.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
@@ -246,14 +237,9 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.flushPartition(); err != nil {
-		return err
-	}
 	ft := footer{schema: w.schema, dicts: make([][]string, len(w.dicts)), parts: w.parts}
 	for i, d := range w.dicts {
-		if d != nil {
-			ft.dicts[i] = d.Values()
-		}
+		ft.dicts[i] = d.vals
 	}
 	ftBytes := ft.encode()
 	footerOff := alignUp(w.off, blobAlign)
@@ -283,51 +269,65 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// ConvertCSV streams a CSV with a header row into a column file at path.
-// Memory stays bounded by one partition of column buffers plus the global
-// dictionaries — the full dataset is never materialized, so inputs far
-// larger than RAM convert fine (dictionaries are the only state that grows
-// with distinct-value count).
-func ConvertCSV(r io.Reader, schema *dataset.Schema, path string, opts WriterOptions) (err error) {
-	f, err := os.Create(path)
+// ConvertCSV streams a CSV with a header row into a column file at path. It
+// decodes one partition of rows at a time (dataset.ReadCSVChunks), so
+// memory stays bounded by one partition of column storage plus the
+// dictionaries, whatever the input's length. The file is replaced
+// atomically, as by WriteDataset.
+func ConvertCSV(r io.Reader, schema *dataset.Schema, path string, opts WriterOptions) error {
+	return writeFile(path, schema, opts, func(w *Writer) error {
+		return dataset.ReadCSVChunks(r, schema, w.partRows, w.AppendDataset)
+	})
+}
+
+// WriteDataset writes an in-memory dataset to a column file at path — the
+// test and benchmark helper for building files from synthesized data.
+func WriteDataset(d *dataset.Dataset, path string, opts WriterOptions) error {
+	return writeFile(path, d.Schema(), opts, func(w *Writer) error { return w.AppendDataset(d) })
+}
+
+// writeFile writes a column file through fill into a new file next to path
+// and renames it over path once it is complete. On failure it removes that
+// file: nothing is left at a new path, and a file already at path stays as
+// it was.
+func writeFile(path string, schema *dataset.Schema, opts WriterOptions, fill func(*Writer) error) (err error) {
+	f, err := createTemp(path)
 	if err != nil {
 		return fmt.Errorf("colfile: creating %s: %w", path, err)
 	}
 	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("colfile: closing %s: %w", path, cerr)
+		if err != nil {
+			_ = f.Close() // a second Close after a failed rename only reports that
+			_ = os.Remove(f.Name())
 		}
 	}()
 	w, err := NewWriter(f, schema, opts)
 	if err != nil {
 		return err
 	}
-	if err := dataset.ScanCSV(r, schema, func(row []dataset.Value) error {
-		return w.Append(row...)
-	}); err != nil {
+	if err := fill(w); err != nil {
 		return err
 	}
-	return w.Close()
+	if err := w.Close(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("colfile: closing %s: %w", path, err)
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return fmt.Errorf("colfile: %w", err)
+	}
+	return nil
 }
 
-// WriteDataset writes an in-memory dataset to a column file at path — the
-// test and benchmark helper for building files from synthesized data.
-func WriteDataset(d *dataset.Dataset, path string, opts WriterOptions) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("colfile: creating %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("colfile: closing %s: %w", path, cerr)
+// createTemp creates a new, empty file next to path, with the permissions
+// os.Create would give path itself.
+func createTemp(path string) (*os.File, error) {
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), i)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
 		}
-	}()
-	w, err := NewWriter(f, d.Schema(), opts)
-	if err != nil {
-		return err
 	}
-	if err := w.AppendDatasetRows(d); err != nil {
-		return err
-	}
-	return w.Close()
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"strings"
 
 	"redi/internal/bitmap"
 )
@@ -82,8 +83,8 @@ func (c *catColumn) lookup(s string) (int32, bool) {
 	return code, ok && int(code) < len(c.vals)
 }
 
-// code returns the code of s, adding s to the dictionary when this column
-// does not see it yet.
+// code returns the code of s, adding a copy of s to the dictionary when
+// this column does not see it yet.
 func (c *catColumn) code(s string) int32 {
 	if code, ok := c.lookup(s); ok {
 		return code
@@ -91,7 +92,22 @@ func (c *catColumn) code(s string) int32 {
 	if !c.owner {
 		c.dict, c.owner = ownedDict(c.vals), true
 	}
-	code := c.dict.insert(s)
+	code := c.dict.insert(strings.Clone(s))
+	c.vals = c.dict.vals
+	return code
+}
+
+// codeOf returns the code of the value b spells, as code does, making a
+// string only for a value new to the dictionary: the CSV decoder's path,
+// which looks fields up in place.
+func (c *catColumn) codeOf(b []byte) int32 {
+	if !c.owner {
+		return c.code(string(b))
+	}
+	if code, ok := c.dict.index[string(b)]; ok {
+		return code
+	}
+	code := c.dict.insert(string(b))
 	c.vals = c.dict.vals
 	return code
 }

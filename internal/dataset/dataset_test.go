@@ -250,9 +250,9 @@ func TestDictAddAfterNewDict(t *testing.T) {
 	}
 }
 
-// TestDictCopiesInsertedValues: a value cut from a longer string, as
-// encoding/csv cuts every field from one string per record, is stored as a
-// copy, so the dictionary does not keep the whole record alive.
+// TestDictCopiesInsertedValues: a value cut from a longer string, such as a
+// field of a CSV record, is stored as a copy, so the dictionary does not
+// keep the whole record alive.
 func TestDictCopiesInsertedValues(t *testing.T) {
 	record := strings.Repeat("x", 64) + "hispanic" + strings.Repeat("y", 64)
 	field := record[64:72]

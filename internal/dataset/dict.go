@@ -31,20 +31,21 @@ type Dict struct {
 // or Add, so a dictionary no literal is ever bound against is never indexed.
 func NewDict(vals []string) *Dict { return &Dict{vals: vals} }
 
-// Add returns the code of s, appending s when it is absent. Only the
-// dictionary's owner may call Add, and only from one goroutine at a time; it
-// takes the lock only to insert.
+// Add returns the code of s, appending a copy of s when it is absent. Only
+// the dictionary's owner may call Add, and only from one goroutine at a
+// time; it takes the lock only to insert.
 func (d *Dict) Add(s string) int32 {
 	if code, ok := d.index[s]; ok {
 		return code
 	}
-	return d.insert(s)
+	return d.insert(strings.Clone(s))
 }
 
 // insert appends s, which the owner has just looked up and not found —
-// unless the index was not built yet. It keeps a copy of s: a value cut
-// from a longer string, such as a field of a CSV record, would otherwise
-// keep the whole string alive for as long as the dictionary.
+// unless the index was not built yet. s must be a string of its own: a
+// value cut from a longer string, such as a field of a CSV record, would
+// keep the whole string alive for as long as the dictionary, so callers
+// pass a copy.
 func (d *Dict) insert(s string) int32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -54,7 +55,6 @@ func (d *Dict) insert(s string) int32 {
 			return code
 		}
 	}
-	s = strings.Clone(s)
 	code := int32(len(d.vals))
 	d.vals = append(d.vals, s)
 	d.index[s] = code

@@ -242,6 +242,18 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Fatalf("ReadCSV(%s) succeeded", name)
 		}
 	}
+	// A bad value is reported on the line its record starts on: a skipped
+	// blank line and a quoted field that spans lines both count.
+	gv := NewSchema(Attribute{Name: "g", Kind: Categorical}, Attribute{Name: "v", Kind: Numeric})
+	const want = `dataset: line 4, attribute "v": strconv.ParseFloat: parsing "x": invalid syntax`
+	for name, input := range map[string]string{
+		"after a blank line":       "g,v\na,1\n\nb,x\n",
+		"after a multi-line field": "g,v\n\"a\nb\",1\nc,x\n",
+	} {
+		if _, err := ReadCSV(strings.NewReader(input), gv); err == nil || err.Error() != want {
+			t.Fatalf("ReadCSV(%s): %v, want %s", name, err, want)
+		}
+	}
 }
 
 // Property: for random small tables, Select(p) + Select(Not(p)) partition
@@ -286,8 +298,8 @@ func TestCSVRoundTripProperty(t *testing.T) {
 				sv = NullValue(Categorical)
 			}
 			if strings.ContainsRune(cells[i], '\r') {
-				// encoding/csv normalizes \r\n inside quoted fields
-				// on read; carriage returns are legitimately lossy.
+				// CSV reading normalizes \r\n inside quoted fields;
+				// carriage returns are legitimately lossy.
 				continue
 			}
 			x := nums[i]

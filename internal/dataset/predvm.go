@@ -228,53 +228,93 @@ func endEval(ev *trace.Span, rows, kernels int64, matches int) {
 }
 
 // The leaf fill kernels build each 64-row word in a register and assign it,
-// fully overwriting dst (trailing bits past the row count stay zero). Each
-// word's rows are re-sliced so the inner loop ranges over a fixed-bound
-// subslice (bounds checks eliminated), and match bits are ORed in as 0/1
-// values so the loop body stays branch-free.
+// fully overwriting dst (trailing bits past the row count stay zero), and
+// OR match bits in as 0/1 values so the loop body stays branch-free. Each
+// word is built by a word function over a *[64] array: the fixed trip count
+// drops bounds checks and shift-range masks, which leaves a loop small
+// enough to run at one speed wherever the linker happens to place it (the
+// per-row loop it replaced ran half again slower when its function started
+// on one 32-byte half of a 64-byte line rather than the other). A last
+// partial word is built from a zero-padded copy and masked to its rows.
+
+// lowBits returns a word with the low n bits set, 0 <= n < 64.
+func lowBits(n int) uint64 { return 1<<uint(n) - 1 }
 
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
 func fillEq(dst bitmap.Bitmap, codes []int32, code int32) {
-	n := len(codes)
 	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
+		if cs := codes[wi*64:]; len(cs) >= 64 {
+			dst[wi] = eqWord((*[64]int32)(cs), code)
+		} else {
+			var tail [64]int32
+			copy(tail[:], cs)
+			dst[wi] = eqWord(&tail, code) & lowBits(len(cs))
 		}
-		var w uint64
-		for i, c := range codes[base:end] {
-			var bit uint64
-			if c == code {
-				bit = 1
-			}
-			w |= bit << uint(i)
-		}
-		dst[wi] = w
 	}
+}
+
+func eqWord(cs *[64]int32, code int32) uint64 {
+	var w uint64
+	for i := 0; i < 64; i++ {
+		var bit uint64
+		if cs[i] == code {
+			bit = 1
+		}
+		w |= bit << i
+	}
+	return w
 }
 
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
 func fillIn(dst bitmap.Bitmap, codes []int32, set []bool) {
-	n := len(codes)
 	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
+		if cs := codes[wi*64:]; len(cs) >= 64 {
+			dst[wi] = inWord((*[64]int32)(cs), set)
+		} else {
+			var tail [64]int32
+			copy(tail[:], cs)
+			dst[wi] = inWord(&tail, set) & lowBits(len(cs))
 		}
-		var w uint64
-		for i, c := range codes[base:end] {
-			// set is offset-by-one (slot 0 = null), so the null check is
-			// just part of the table lookup.
-			var bit uint64
-			if set[c+1] {
-				bit = 1
-			}
-			w |= bit << uint(i)
-		}
-		dst[wi] = w
 	}
+}
+
+// inWord looks each code up in set, which is offset by one (slot 0 =
+// null), so the null check is just part of the table lookup.
+func inWord(cs *[64]int32, set []bool) uint64 {
+	var w uint64
+	for i := 0; i < 64; i++ {
+		var bit uint64
+		if set[cs[i]+1] {
+			bit = 1
+		}
+		w |= bit << i
+	}
+	return w
+}
+
+//redi:hotpath word-building scan kernel; one pass over the column per leaf
+func fillNotNullCat(dst bitmap.Bitmap, codes []int32) {
+	for wi := range dst {
+		if cs := codes[wi*64:]; len(cs) >= 64 {
+			dst[wi] = notNullWord((*[64]int32)(cs))
+		} else {
+			var tail [64]int32
+			copy(tail[:], cs)
+			dst[wi] = notNullWord(&tail) & lowBits(len(cs))
+		}
+	}
+}
+
+func notNullWord(cs *[64]int32) uint64 {
+	var w uint64
+	for i := 0; i < 64; i++ {
+		var bit uint64
+		if cs[i] >= 0 {
+			bit = 1
+		}
+		w |= bit << i
+	}
+	return w
 }
 
 // The numeric kernels build each 64-row comparison word branch-free, then
@@ -288,113 +328,98 @@ func fillIn(dst bitmap.Bitmap, codes []int32, set []bool) {
 
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
 func fillRangeMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, lo, hi float64) {
-	n := len(vals)
 	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
+		if vs := vals[wi*64:]; len(vs) >= 64 {
+			dst[wi] = rangeWord((*[64]float64)(vs), lo, hi) & validity[wi]
+		} else {
+			var tail [64]float64
+			copy(tail[:], vs)
+			dst[wi] = rangeWord(&tail, lo, hi) & validity[wi] & lowBits(len(vs))
 		}
-		var w uint64
-		for i, v := range vals[base:end] {
-			var ge, le uint64
-			if v >= lo {
-				ge = 1
-			}
-			if v <= hi {
-				le = 1
-			}
-			w |= (ge & le) << uint(i)
-		}
-		dst[wi] = w & validity[wi]
 	}
 }
 
-// fillCmpMasked dispatches on the operator once and runs a specialized
-// branch-free loop; a per-row switch would dominate the scan.
-//
+func rangeWord(vs *[64]float64, lo, hi float64) uint64 {
+	var w uint64
+	for i := 0; i < 64; i++ {
+		var ge, le uint64
+		if vs[i] >= lo {
+			ge = 1
+		}
+		if vs[i] <= hi {
+			le = 1
+		}
+		w |= (ge & le) << i
+	}
+	return w
+}
+
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
 func fillCmpMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, op CompareOp, x float64) {
-	n := len(vals)
 	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
+		if vs := vals[wi*64:]; len(vs) >= 64 {
+			dst[wi] = cmpWord((*[64]float64)(vs), op, x) & validity[wi]
+		} else {
+			var tail [64]float64
+			copy(tail[:], vs)
+			dst[wi] = cmpWord(&tail, op, x) & validity[wi] & lowBits(len(vs))
 		}
-		vs := vals[base:end]
-		var w uint64
-		switch op {
-		case CmpLT:
-			for i, v := range vs {
-				var c uint64
-				if v < x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpLE:
-			for i, v := range vs {
-				var c uint64
-				if v <= x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpGT:
-			for i, v := range vs {
-				var c uint64
-				if v > x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpGE:
-			for i, v := range vs {
-				var c uint64
-				if v >= x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		case CmpEQ:
-			for i, v := range vs {
-				var c uint64
-				if v == x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		default:
-			for i, v := range vs {
-				var c uint64
-				if v != x {
-					c = 1
-				}
-				w |= c << uint(i)
-			}
-		}
-		dst[wi] = w & validity[wi]
 	}
 }
 
-//redi:hotpath word-building scan kernel; one pass over the column per leaf
-func fillNotNullCat(dst bitmap.Bitmap, codes []int32) {
-	n := len(codes)
-	for wi := range dst {
-		base := wi * 64
-		end := base + 64
-		if end > n {
-			end = n
-		}
-		var w uint64
-		for i, c := range codes[base:end] {
-			var bit uint64
-			if c >= 0 {
-				bit = 1
+// cmpWord dispatches on the operator once per word and runs a specialized
+// branch-free loop; a per-row switch would dominate the scan.
+func cmpWord(vs *[64]float64, op CompareOp, x float64) uint64 {
+	var w uint64
+	switch op {
+	case CmpLT:
+		for i := 0; i < 64; i++ {
+			var c uint64
+			if vs[i] < x {
+				c = 1
 			}
-			w |= bit << uint(i)
+			w |= c << i
 		}
-		dst[wi] = w
+	case CmpLE:
+		for i := 0; i < 64; i++ {
+			var c uint64
+			if vs[i] <= x {
+				c = 1
+			}
+			w |= c << i
+		}
+	case CmpGT:
+		for i := 0; i < 64; i++ {
+			var c uint64
+			if vs[i] > x {
+				c = 1
+			}
+			w |= c << i
+		}
+	case CmpGE:
+		for i := 0; i < 64; i++ {
+			var c uint64
+			if vs[i] >= x {
+				c = 1
+			}
+			w |= c << i
+		}
+	case CmpEQ:
+		for i := 0; i < 64; i++ {
+			var c uint64
+			if vs[i] == x {
+				c = 1
+			}
+			w |= c << i
+		}
+	default:
+		for i := 0; i < 64; i++ {
+			var c uint64
+			if vs[i] != x {
+				c = 1
+			}
+			w |= c << i
+		}
 	}
+	return w
 }
