@@ -575,7 +575,9 @@ func cmdQuery(args []string) error {
 	defer in.close()
 	_, finishObs := startObs(*obsFlag, *obsJSON)
 	sp, finishTrace := startTrace(*tracePath, "query")
+	comp := sp.Child("query.compile")
 	pp, err := expr.CompilePartitioned(*exprSrc, in.pd)
+	comp.End()
 	if err != nil {
 		return err
 	}

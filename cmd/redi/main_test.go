@@ -243,6 +243,84 @@ func TestCmdTailorErrors(t *testing.T) {
 	}
 }
 
+// TestCmdTailorSparseGroup: one complete row among 50,001 is missed by
+// most runs of the source's 10,000 retries, and the source then draws among
+// its in-set rows, so every seed collects that row. A source with no
+// complete row at all fails the run with an error, not a panic.
+func TestCmdTailorSparseGroup(t *testing.T) {
+	const schema = "race:cat:sensitive,sex:cat:sensitive,age:num"
+	s, err := parseSchema(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(n, complete int) string {
+		d := dataset.New(s)
+		for i := 0; i < n; i++ {
+			sex := dataset.NullValue(dataset.Categorical)
+			if i == complete {
+				sex = dataset.Cat("F")
+			}
+			d.MustAppendRow(dataset.Cat("a"), sex, dataset.Num(float64(i%60)))
+		}
+		return writeTempCSV(t, d)
+	}
+	sparse, none := rows(50_001, 25_000), rows(100, -1)
+	out := filepath.Join(t.TempDir(), "out.csv")
+	for _, seed := range []string{"1", "2", "3", "4", "5"} {
+		if err := cmdTailor([]string{"-schema", schema, "-need", "race=a;sex=F:1", "-seed", seed, "-out", out, sparse}); err != nil {
+			t.Fatalf("seed %s: %v", seed, err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "race,sex,age\na,F,40\n" {
+			t.Fatalf("seed %s: tailored %q", seed, got)
+		}
+	}
+	// UCB draws from every source once, the empty one first.
+	err = cmdTailor([]string{"-schema", schema, "-need", "race=a;sex=F:1", "-known=false", "-out", out, none, sparse})
+	if err == nil || !strings.Contains(err.Error(), "no rows in the global group set") {
+		t.Fatalf("source without in-set rows: err = %v", err)
+	}
+}
+
+// TestCmdQueryTraceSpans pins the span tree of a traced redi query: the
+// compile and the evaluation are children of the command's root span, for
+// a count and a select alike.
+func TestCmdQueryTraceSpans(t *testing.T) {
+	d := synth.Generate(synth.DefaultPopulation(300), rng.New(9)).Data
+	path := writeTempCSV(t, d)
+	for mode, want := range map[string][]string{
+		"-count":  {"query", "query.compile", "dataset.predicate_count"},
+		"-select": {"query", "query.compile", "dataset.predicate_select"},
+	} {
+		tracePath := filepath.Join(t.TempDir(), "trace.json")
+		captureStdout(t, func() error {
+			return cmdQuery([]string{"-schema", popSchema, "-e", "f0 > 0", mode, "-trace", tracePath, path})
+		})
+		b, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b, &tr); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ev := range tr.TraceEvents {
+			got = append(got, ev.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %s spans = %v, want %v", mode, got, want)
+		}
+	}
+}
+
 func TestCmdAuditFailureExitPath(t *testing.T) {
 	// cmdAudit calls os.Exit(1) on failed audits, so only the passing
 	// path is exercised in-process.

@@ -148,7 +148,7 @@ type footer struct {
 }
 
 func (ft *footer) encode() []byte {
-	var b []byte
+	b := make([]byte, 0, ft.size())
 	b = appendU32(b, uint32(ft.schema.Len()))
 	for i := 0; i < ft.schema.Len(); i++ {
 		a := ft.schema.Attr(i)
@@ -181,6 +181,34 @@ func (ft *footer) encode() []byte {
 		}
 	}
 	return b
+}
+
+// size returns the length of the footer's encoding, so that encode
+// allocates it once.
+func (ft *footer) size() int {
+	n := 4
+	for i := 0; i < ft.schema.Len(); i++ {
+		a := ft.schema.Attr(i)
+		n += 4 + len(a.Name) + 2
+		if a.Kind == dataset.Categorical {
+			n += 4
+			for _, s := range ft.dicts[i] {
+				n += 4 + len(s)
+			}
+		}
+	}
+	n += 4
+	for _, p := range ft.parts {
+		n += 4
+		for c := 0; c < ft.schema.Len(); c++ {
+			if ft.schema.Attr(c).Kind == dataset.Categorical {
+				n += 8 + 4 + 4*len(p.present[c])
+			} else {
+				n += 16
+			}
+		}
+	}
+	return n
 }
 
 func decodeFooter(b []byte) (*footer, error) {

@@ -256,6 +256,33 @@ func TestWriterRenumbersFirstAppearance(t *testing.T) {
 	}
 }
 
+// TestFooterSize: encode allocates the footer once, at the size its
+// dictionaries and partition metadata give, and the encoding round-trips.
+func TestFooterSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.redic")
+	if err := WriteDataset(buildTestData(rng.New(21), 300), path, WriterOptions{PartRows: 64}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := b[h.footerOff : h.footerOff+h.footerLen]
+	ft, err := decodeFooter(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ft.encode()
+	if ft.size() != len(want) || cap(got) != len(got) || string(got) != string(want) {
+		t.Fatalf("footer of %d bytes: size %d, re-encoded to %d bytes (cap %d), equal %t",
+			len(want), ft.size(), len(got), cap(got), string(got) == string(want))
+	}
+}
+
 // TestOpenSurfacesCorruption pins the satellite-3 contract: corrupt or
 // truncated files fail Open with a clean error — never a panic, never a
 // silently wrong File.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 
 	"redi/internal/dataset"
 )
@@ -49,6 +50,7 @@ type fileDict struct {
 	vals []string
 	src  *dataset.Dict
 	to   []int32 // file code of each src code; -1 until its first appearance
+	seen []bool  // scratch of renumber, all false between calls
 }
 
 // NewWriter starts a column file on f, which must be positioned at offset
@@ -156,13 +158,19 @@ func (w *Writer) writePartition(src dataset.PartitionSource, p int) error {
 
 // renumber appends to out the file codes of codes, which index the first n
 // values of dict, giving each value new to the file the next code. It
-// returns out and the sorted file codes present in it.
+// returns out and the sorted file codes present in it. The translation and
+// the file dictionary are sized for all n values up front, so each grows
+// at most once per call.
 func (fd *fileDict) renumber(dict *dataset.Dict, n int, codes, out []int32) ([]int32, []int32) {
 	fd.src = dict
 	vals := dict.Values()
-	for len(fd.to) < n {
-		fd.to = append(fd.to, -1)
+	if old := len(fd.to); old < n {
+		fd.to = reserve(fd.to, n)[:n]
+		for c := old; c < n; c++ {
+			fd.to[c] = -1
+		}
 	}
+	fd.vals = reserve(fd.vals, n)
 	for _, c := range codes {
 		if c < 0 {
 			out = append(out, -1)
@@ -174,19 +182,35 @@ func (fd *fileDict) renumber(dict *dataset.Dict, n int, codes, out []int32) ([]i
 		}
 		out = append(out, fd.to[c])
 	}
-	seen := make([]bool, len(fd.vals))
+	fd.seen = reserve(fd.seen, len(fd.vals))[:len(fd.vals)]
+	k := 0
 	for _, c := range out {
-		if c >= 0 {
-			seen[c] = true
+		if c >= 0 && !fd.seen[c] {
+			fd.seen[c] = true
+			k++
 		}
 	}
-	var present []int32
-	for code, ok := range seen {
+	if k == 0 {
+		return out, nil
+	}
+	present := make([]int32, 0, k)
+	for code, ok := range fd.seen {
 		if ok {
 			present = append(present, int32(code))
+			fd.seen[code] = false
 		}
 	}
 	return out, present
+}
+
+// reserve returns s with room for n elements. When it must grow s it at
+// least doubles its capacity, so a dictionary that grows a chunk at a time
+// is copied O(1) times per value however small the chunks are.
+func reserve[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, 2*cap(s))-len(s))
 }
 
 // blob writes b at the next 64-byte boundary and returns its offset.

@@ -24,7 +24,8 @@ type GroupKey string
 // (Key/Keys/GID/Count); hot paths index gid-aligned slices instead.
 //
 // A Groups is not safe for concurrent use: the lazy caches behind
-// Key/Keys/GID/Count/Rows/RowSet are built on first call.
+// Key/Keys/GID/Count/Rows/RowSet are built on first call. Freeze hands
+// concurrent readers an immutable view instead (groupview.go).
 type Groups struct {
 	Attrs  []string
 	ByRow  []int32 // row -> gid (-1 if any grouping attr is null)
@@ -36,7 +37,7 @@ type Groups struct {
 
 	keys     []GroupKey         // lazy: gid -> rendered key
 	gids     map[GroupKey]int32 // lazy: rendered key -> gid
-	rowLists [][]int            // lazy: gid -> member row indices
+	rowLists [][]int            // lazy, then kept current by Append: gid -> member rows
 	rowSets  []bitmap.Bitmap    // lazy: gid -> member row bitmap
 
 	// Incremental-maintenance state (built on first Append; see
@@ -189,22 +190,28 @@ func (g *Groups) Count(k GroupKey) int {
 }
 
 // Rows returns the group's member row indices in ascending order. The
-// per-group lists are built lazily on first call; the caller must not
-// mutate the returned slice.
+// per-group lists are built on first call and from then on advanced by
+// Append; the caller must not mutate the returned slice.
 func (g *Groups) Rows(gid int) []int {
-	if g.rowLists == nil {
-		lists := make([][]int, len(g.Counts))
-		for i, c := range g.Counts {
-			lists[i] = make([]int, 0, c)
-		}
-		for r, id := range g.ByRow {
-			if id >= 0 {
-				lists[id] = append(lists[id], r)
-			}
-		}
-		g.rowLists = lists
-	}
+	g.buildRowLists()
 	return g.rowLists[gid]
+}
+
+// buildRowLists builds the per-group row lists if they are not built yet.
+func (g *Groups) buildRowLists() {
+	if g.rowLists != nil {
+		return
+	}
+	lists := make([][]int, len(g.Counts))
+	for i, c := range g.Counts {
+		lists[i] = make([]int, 0, c)
+	}
+	for r, id := range g.ByRow {
+		if id >= 0 {
+			lists[id] = append(lists[id], r)
+		}
+	}
+	g.rowLists = lists
 }
 
 // RowSet returns the group's member rows as a bitmap over row indices,

@@ -10,7 +10,9 @@ import (
 // already covers. The equivalence contract is hard: after any schedule of
 // Append calls, every exported field and accessor (ByRow, Counts, tuples →
 // Key/Keys/GID, Rows, RowSet) is bit-identical to a from-scratch GroupBy of
-// the same dataset.
+// the same dataset. Once built, the per-group row lists are advanced rather
+// than dropped: each new row lands at the end of its group's list, so they
+// stay ascending, and a new group gets an empty list at its gid.
 //
 // The canonical gid order is ascending rendered-key order, so appending a
 // row whose code tuple was already seen is O(attrs): encode the tuple, look
@@ -94,16 +96,20 @@ func (g *Groups) Append(d *Dataset, fromRow int) {
 		}
 		g.ByRow = append(g.ByRow, gid)
 		g.Counts[gid]++
+		if g.rowLists != nil {
+			g.rowLists[gid] = append(g.rowLists[gid], r)
+		}
 	}
 	g.n = d.n
-	// Lazy caches cover the pre-append state; rebuild on next demand.
-	g.keys, g.gids, g.rowLists, g.rowSets = nil, nil, nil, nil
+	// The other lazy caches cover the pre-append state; rebuild on next
+	// demand.
+	g.keys, g.gids, g.rowSets = nil, nil, nil
 }
 
 // insertGroup splices a new group into canonical order and returns its gid.
-// Every structure keyed by gid shifts: tuples, Counts, keysBytes, the lookup
-// values of shifted groups, and all ByRow entries at or above the insertion
-// point.
+// Every structure keyed by gid shifts: tuples, Counts, keysBytes, the row
+// lists when built, the lookup values of shifted groups, and all ByRow
+// entries at or above the insertion point.
 func (g *Groups) insertGroup(key string, tuple []int32) int32 {
 	A := len(g.Attrs)
 	G := len(g.Counts)
@@ -122,6 +128,12 @@ func (g *Groups) insertGroup(key string, tuple []int32) int32 {
 	g.keysBytes = append(g.keysBytes, "")
 	copy(g.keysBytes[pos+1:], g.keysBytes[pos:G])
 	g.keysBytes[pos] = key
+
+	if g.rowLists != nil {
+		g.rowLists = append(g.rowLists, nil)
+		copy(g.rowLists[pos+1:], g.rowLists[pos:G])
+		g.rowLists[pos] = nil
+	}
 
 	// Renumber in gid order via the key slice — deterministic, no map range.
 	g.lookup[key] = int32(pos)

@@ -44,8 +44,8 @@ type pinstr struct {
 //
 // The program is bound to the dataset's rows as of compilation; append to
 // the dataset and you must recompile. Match is safe for concurrent use;
-// the vectorized entry points (SelectBitmap, CountFast, Select,
-// SelectIndices) share preallocated scratch bitmaps and must not be called
+// the vectorized entry points (SelectBitmap, CountFast, SelectIndices)
+// share preallocated scratch bitmaps and must not be called
 // concurrently on one CompiledPredicate.
 type CompiledPredicate struct {
 	d    *Dataset

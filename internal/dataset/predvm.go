@@ -213,12 +213,6 @@ func (cp *CompiledPredicate) SelectIndices(sp *trace.Span) []int {
 	return idx
 }
 
-// Select evaluates vectorized and gathers the matching rows; the span
-// covers the evaluation, not the gather.
-func (cp *CompiledPredicate) Select(sp *trace.Span) *Dataset {
-	return cp.d.Gather(cp.SelectIndices(sp))
-}
-
 // endEval closes an evaluation span with its deterministic tallies.
 func endEval(ev *trace.Span, rows, kernels int64, matches int) {
 	ev.SetAttr("rows_scanned", rows)

@@ -58,7 +58,7 @@ func TestPredicateTraceGolden(t *testing.T) {
 			t.Fatal("predicate failed to compile")
 		}
 		cp.CountFast(ps)
-		cp.Select(ps)
+		cp.SelectIndices(ps)
 		ps.End()
 	}
 	root.End()

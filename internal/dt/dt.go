@@ -246,12 +246,31 @@ func (res *Result) keep(i, g, row int) {
 	}
 }
 
+// drawFailure is the panic value of a Source that cannot draw at all.
+// Run and RunBudget recover it and return its error; the draw loop itself
+// carries no error check.
+type drawFailure struct{ err error }
+
+// catchDrawFailure, deferred by Run and RunBudget, turns a drawFailure
+// panic into their error and a nil Result. Any other panic passes on.
+func catchDrawFailure(res **Result, err *error) {
+	if p := recover(); p != nil {
+		f, ok := p.(drawFailure)
+		if !ok {
+			panic(p)
+		}
+		*res, *err = nil, f.err
+	}
+}
+
 // Run executes the strategy until every group's need is met or the draw cap
 // is reached. need is not modified. The returned Result reports the full
 // trace summary. It returns an error if there are no sources, needs and
-// sources disagree on the group count, a need is negative, or the strategy
-// returns an invalid source index.
-func (e *Engine) Run(s Strategy, need []int, r *rng.RNG) (*Result, error) {
+// sources disagree on the group count, a need is negative, the strategy
+// returns an invalid source index, or it chooses a row-backed source that
+// holds no row of the key set.
+func (e *Engine) Run(s Strategy, need []int, r *rng.RNG) (res *Result, err error) {
+	defer catchDrawFailure(&res, &err)
 	left, res, err := e.start(s.Name(), need)
 	if err != nil {
 		return nil, err
@@ -285,8 +304,9 @@ func (e *Engine) Run(s Strategy, need []int, r *rng.RNG) (*Result, error) {
 // the cost budget is exhausted — the practical regime where collection
 // money runs out before requirements are satisfied. The result reports the
 // counts achieved; Fulfilled is true only when all needs were met within
-// budget.
-func (e *Engine) RunBudget(s Strategy, need []int, budget float64, r *rng.RNG) (*Result, error) {
+// budget. It fails as Run does.
+func (e *Engine) RunBudget(s Strategy, need []int, budget float64, r *rng.RNG) (res *Result, err error) {
+	defer catchDrawFailure(&res, &err)
 	left, res, err := e.start(s.Name(), need)
 	if err != nil {
 		return nil, err

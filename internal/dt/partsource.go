@@ -25,6 +25,9 @@ type PartitionedSource struct {
 	toGlobal []int   // local gid -> global group, -1 if absent from keys
 	k        int
 	c        float64
+	// inSet lists the rows whose group is in the key set, ascending; Draw
+	// builds it on first need (see drawInSet).
+	inSet []int
 }
 
 // NewPartitionedSource wraps a partitioned view as a source. groups must be
@@ -59,11 +62,18 @@ func (s *PartitionedSource) Cost() float64 { return s.c }
 // NumGroups returns the number of global groups.
 func (s *PartitionedSource) NumGroups() int { return s.k }
 
+// maxRetries is how many rows Draw tries before it draws from the list of
+// in-set rows instead.
+const maxRetries = 10000
+
 // Draw samples one row with replacement. Rows outside the global group set
 // are skipped (they still cost nothing extra: the draw is retried, modeling
-// a filter pushed into the source query).
+// a filter pushed into the source query). After maxRetries misses it draws
+// uniformly among the in-set rows, the distribution the retries sample.
+// On a source with no in-set row it panics with a drawFailure, which Run
+// and RunBudget return as their error.
 func (s *PartitionedSource) Draw(r *rng.RNG) (int, int) {
-	for tries := 0; tries < 10000; tries++ {
+	for tries := 0; tries < maxRetries; tries++ {
 		row := r.Intn(len(s.byRow))
 		if gi := s.byRow[row]; gi >= 0 {
 			if g := s.toGlobal[gi]; g >= 0 {
@@ -71,5 +81,24 @@ func (s *PartitionedSource) Draw(r *rng.RNG) (int, int) {
 			}
 		}
 	}
-	panic("dt: source has no rows in the global group set")
+	return s.drawInSet(r)
+}
+
+// drawInSet draws uniformly among the in-set rows, building their list on
+// first call: a source whose in-set rows are too sparse for the retry loop
+// pays one O(rows) pass, and no other source pays anything.
+func (s *PartitionedSource) drawInSet(r *rng.RNG) (int, int) {
+	if s.inSet == nil {
+		s.inSet = []int{}
+		for row, gi := range s.byRow {
+			if gi >= 0 && s.toGlobal[gi] >= 0 {
+				s.inSet = append(s.inSet, row)
+			}
+		}
+	}
+	if len(s.inSet) == 0 {
+		panic(drawFailure{errors.New("dt: source has no rows in the global group set")})
+	}
+	row := s.inSet[r.Intn(len(s.inSet))]
+	return s.toGlobal[s.byRow[row]], row
 }

@@ -325,7 +325,7 @@ func TestDeterministicAcrossCompiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := cp.Select(nil).WriteCSV(&sb); err != nil {
+		if err := d.Gather(cp.SelectIndices(nil)).WriteCSV(&sb); err != nil {
 			t.Fatal(err)
 		}
 		out := cp.Disassemble() + sb.String()

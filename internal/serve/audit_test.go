@@ -86,7 +86,7 @@ func TestStoreCompletenessMatchesCheck(t *testing.T) {
 			for _, w := range []int{0, 1, 2, 8} {
 				for _, maxNull := range []float64{0, 0.1, 0.5} {
 					got := s.Audit(0, maxNull, w, nil).Results[1]
-					want := core.CompletenessRequirement{Sensitive: sens, MaxNullRate: maxNull}.Check(s.View().Partitions(0), w, nil)
+					want := core.CompletenessRequirement{Sensitive: sens, MaxNullRate: maxNull}.Check(s.snap.Partitions(0), w, nil)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d batch %d workers %d maxnull %v:\n got %+v\nwant %+v", seed, k, w, maxNull, got, want)
 					}

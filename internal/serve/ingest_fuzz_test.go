@@ -49,7 +49,7 @@ func FuzzIngest(f *testing.F) {
 			}{{1, 0}, {3, 0.05}, {10, 0.5}} {
 				for _, w := range []int{0, 2} {
 					got := s.Audit(p.threshold, p.maxNull, w, nil).Results
-					want := core.Audit(s.View().Partitions(0), []core.Requirement{
+					want := core.Audit(s.snap.Partitions(0), []core.Requirement{
 						core.CoverageRequirement{Attrs: sens, Threshold: p.threshold},
 						core.CompletenessRequirement{Sensitive: sens, MaxNullRate: p.maxNull},
 					}, w, nil).Results

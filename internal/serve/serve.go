@@ -317,8 +317,10 @@ func (s *Service) handleTailor(w http.ResponseWriter, r *http.Request, sp *trace
 
 // handleQuery filters the current snapshot with a compiled predicate.
 // Params: e (expression), mode=count|select (default count). The snapshot
-// is captured once and evaluated lock-free, so long selects never block
-// ingest.
+// and its frozen group view are captured once and read lock-free, so long
+// selects never block ingest. A predicate that pins every grouping
+// attribute runs over its group's rows only; any other runs the vectorized
+// driver over every row.
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, sp *trace.Span) error {
 	src := r.URL.Query().Get("e")
 	if src == "" {
@@ -329,7 +331,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, sp *trace.
 		mode = "count"
 	}
 	acq := sp.Child("snapshot.acquire")
-	snap := s.store.View()
+	snap, groups := s.store.View()
 	acq.End()
 	comp := sp.Child("query.compile")
 	cp, err := expr.Compile(src, snap)
@@ -337,12 +339,25 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, sp *trace.
 	if err != nil {
 		return badRequest("%v", err)
 	}
+	plan := cp.PlanGroup(groups)
 	switch mode {
 	case "count":
-		writeJSON(w, http.StatusOK, map[string]int{"count": cp.CountFast(sp)})
+		var n int
+		if plan != nil {
+			n = plan.Count(sp)
+		} else {
+			n = cp.CountFast(sp)
+		}
+		writeJSON(w, http.StatusOK, map[string]int{"count": n})
 	case "select":
+		var rows []int
+		if plan != nil {
+			rows = plan.SelectIndices(sp)
+		} else {
+			rows = cp.SelectIndices(sp)
+		}
 		var csv strings.Builder
-		if err := cp.Select(sp).WriteCSV(&csv); err != nil {
+		if err := snap.Gather(rows).WriteCSV(&csv); err != nil {
 			return err
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"csv": csv.String()})
@@ -398,7 +413,8 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request, sp *trace
 		return err
 	}
 	dec := sp.Child("ingest.decode")
-	batch, err := dataset.ReadCSV(strings.NewReader(req.CSV), s.store.View().Schema())
+	snap, _ := s.store.View()
+	batch, err := dataset.ReadCSV(strings.NewReader(req.CSV), snap.Schema())
 	if err != nil {
 		dec.End()
 		return badRequest("%v", err)

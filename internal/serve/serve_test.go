@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -118,7 +119,13 @@ func TestServeEquivalence(t *testing.T) {
 		svcs[i] = newTestService(t, seed.Clone(), w)
 	}
 	sens := []string{"race", "sex"}
-	queries := []string{"age between 20 and 40", "race = 'black' and income > 50000"}
+	queries := []string{
+		"age between 20 and 40",
+		"race = 'black' and income > 50000",
+		// Pinned on both sensitive attributes: served from the group view.
+		"sex = 'F' and race = 'white'",
+		"race = 'black' and sex = 'M' and income > 50000",
+	}
 
 	for batchNo := 0; batchNo < 5; batchNo++ {
 		batch := makeBatch(uint64(100+batchNo), 60+13*batchNo)
@@ -170,7 +177,7 @@ func TestServeEquivalence(t *testing.T) {
 			if err := json.Unmarshal([]byte(sel), &selResp); err != nil {
 				t.Fatal(err)
 			}
-			if want := csvOf(t, cp.Select(nil)); selResp.CSV != want {
+			if want := csvOf(t, mirror.Gather(cp.SelectIndices(nil))); selResp.CSV != want {
 				t.Fatalf("batch %d: query %q select differs from cold rebuild", batchNo, q)
 			}
 		}
@@ -474,9 +481,11 @@ func TestServeConcurrent(t *testing.T) {
 
 // TestViewCompileUnderFreshIngest pins the shared-dictionary contract under
 // the race detector: readers compile predicates on Store.View() and count
-// them vectorized while the writer ingests batches of fresh ids and new
-// race values, with numeric nulls. Every count must equal the interpreted
-// predicate over the same snapshot.
+// them vectorized, or through the frozen group view when they pin both
+// sensitive attributes, while the writer ingests batches of fresh ids and
+// new race values (so new groups shift the live gids), with numeric nulls.
+// Every count and pinned selection must equal the interpreted predicate
+// over the same snapshot.
 func TestViewCompileUnderFreshIngest(t *testing.T) {
 	schema := dataset.NewSchema(
 		dataset.Attribute{Name: "id", Kind: dataset.Categorical, Role: dataset.ID},
@@ -507,7 +516,11 @@ func TestViewCompileUnderFreshIngest(t *testing.T) {
 		"race in ('fresh1', 'fresh6') and income > 50",
 		"income is null",
 		"not (race = 'black') and income between 10 and 60",
+		"race = 'fresh5' and sex = 'F'",
+		"sex = 'M' and race = 'black' and income > 40",
+		"race = 'white' and (sex = 'F' and income is not null)",
 	}
+	pinned := 3 // the last three pin both sensitive attributes
 	const readers, batches = 4, 12
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -528,22 +541,38 @@ func TestViewCompileUnderFreshIngest(t *testing.T) {
 					return
 				default:
 				}
-				for _, src := range preds {
-					snap := store.View()
+				for i, src := range preds {
+					snap, groups := store.View()
 					cp, err := expr.Compile(src, snap)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					p, _ := expr.CompilePredicate(src, snap.Schema())
-					want := 0
+					want := []int{}
 					for r := 0; r < snap.NumRows(); r++ {
 						if p.Match(snap, r) {
-							want++
+							want = append(want, r)
 						}
 					}
-					if got := cp.CountFast(nil); got != want {
-						t.Errorf("%s over %d rows: CountFast = %d, interpreted = %d", src, snap.NumRows(), got, want)
+					plan := cp.PlanGroup(groups)
+					if (plan != nil) != (i >= len(preds)-pinned) {
+						t.Errorf("%s: planned %t", src, plan != nil)
+						return
+					}
+					if plan == nil {
+						if got := cp.CountFast(nil); got != len(want) {
+							t.Errorf("%s over %d rows: CountFast = %d, interpreted = %d", src, snap.NumRows(), got, len(want))
+							return
+						}
+						continue
+					}
+					if got := plan.Count(nil); got != len(want) {
+						t.Errorf("%s over %d rows: group plan counts %d, interpreted %d", src, snap.NumRows(), got, len(want))
+						return
+					}
+					if got := plan.SelectIndices(nil); !slices.Equal(got, want) {
+						t.Errorf("%s over %d rows: group plan selects %v, interpreted %v", src, snap.NumRows(), got, want)
 						return
 					}
 				}
@@ -567,7 +596,7 @@ func TestViewCompileUnderFreshIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := store.View().NumRows(); got != 100+batches*37 {
+	if got := store.snap.NumRows(); got != 100+batches*37 {
 		t.Fatalf("resident rows = %d, want %d", got, 100+batches*37)
 	}
 }

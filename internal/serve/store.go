@@ -6,9 +6,14 @@
 // The consistency model has two tiers:
 //
 //   - Snapshot readers (/query) work on a copy-on-write dataset snapshot
-//     captured at the last ingest. They grab the snapshot pointer under a
-//     read lock and then run lock-free — the snapshot is immutable — so
-//     they never block ingest and never see torn rows.
+//     and a view of the group index, both frozen at the last ingest. They
+//     copy the two pointers under a read lock and then run lock-free —
+//     both are immutable — so they never block ingest and never see torn
+//     rows. A predicate that pins every grouping attribute reads only its
+//     group's rows through the view (dataset.GroupPlan). Freezing the view
+//     costs each ingest O(groups × attrs): it copies the code tuples and
+//     caps each group's row list, which Groups.Append advances in
+//     O(batch rows).
 //   - Index readers (/audit coverage walks and completeness checks,
 //     /discovery probes, /tailor's group index) read the resident mutable
 //     indexes and therefore hold the read lock for the duration; ingest (the
@@ -62,10 +67,12 @@ type Store struct {
 	reg *obs.Registry
 
 	// mu orders the sole writer (Ingest) against index readers. Snapshot
-	// readers only hold it long enough to copy the snap pointer.
+	// readers only hold it long enough to copy the snap and frozen
+	// pointers.
 	mu     sync.RWMutex
 	live   *dataset.Dataset
 	snap   *dataset.Dataset
+	frozen *dataset.GroupView // groups as of snap
 	groups *dataset.Groups
 	nulls  *core.NullTallies
 	space  *coverage.Space
@@ -127,6 +134,7 @@ func NewStore(d *dataset.Dataset, cfg StoreConfig) (*Store, error) {
 	}
 	s.warmGroups()
 	s.snap = d.Snapshot()
+	s.frozen = s.groups.Freeze()
 	return s, nil
 }
 
@@ -178,6 +186,7 @@ func (s *Store) Ingest(batch *dataset.Dataset, sp *trace.Span) (ingested, total 
 	rp := sp.Child("ingest.snapshot_refresh")
 	s.warmGroups()
 	s.snap = s.live.Snapshot()
+	s.frozen = s.groups.Freeze()
 	rp.SetAttr("total_rows", int64(s.live.NumRows()))
 	rp.End()
 	s.reg.Counter("serve.rows_ingested").Add(int64(batch.NumRows()))
@@ -185,12 +194,13 @@ func (s *Store) Ingest(batch *dataset.Dataset, sp *trace.Span) (ingested, total 
 	return batch.NumRows(), s.live.NumRows(), nil
 }
 
-// View returns the current immutable snapshot. The caller may read it
-// without any locking, concurrently with any number of ingests.
-func (s *Store) View() *dataset.Dataset {
+// View returns the current immutable snapshot and the group index frozen
+// with it. The caller may read both without any locking, concurrently with
+// any number of ingests.
+func (s *Store) View() (*dataset.Dataset, *dataset.GroupView) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.snap
+	return s.snap, s.frozen
 }
 
 // Audit checks coverage (on the resident incremental pattern space) and

@@ -98,3 +98,39 @@ func TestTailorMaxDrawsBound(t *testing.T) {
 		t.Fatalf("serve.http_5xx = %d, want 0", v)
 	}
 }
+
+// sparseGroupRows returns n rows of race "a" whose sex is null except in
+// row n/2, so one row in n carries a complete sensitive tuple.
+func sparseGroupRows(n int) *dataset.Dataset {
+	d := dataset.New(testSchema())
+	for i := 0; i < n; i++ {
+		sex := dataset.NullValue(dataset.Categorical)
+		if i == n/2 {
+			sex = dataset.Cat("F")
+		}
+		d.MustAppendRow(dataset.Cat("a"), sex, dataset.Num(float64(i%60)), dataset.Num(1))
+	}
+	return d
+}
+
+// TestTailorSparseGroup: with one complete row among 50,001, most runs
+// miss it in the source's 10,000 retries. The source then draws among its
+// in-set rows, so every seed collects that row instead of panicking
+// through ServeHTTP.
+func TestTailorSparseGroup(t *testing.T) {
+	svc := newTestService(t, sparseGroupRows(50_001), 0)
+	for seed := 1; seed <= 5; seed++ {
+		body := fmt.Sprintf(`{"need":{"race=a;sex=F":1},"seed":%d}`, seed)
+		code, resp := doReq(t, svc, "POST", "/tailor", body)
+		if code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, code, resp)
+		}
+		var got tailorResponse
+		if err := json.Unmarshal([]byte(resp), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Rows != 1 || got.CSV != "race,sex,age,income\na,F,40,1\n" {
+			t.Fatalf("seed %d: %+v", seed, got)
+		}
+	}
+}

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"flag"
+	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"redi/internal/trace"
@@ -49,4 +52,34 @@ func TestStoreAuditTraceGolden(t *testing.T) {
 	}
 	root.End()
 	checkGolden(t, "store_audit_trace", root.DetString())
+}
+
+// TestQueryTraceGolden pins the span trees of /query requests. A count and
+// a select that pin both sensitive attributes visit only their group's
+// rows, and a count whose conjunction holds nothing but the pins visits
+// none; a count that pins one attribute scans every row.
+func TestQueryTraceGolden(t *testing.T) {
+	svc, err := NewService(makeBatch(41, 300), Config{
+		StoreConfig: StoreConfig{Threshold: 4, Workers: 2},
+		TraceBuffer: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	for _, q := range []string{
+		"e=" + url.QueryEscape("race = 'black' and sex = 'F'"),
+		"e=" + url.QueryEscape("sex = 'M' and race = 'white' and income > 50000"),
+		"e=" + url.QueryEscape("race = 'white' and sex = 'F' and age < 40") + "&mode=select",
+		"e=" + url.QueryEscape("race = 'black' and income > 50000"),
+	} {
+		if code, resp := doReq(t, svc, "GET", "/query?"+q, ""); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q, code, resp)
+		}
+	}
+	var b strings.Builder
+	for _, tr := range svc.Recorder().Traces() {
+		b.WriteString(tr.Root().DetString())
+	}
+	checkGolden(t, "query_trace", b.String())
 }
