@@ -569,18 +569,19 @@ func BenchmarkPredicateSelectCompiled(b *testing.B) {
 }
 
 // BenchmarkPredicateEvalOnly isolates the steady-state vectorized evaluation
-// (no compile, no gather): one program evaluated repeatedly against its
-// preallocated scratch — the allocation-free hot path.
+// (no compile, no gather): one program counted serially and repeatedly over
+// the in-memory view, reusing its pooled scratch — the allocation-free hot
+// path.
 func BenchmarkPredicateEvalOnly(b *testing.B) {
 	d := predBenchData(b)
-	cp, ok := dataset.CompilePredicate(d, predBenchTree())
+	pp, ok := d.Partitions(0).CompilePredicate(predBenchTree())
 	if !ok {
 		b.Fatal("predicate did not compile")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cp.CountFast(nil) == 0 {
+		if pp.Count(0, nil) == 0 {
 			b.Fatal("empty count")
 		}
 	}

@@ -576,7 +576,7 @@ func cmdQuery(args []string) error {
 	_, finishObs := startObs(*obsFlag, *obsJSON)
 	sp, finishTrace := startTrace(*tracePath, "query")
 	comp := sp.Child("query.compile")
-	pp, err := expr.CompilePartitioned(*exprSrc, in.pd)
+	pp, err := expr.Compile(*exprSrc, in.pd)
 	comp.End()
 	if err != nil {
 		return err

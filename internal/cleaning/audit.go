@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"redi/internal/bitmap"
 	"redi/internal/dataset"
 )
 
@@ -46,22 +45,17 @@ func AuditImputation(name string, truth, masked, imputed *dataset.Dataset, attr 
 	sq := make([]float64, groups.NumGroups())
 	n := make([]int, groups.NumGroups())
 	totalSq := 0.0
-	// Audited cells = (null in masked) ∩ (observed in truth): two compiled
-	// null-mask scans fused with one AND kernel, visited in ascending row
-	// order so the float accumulations stay bit-identical to the row loop.
-	maskedNull, _ := dataset.CompilePredicate(masked, dataset.IsNull(attr))
-	truthObserved, _ := dataset.CompilePredicate(truth, dataset.NotNull(attr))
-	audited := bitmap.New(truth.NumRows())
-	bitmap.And(audited, maskedNull.SelectBitmap(), truthObserved.SelectBitmap())
-	var auditErr error
-	audited.ForEach(func(row int) {
-		if auditErr != nil {
-			return
+	// Audited cells = (null in masked) ∩ (observed in truth): the compiled
+	// null mask of masked, filtered by truth's validity, visited in
+	// ascending row order so the float accumulations stay bit-identical to
+	// the row loop.
+	for _, row := range masked.SelectIndices(dataset.IsNull(attr)) {
+		if truth.IsNull(row, attr) {
+			continue
 		}
 		got := imputed.Value(row, attr)
 		if got.Null {
-			auditErr = fmt.Errorf("cleaning: imputed dataset still has a null at row %d", row)
-			return
+			return nil, fmt.Errorf("cleaning: imputed dataset still has a null at row %d", row)
 		}
 		d := got.Num - truth.Value(row, attr).Num
 		audit.N++
@@ -70,9 +64,6 @@ func AuditImputation(name string, truth, masked, imputed *dataset.Dataset, attr 
 			sq[gi] += d * d
 			n[gi]++
 		}
-	})
-	if auditErr != nil {
-		return nil, auditErr
 	}
 	if audit.N > 0 {
 		audit.RMSE = math.Sqrt(totalSq / float64(audit.N))

@@ -244,21 +244,14 @@ func (k KNNImputer) Impute(d *dataset.Dataset, attr string) (*dataset.Dataset, e
 // column's null storage — visited in ascending row order.
 func fillNulls(d *dataset.Dataset, attr string, fill func(row int) float64) (*dataset.Dataset, error) {
 	out := d.Clone()
-	cp, _ := dataset.CompilePredicate(d, dataset.IsNull(attr))
-	var err error
-	cp.SelectBitmap().ForEach(func(row int) {
-		if err != nil {
-			return
-		}
+	for _, row := range d.SelectIndices(dataset.IsNull(attr)) {
 		v := fill(row)
 		if math.IsNaN(v) {
-			err = fmt.Errorf("cleaning: imputer produced NaN at row %d", row)
-			return
+			return nil, fmt.Errorf("cleaning: imputer produced NaN at row %d", row)
 		}
-		err = out.SetValue(row, attr, dataset.Num(v))
-	})
-	if err != nil {
-		return nil, err
+		if err := out.SetValue(row, attr, dataset.Num(v)); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -11,8 +11,8 @@ import (
 
 // TestPartitionedOverFileMatchesInMemory is the end-to-end out-of-core
 // contract: GroupBy, SelectBitmap, and Count over a mapped column file are
-// bit-identical to the in-memory Dataset at every worker count, under both
-// the mmap and read-at backends.
+// bit-identical to the in-memory Dataset's at every worker count, under
+// both the mmap and read-at backends.
 func TestPartitionedOverFileMatchesInMemory(t *testing.T) {
 	r := rng.New(21)
 	d := buildTestData(r, 777)
@@ -55,11 +55,11 @@ func TestPartitionedOverFileMatchesInMemory(t *testing.T) {
 		}
 
 		for pi, p := range preds {
-			want, ok := dataset.CompilePredicate(d, p)
+			want, ok := d.Partitions(0).CompilePredicate(p)
 			if !ok {
 				t.Fatalf("pred %d: in-memory compile failed", pi)
 			}
-			wantBM := want.SelectBitmap()
+			wantBM := want.SelectBitmap(0)
 			pp, ok := pd.CompilePredicate(p)
 			if !ok {
 				t.Fatalf("pred %d: partitioned compile failed", pi)
@@ -72,7 +72,7 @@ func TestPartitionedOverFileMatchesInMemory(t *testing.T) {
 							disable, pi, workers, w, gotBM[w], wantBM[w])
 					}
 				}
-				if got, wantC := pp.Count(workers, nil), want.CountFast(nil); got != wantC {
+				if got, wantC := pp.Count(workers, nil), want.Count(0, nil); got != wantC {
 					t.Fatalf("disable=%v pred %d workers=%d: count %d, want %d", disable, pi, workers, got, wantC)
 				}
 			}

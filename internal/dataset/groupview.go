@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"redi/internal/parallel"
 	"redi/internal/trace"
 )
 
@@ -58,32 +59,33 @@ func (v *GroupView) gid(t []int32) int {
 // GroupPlan answers a compiled predicate from the rows of the one group
 // that its top-level conjunction pins, instead of scanning every row: a
 // row outside that group fails one of the pins, so it cannot match. It is
-// a plan over the program's row VM, not a second evaluator: the whole
-// program still runs on each row the plan visits.
+// a plan over the program's row VM, not a second evaluator: it binds each
+// partition the group's rows fall in once, and runs the whole program on
+// each row it visits.
 type GroupPlan struct {
-	cp       *CompiledPredicate
+	pp       *PartitionedPredicate
 	rows     []int // the pinned group's rows; empty when no row can match
 	pinsOnly bool  // the pins are the whole conjunction
 }
 
 // PlanGroup returns the group plan of the program over v, a frozen view of
-// the grouping of the rows the program was compiled against, or nil when
-// the program does not pin one group. It pins one when its top-level
-// conjunction (nested ands flattened) holds an equality on every grouping
-// attribute; equalities under or or not do not count. Duplicate pins
-// are harmless; contradictory pins, literals absent from the dictionary
-// and tuples no row holds pin an empty group. A nil v plans nothing. It
-// panics if v covers a different number of rows than the program.
-func (cp *CompiledPredicate) PlanGroup(v *GroupView) *GroupPlan {
+// the grouping of the view's rows, or nil when the program does not pin
+// one group. It pins one when its top-level conjunction (nested ands
+// flattened) holds an equality on every grouping attribute; equalities
+// under or or not do not count. Duplicate pins are harmless;
+// contradictory pins, literals absent from the dictionary and tuples no
+// row holds pin an empty group. A nil v plans nothing. It panics if v
+// covers a different number of rows than the view.
+func (pp *PartitionedPredicate) PlanGroup(v *GroupView) *GroupPlan {
 	if v == nil {
 		return nil
 	}
-	if v.n != cp.n {
-		panic(fmt.Sprintf("dataset: group view covers %d rows, program %d", v.n, cp.n))
+	if v.n != pp.pd.NumRows() {
+		panic(fmt.Sprintf("dataset: group view covers %d rows, program %d", v.n, pp.pd.NumRows()))
 	}
 	pins := make([]*predNode, len(v.attrs)) // the first pin of each attribute
 	empty, pinsOnly := false, true
-	forConjuncts(cp.node, func(k *predNode) {
+	forConjuncts(pp.prog.node, func(k *predNode) {
 		a := -1
 		if k.op == opEq {
 			a = slices.Index(v.attrs, k.attr)
@@ -102,11 +104,11 @@ func (cp *CompiledPredicate) PlanGroup(v *GroupView) *GroupPlan {
 	}
 	tuple := make([]int32, len(pins))
 	for a, k := range pins {
-		code, ok := cp.d.cols[cp.d.schema.MustIndex(k.attr)].(*catColumn).lookup(k.vals[0])
+		code, ok := pp.pd.lookup(pp.pd.Schema().MustIndex(k.attr), k.vals[0])
 		empty = empty || !ok
 		tuple[a] = code
 	}
-	p := &GroupPlan{cp: cp, pinsOnly: pinsOnly}
+	p := &GroupPlan{pp: pp, pinsOnly: pinsOnly}
 	if !empty {
 		if gid := v.gid(tuple); gid >= 0 {
 			p.rows = v.rows[gid]
@@ -131,34 +133,86 @@ func forConjuncts(n *predNode, fn func(*predNode)) {
 // records a "dataset.predicate_count" child whose rows_scanned is the rows
 // the plan visited: none when the pins are the whole conjunction, since
 // the count is then the group's size, and the group's rows otherwise.
-func (p *GroupPlan) Count(sp *trace.Span) int {
+// partitions_scanned counts the partitions it bound, and
+// partitions_pruned the others.
+func (p *GroupPlan) Count(workers int, sp *trace.Span) int {
 	ev := sp.Child("dataset.predicate_count")
-	n, visited := len(p.rows), 0
-	if !p.pinsOnly {
-		n, visited = 0, len(p.rows)
-		for _, r := range p.rows {
-			if p.cp.Match(r) {
-				n++
-			}
-		}
+	var st partEvalStats
+	if p.pinsOnly {
+		st = partEvalStats{pruned: int64(p.pp.pd.NumPartitions()), matches: int64(len(p.rows))}
+	} else {
+		st = p.run(workers, nil)
 	}
-	p.cp.cRows.Add(int64(visited))
-	endEval(ev, int64(visited), 0, n)
-	return n
+	st.finish(p.pp.pd, ev)
+	return int(st.matches)
 }
 
 // SelectIndices returns the matching row indices in ascending order,
 // non-nil even when empty. Under a non-nil span it records a
 // "dataset.predicate_select" child whose rows_scanned is the group's rows.
-func (p *GroupPlan) SelectIndices(sp *trace.Span) []int {
+func (p *GroupPlan) SelectIndices(workers int, sp *trace.Span) []int {
 	ev := sp.Child("dataset.predicate_select")
-	idx := make([]int, 0, len(p.rows))
-	for _, r := range p.rows {
-		if p.cp.Match(r) {
+	out := make([]int, len(p.rows))
+	st := p.run(workers, out)
+	idx := out[:0]
+	for _, r := range out {
+		if r >= 0 {
 			idx = append(idx, r)
 		}
 	}
-	p.cp.cRows.Add(int64(len(p.rows)))
-	endEval(ev, int64(len(p.rows)), 0, len(idx))
+	st.finish(p.pp.pd, ev)
 	return idx
+}
+
+// run runs the row VM over the group's rows, split into contiguous chunks.
+// When out is non-nil, out[i] becomes rows[i] if that row matches and -1
+// otherwise. Partitions none of the rows fall in count as pruned.
+func (p *GroupPlan) run(workers int, out []int) partEvalStats {
+	var st partEvalStats
+	if parallel.Workers(workers) == 1 || len(p.rows) < 2 {
+		st = p.runChunk(0, len(p.rows), out)
+	} else {
+		for _, c := range parallel.MapChunks(workers, len(p.rows), func(_, lo, hi int) partEvalStats {
+			return p.runChunk(lo, hi, out)
+		}) {
+			st.add(c)
+		}
+	}
+	st.pruned = int64(p.pp.pd.NumPartitions()) - st.scanned
+	return st
+}
+
+// runChunk evaluates rows[lo:hi], binding each partition once per chunk.
+// A partition counts as scanned in the chunk that holds its first group
+// row, so the tally does not depend on the chunking.
+func (p *GroupPlan) runChunk(lo, hi int, out []int) partEvalStats {
+	pp := p.pp
+	sc := pp.getScratch()
+	defer pp.spare.Store(sc)
+	partRows := pp.pd.PartRows()
+	st := partEvalStats{rows: int64(hi - lo)}
+	bound := -1
+	for i := lo; i < hi; i++ {
+		r := p.rows[i]
+		part := r / partRows
+		if part != bound {
+			pp.bind(part, &sc.binding)
+			bound = part
+			if i == 0 || p.rows[i-1]/partRows != part {
+				st.scanned++
+			}
+		}
+		ok := pp.prog.match(&sc.binding, r-part*partRows)
+		if ok {
+			st.matches++
+		}
+		if out != nil {
+			if ok {
+				out[i] = r
+			} else {
+				out[i] = -1
+			}
+		}
+	}
+	return st
 }

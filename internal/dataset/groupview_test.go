@@ -76,25 +76,24 @@ func TestPlanGroupMatchesCodesNotKeys(t *testing.T) {
 		And(Eq("a", "x;b=y"), Eq("b", "z")),
 		And(Eq("b", "y;b=z"), Eq("a", "x")),
 	} {
-		cp, _ := CompilePredicate(d, p)
-		plan := cp.PlanGroup(v)
+		plan := mustCompile(t, d.Partitions(0), p).PlanGroup(v)
 		if plan == nil {
 			t.Fatalf("predicate %d: no plan", row)
 		}
-		if got := plan.SelectIndices(nil); !slices.Equal(got, []int{row}) || plan.Count(nil) != 1 {
-			t.Fatalf("predicate %d: plan selects %v, count %d", row, got, plan.Count(nil))
+		if got := plan.SelectIndices(0, nil); !slices.Equal(got, []int{row}) || plan.Count(0, nil) != 1 {
+			t.Fatalf("predicate %d: plan selects %v, count %d", row, got, plan.Count(0, nil))
 		}
 	}
 }
 
-// TestPlanGroupRequiresGroupView: a view of other rows than the program's
-// is a programming error.
+// TestPlanGroupRequiresGroupView: a group view of other rows than the
+// predicate's view is a programming error.
 func TestPlanGroupRequiresGroupView(t *testing.T) {
 	d := testData(t)
 	v := d.GroupBy("race").Freeze()
 	d.MustAppendRow(Cat("7"), Cat("white"), Num(30), Cat("pos"))
-	cp, _ := CompilePredicate(d, Eq("race", "white"))
-	if cp.PlanGroup(nil) != nil {
+	pp := mustCompile(t, d.Partitions(0), Eq("race", "white"))
+	if pp.PlanGroup(nil) != nil {
 		t.Fatal("nil view planned")
 	}
 	defer func() {
@@ -102,5 +101,5 @@ func TestPlanGroupRequiresGroupView(t *testing.T) {
 			t.Fatal("view of 6 rows planned a program over 7")
 		}
 	}()
-	cp.PlanGroup(v)
+	pp.PlanGroup(v)
 }

@@ -7,14 +7,12 @@ import (
 
 // The predicate combinators (Eq, In, Range, Compare, NotNull, IsNull, And,
 // Or, Not) live in pred.go; they build compilable expression trees that the
-// selection entry points below recognize and run through the bytecode VM's
-// vectorized bitmap driver. Opaque closures (PredicateFunc) take the
-// interpreted per-row path.
+// selection entry points below compile against the dataset's partitioned
+// view and run through PartitionedPredicate. Opaque closures
+// (PredicateFunc) take the interpreted per-row path.
 
-// Select returns the rows matching p, preserving order. Compilable
-// predicates evaluate vectorized (one fused scan per referenced column plus
-// word kernels); the result is pre-counted from the match bitmap so the
-// index slice is exactly sized. The result is never nil, even when empty.
+// Select returns the rows matching p, preserving order. The result is never
+// nil, even when empty.
 func (d *Dataset) Select(p Predicate) *Dataset {
 	return d.Gather(d.SelectIndices(p))
 }
@@ -22,8 +20,8 @@ func (d *Dataset) Select(p Predicate) *Dataset {
 // SelectIndices returns the indices of rows matching p, in ascending
 // order. The slice is non-nil even when no row matches.
 func (d *Dataset) SelectIndices(p Predicate) []int {
-	if cp, ok := CompilePredicate(d, p); ok {
-		return cp.SelectIndices(nil)
+	if pp, ok := d.Partitions(0).CompilePredicate(p); ok {
+		return pp.SelectIndices(0, nil)
 	}
 	idx := make([]int, 0)
 	for r := 0; r < d.n; r++ {
@@ -36,8 +34,8 @@ func (d *Dataset) SelectIndices(p Predicate) []int {
 
 // Count returns the number of rows matching p.
 func (d *Dataset) Count(p Predicate) int {
-	if cp, ok := CompilePredicate(d, p); ok {
-		return cp.CountFast(nil)
+	if pp, ok := d.Partitions(0).CompilePredicate(p); ok {
+		return pp.Count(0, nil)
 	}
 	n := 0
 	for r := 0; r < d.n; r++ {

@@ -122,6 +122,14 @@ func (pd *Partitioned) dict(col int) []string {
 	return d.Values()[:n:n]
 }
 
+// lookup returns the code of s in categorical column col's dictionary when
+// s lies below the source's watermark.
+func (pd *Partitioned) lookup(col int, s string) (int32, bool) {
+	d, n := pd.src.Dict(col)
+	code, ok := d.lookup(s)
+	return code, ok && int(code) < n
+}
+
 func (pd *Partitioned) counters() (scanned, pruned *obs.Counter) {
 	reg := obs.Active(pd.Obs)
 	return reg.Counter("dataset.partitions_scanned"), reg.Counter("dataset.partitions_pruned")

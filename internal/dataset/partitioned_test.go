@@ -3,8 +3,11 @@ package dataset
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
+	"redi/internal/bitmap"
 	"redi/internal/rng"
 )
 
@@ -93,27 +96,23 @@ func TestPartitionedGroupByMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestPartitionedPredicateMatchesInMemory pins SelectBitmap/Count
-// equivalence over randomized predicates, worker counts, and partition
-// sizes.
+// TestPartitionedPredicateMatchesInMemory pins SelectBitmap/Count over
+// randomized predicates, worker counts, and partition sizes to the
+// interpreter over the in-memory rows.
 func TestPartitionedPredicateMatchesInMemory(t *testing.T) {
 	r := rng.New(72)
 	for _, rows := range []int{0, 65, 700} {
 		d := partTestData(r, rows)
 		for trial := 0; trial < 30; trial++ {
 			p := randomPredicate(r, 3)
-			want, ok := CompilePredicate(d, p)
-			if !ok {
-				t.Fatalf("in-memory compile failed for %v", p)
-			}
-			wantBM := want.SelectBitmap()
-			wantCount := want.CountFast(nil)
-			for _, partRows := range []int{64, 192} {
-				pd := d.Partitions(partRows)
-				pp, ok := pd.CompilePredicate(p)
-				if !ok {
-					t.Fatalf("partitioned compile failed for %v", p)
+			wantBM := bitmap.New(rows)
+			for row := 0; row < rows; row++ {
+				if p.Match(d, row) {
+					wantBM.Set(row)
 				}
+			}
+			for _, partRows := range []int{64, 192, 0} {
+				pp := mustCompile(t, d.Partitions(partRows), p)
 				for _, workers := range []int{1, 2, 8} {
 					ctx := fmt.Sprintf("rows=%d trial=%d partRows=%d workers=%d", rows, trial, partRows, workers)
 					gotBM := pp.SelectBitmap(workers)
@@ -123,11 +122,11 @@ func TestPartitionedPredicateMatchesInMemory(t *testing.T) {
 					for w := range wantBM {
 						if gotBM[w] != wantBM[w] {
 							t.Fatalf("%s: bitmap word %d = %x, want %x (pred %s)",
-								ctx, w, gotBM[w], wantBM[w], want.Disassemble())
+								ctx, w, gotBM[w], wantBM[w], pp.Program().Disassemble())
 						}
 					}
-					if got := pp.Count(workers, nil); got != wantCount {
-						t.Fatalf("%s: count %d, want %d", ctx, got, wantCount)
+					if got := pp.Count(workers, nil); got != wantBM.Count() {
+						t.Fatalf("%s: count %d, want %d", ctx, got, wantBM.Count())
 					}
 				}
 			}
@@ -136,23 +135,19 @@ func TestPartitionedPredicateMatchesInMemory(t *testing.T) {
 }
 
 // TestPartitionedCountNilSpanAllocs: the untraced partitioned count adds no
-// allocation of its own. Every evaluation allocates its per-shard scratch
-// and chunk bookkeeping, so the pin is relative: Count(w, nil) allocates
-// exactly what the span-free SelectBitmap(w) does.
+// allocation of its own. A serial count allocates nothing (the spare
+// scratch is reused), and a serial SelectBitmap only its output.
 func TestPartitionedCountNilSpanAllocs(t *testing.T) {
 	pd := partTestData(rng.New(74), 1000).Partitions(128)
 	pp, _ := pd.CompilePredicate(And(Eq("a", "a1"), Range("x", -1, 2)))
-	for _, workers := range []int{1, 4} {
-		count := testing.AllocsPerRun(50, func() { pp.Count(workers, nil) })
-		bare := testing.AllocsPerRun(50, func() { pp.SelectBitmap(workers) })
-		if count != bare {
-			t.Fatalf("workers=%d: Count(nil) allocates %v per run, SelectBitmap %v", workers, count, bare)
-		}
+	if count := testing.AllocsPerRun(50, func() { pp.Count(0, nil) }); count != 0 {
+		t.Fatalf("serial Count(nil) allocates %v per run, want 0", count)
+	}
+	if bare := testing.AllocsPerRun(50, func() { pp.SelectBitmap(0) }); bare != 1 {
+		t.Fatalf("serial SelectBitmap allocates %v per run, want 1 (its output)", bare)
 	}
 }
 
-// TestPartitionedPredicateOpaqueFallback: closure predicates cannot compile
-// on either backend, and both report it the same way.
 // TestPartitionedCompileCostIgnoresUnboundDicts: compiling a predicate on
 // a partitioned view costs the same allocations and bytes whether a column
 // the predicate never names has a 1k- or a 100k-value dictionary.
@@ -192,14 +187,15 @@ func TestPartitionedCompileCostIgnoresUnboundDicts(t *testing.T) {
 	}
 }
 
+// TestPartitionedPredicateOpaqueFallback: closure predicates cannot
+// compile at any partition size.
 func TestPartitionedPredicateOpaqueFallback(t *testing.T) {
 	d := partTestData(rng.New(73), 100)
 	p := PredicateFunc(func(d *Dataset, r int) bool { return r%2 == 0 })
-	if _, ok := CompilePredicate(d, p); ok {
-		t.Fatal("in-memory compiled an opaque closure")
-	}
-	if _, ok := d.Partitions(64).CompilePredicate(p); ok {
-		t.Fatal("partitioned compiled an opaque closure")
+	for _, partRows := range []int{0, 64} {
+		if _, ok := d.Partitions(partRows).CompilePredicate(p); ok {
+			t.Fatalf("partRows=%d: compiled an opaque closure", partRows)
+		}
 	}
 }
 
@@ -246,5 +242,60 @@ func TestPartitionsValidation(t *testing.T) {
 			}()
 			d.Partitions(bad)
 		}()
+	}
+}
+
+// TestPredicateConcurrentUse: one compiled predicate and its group plan,
+// shared by 8 goroutines at once, answer every count and select with the
+// interpreter's rows at workers 0 and 2. The predicate's spare scratch is
+// the state they share; CI runs this under -race ten times.
+func TestPredicateConcurrentUse(t *testing.T) {
+	d := partTestData(rng.New(78), 3000)
+	v := d.GroupBy("a", "b").Freeze()
+	for i, p := range []Predicate{
+		And(Eq("a", "a1"), Range("x", -1, 2), Eq("b", "b2")), // takes the group plan
+		Or(IsNull("a"), Not(Compare("y", CmpGE, 30))),        // scans every partition
+	} {
+		want := []int{}
+		for r := 0; r < d.NumRows(); r++ {
+			if p.Match(d, r) {
+				want = append(want, r)
+			}
+		}
+		pp := mustCompile(t, d.Partitions(256), p)
+		plan := pp.PlanGroup(v)
+		if (plan != nil) != (i == 0) {
+			t.Fatalf("predicate %d: planned %t", i, plan != nil)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < 20; k++ {
+					workers := []int{0, 2}[(g+k)%2]
+					if got := pp.SelectIndices(workers, nil); !slices.Equal(got, want) {
+						t.Errorf("predicate %d workers %d: driver selects %d rows, interpreter %d", i, workers, len(got), len(want))
+						return
+					}
+					if n := pp.Count(workers, nil); n != len(want) {
+						t.Errorf("predicate %d workers %d: driver counts %d, interpreter %d", i, workers, n, len(want))
+						return
+					}
+					if plan == nil {
+						continue
+					}
+					if got := plan.SelectIndices(workers, nil); !slices.Equal(got, want) {
+						t.Errorf("predicate %d workers %d: plan selects %d rows, interpreter %d", i, workers, len(got), len(want))
+						return
+					}
+					if n := plan.Count(workers, nil); n != len(want) {
+						t.Errorf("predicate %d workers %d: plan counts %d, interpreter %d", i, workers, n, len(want))
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

@@ -3,10 +3,11 @@ package dataset
 // Predicate selects rows of a dataset. Predicates built from the package
 // combinators (Eq, In, Range, Compare, NotNull, IsNull, And, Or, Not) carry
 // a small expression tree and compile to bytecode operating directly on
-// dictionary codes and numeric column storage (see CompilePredicate);
-// Dataset.Select/SelectIndices/Count recognize them and run the vectorized
-// bitmap driver instead of a per-row Value walk. Opaque user closures are
-// wrapped with PredicateFunc and keep the interpreted per-row path.
+// dictionary codes and numeric column storage (see
+// Partitioned.CompilePredicate); Dataset.Select/SelectIndices/Count
+// recognize them and run PartitionedPredicate over the dataset's
+// partitioned view instead of a per-row Value walk. Opaque user closures
+// are wrapped with PredicateFunc and keep the interpreted per-row path.
 //
 // The zero Predicate is invalid; using it panics.
 type Predicate struct {
@@ -34,7 +35,7 @@ func (p Predicate) Match(d *Dataset, row int) bool {
 }
 
 // Compilable reports whether the predicate carries an expression tree that
-// CompilePredicate can turn into bytecode.
+// Partitioned.CompilePredicate can turn into bytecode.
 func (p Predicate) Compilable() bool { return p.node != nil }
 
 // predOp enumerates expression-tree node kinds. Leaves read one attribute;
@@ -99,7 +100,7 @@ type predNode struct {
 
 // eval interprets the tree on one row via the boxed Value path — the
 // reference semantics (identical to the pre-VM closure combinators) that
-// the bytecode VM and the vectorized driver are tested against.
+// the row VM and the vectorized driver are tested against.
 func (n *predNode) eval(d *Dataset, row int) bool {
 	switch n.op {
 	case opEq:

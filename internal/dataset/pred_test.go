@@ -5,8 +5,36 @@ import (
 	"strings"
 	"testing"
 
+	"redi/internal/bitmap"
 	"redi/internal/rng"
 )
+
+// mustCompile compiles p against pd, failing the test when it does not.
+func mustCompile(t testing.TB, pd *Partitioned, p Predicate) *PartitionedPredicate {
+	t.Helper()
+	pp, ok := pd.CompilePredicate(p)
+	if !ok {
+		t.Fatal("tree predicate did not compile")
+	}
+	return pp
+}
+
+// rowVMBitmap runs the row VM on every row of pp's view, binding each
+// partition once, and returns the matching rows as a bitmap.
+func rowVMBitmap(pp *PartitionedPredicate) bitmap.Bitmap {
+	out := bitmap.New(pp.pd.NumRows())
+	sc := pp.getScratch()
+	defer pp.spare.Store(sc)
+	for p := 0; p < pp.pd.NumPartitions(); p++ {
+		n := pp.bind(p, &sc.binding)
+		for i := 0; i < n; i++ {
+			if pp.prog.match(&sc.binding, i) {
+				out.Set(p*pp.pd.PartRows() + i)
+			}
+		}
+	}
+	return out
+}
 
 func TestCompilePredicateOpaqueClosure(t *testing.T) {
 	d := testData(t)
@@ -14,7 +42,7 @@ func TestCompilePredicateOpaqueClosure(t *testing.T) {
 	if p.Compilable() {
 		t.Fatal("closure predicate reports Compilable")
 	}
-	if _, ok := CompilePredicate(d, p); ok {
+	if _, ok := d.Partitions(0).CompilePredicate(p); ok {
 		t.Fatal("closure predicate compiled")
 	}
 	// Combinators over a closure stay opaque but still evaluate correctly.
@@ -58,41 +86,24 @@ func TestCompiledMatchAgreesWithInterpreted(t *testing.T) {
 		Or(Not(Or()), Eq("race", "white")),             // folds to true
 	}
 	for pi, p := range preds {
-		cp, ok := CompilePredicate(d, p)
-		if !ok {
-			t.Fatalf("predicate %d did not compile", pi)
-		}
-		mask := cp.SelectBitmap()
+		pp := mustCompile(t, d.Partitions(0), p)
+		vm, mask := rowVMBitmap(pp), pp.SelectBitmap(0)
+		want := 0
 		for row := 0; row < d.NumRows(); row++ {
-			want := p.Match(d, row)
-			if got := cp.Match(row); got != want {
-				t.Fatalf("predicate %d row %d: VM %v, interpreted %v", pi, row, got, want)
+			m := p.Match(d, row)
+			if m {
+				want++
 			}
-			if got := mask.Get(row); got != want {
-				t.Fatalf("predicate %d row %d: bitmap %v, interpreted %v", pi, row, got, want)
+			if got := vm.Get(row); got != m {
+				t.Fatalf("predicate %d row %d: VM %v, interpreted %v", pi, row, got, m)
+			}
+			if got := mask.Get(row); got != m {
+				t.Fatalf("predicate %d row %d: bitmap %v, interpreted %v", pi, row, got, m)
 			}
 		}
-		if cp.CountFast(nil) != d.Count(p) {
-			t.Fatalf("predicate %d: CountFast %d != Count %d", pi, cp.CountFast(nil), d.Count(p))
+		if got := pp.Count(0, nil); got != want {
+			t.Fatalf("predicate %d: Count %d != interpreted %d", pi, got, want)
 		}
-	}
-}
-
-func TestCompiledPredicateClosureFallback(t *testing.T) {
-	d := testData(t)
-	cp, _ := CompilePredicate(d, Eq("race", "white"))
-	fn := cp.Predicate()
-	// On the bound dataset the closure runs the VM.
-	if !fn.Match(d, 0) || fn.Match(d, 1) {
-		t.Fatal("compiled closure wrong on bound dataset")
-	}
-	// On a different dataset with a different dictionary layout it must
-	// fall back to interpretation and stay correct.
-	other := New(testSchema())
-	other.MustAppendRow(Cat("9"), Cat("black"), Num(1), Cat("neg"))
-	other.MustAppendRow(Cat("10"), Cat("white"), Num(2), Cat("pos"))
-	if fn.Match(other, 0) || !fn.Match(other, 1) {
-		t.Fatal("compiled closure wrong on foreign dataset")
 	}
 }
 
@@ -103,7 +114,7 @@ func TestDisassembleGolden(t *testing.T) {
 		Not(Range("age", 30, 60)),
 		NotNull("label"),
 	)
-	cp, _ := CompilePredicate(d, p)
+	cp := mustCompile(t, d.Partitions(0), p).Program()
 	want := strings.Join([]string{
 		`00 eq race #0 ; "white"`,
 		`01 in race [#1="black"]`,
@@ -122,19 +133,19 @@ func TestDisassembleGolden(t *testing.T) {
 
 func TestDisassembleConstFold(t *testing.T) {
 	d := testData(t)
-	cp, _ := CompilePredicate(d, And(Eq("race", "martian"), Eq("race", "white")))
-	if got, want := cp.Disassemble(), "00 const false\n"; got != want {
+	pp := mustCompile(t, d.Partitions(0), And(Eq("race", "martian"), Eq("race", "white")))
+	if got, want := pp.Program().Disassemble(), "00 const false\n"; got != want {
 		t.Fatalf("folded disassembly = %q, want %q", got, want)
 	}
-	if cp.CountFast(nil) != 0 {
-		t.Fatalf("const-false count = %d", cp.CountFast(nil))
+	if n := pp.Count(0, nil); n != 0 {
+		t.Fatalf("const-false count = %d", n)
 	}
-	cp2, _ := CompilePredicate(d, Or(Not(Or()), IsNull("age")))
-	if got, want := cp2.Disassemble(), "00 const true\n"; got != want {
+	pp2 := mustCompile(t, d.Partitions(0), Or(Not(Or()), IsNull("age")))
+	if got, want := pp2.Program().Disassemble(), "00 const true\n"; got != want {
 		t.Fatalf("folded disassembly = %q, want %q", got, want)
 	}
-	if cp2.CountFast(nil) != d.NumRows() {
-		t.Fatalf("const-true count = %d", cp2.CountFast(nil))
+	if n := pp2.Count(0, nil); n != d.NumRows() {
+		t.Fatalf("const-true count = %d", n)
 	}
 }
 
@@ -172,32 +183,32 @@ func TestSelectIndicesContract(t *testing.T) {
 	}
 }
 
-// TestSelectBitmapScratchReuse pins the allocation contract: repeated
-// vectorized evaluations reuse the scratch buffers allocated at compile time.
-func TestSelectBitmapScratchReuse(t *testing.T) {
-	d := testData(t)
-	cp, _ := CompilePredicate(d, And(Eq("race", "white"), Not(Range("age", 0, 40))))
-	first := cp.SelectBitmap()
-	second := cp.SelectBitmap()
-	if &first[0] != &second[0] {
-		t.Fatal("SelectBitmap did not reuse its scratch")
-	}
-	allocs := testing.AllocsPerRun(100, func() { cp.SelectBitmap() })
-	if allocs != 0 {
-		t.Fatalf("SelectBitmap allocates %v per run, want 0", allocs)
-	}
-	// The untraced count: a nil span costs a branch, never an allocation.
-	allocs = testing.AllocsPerRun(100, func() { cp.CountFast(nil) })
-	if allocs != 0 {
-		t.Fatalf("CountFast(nil) allocates %v per run, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		for r := 0; r < d.NumRows(); r++ {
-			cp.Match(r)
+// TestCountScratchReuse pins the allocation contract: a reused predicate's
+// serial, untraced Count and its group plan's count reuse the predicate's
+// spare scratch and allocate nothing, and neither does the row VM.
+func TestCountScratchReuse(t *testing.T) {
+	d := partTestData(rng.New(76), 1000)
+	for _, partRows := range []int{0, 128} {
+		pp := mustCompile(t, d.Partitions(partRows), And(Eq("a", "a1"), Not(Range("x", -1, 2))))
+		for _, workers := range []int{0, 1} {
+			if allocs := testing.AllocsPerRun(100, func() { pp.Count(workers, nil) }); allocs != 0 {
+				t.Fatalf("partRows=%d: Count(%d, nil) allocates %v per run, want 0", partRows, workers, allocs)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Match allocates %v per run, want 0", allocs)
+		plan := pp.PlanGroup(d.GroupBy("a").Freeze())
+		if allocs := testing.AllocsPerRun(100, func() { plan.Count(0, nil) }); allocs != 0 {
+			t.Fatalf("partRows=%d: GroupPlan.Count(0, nil) allocates %v per run, want 0", partRows, allocs)
+		}
+		sc := pp.getScratch()
+		pp.bind(0, &sc.binding)
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < pp.pd.PartitionRows(0); i++ {
+				pp.prog.match(&sc.binding, i)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("partRows=%d: the row VM allocates %v per run, want 0", partRows, allocs)
+		}
 	}
 }
 
@@ -275,39 +286,38 @@ func randomPredTree(r *rng.RNG, depth int) Predicate {
 }
 
 // TestCompiledEquivalenceProperty is the randomized oracle test: on random
-// adversarial datasets, the bytecode VM, the vectorized bitmap driver, and
-// the interpreted reference must agree row for row.
+// adversarial datasets, the row VM, the partition driver (at one and
+// several partitions) and the interpreted reference must agree row for
+// row.
 func TestCompiledEquivalenceProperty(t *testing.T) {
 	r := rng.New(42)
 	for round := 0; round < 200; round++ {
 		d := randomAdversarialData(r)
 		p := randomPredTree(r, 4)
-		cp, ok := CompilePredicate(d, p)
-		if !ok {
-			t.Fatalf("round %d: tree predicate did not compile", round)
-		}
-		mask := cp.SelectBitmap()
-		count := 0
-		for row := 0; row < d.NumRows(); row++ {
-			want := p.Match(d, row)
-			if want {
-				count++
+		for _, partRows := range []int{0, 64} {
+			pp := mustCompile(t, d.Partitions(partRows), p)
+			vm, mask := rowVMBitmap(pp), pp.SelectBitmap(0)
+			count := 0
+			for row := 0; row < d.NumRows(); row++ {
+				want := p.Match(d, row)
+				if want {
+					count++
+				}
+				if got := vm.Get(row); got != want {
+					t.Fatalf("round %d partRows %d row %d (of %d): VM %v, interpreted %v\nprogram:\n%s",
+						round, partRows, row, d.NumRows(), got, want, pp.Program().Disassemble())
+				}
+				if got := mask.Get(row); got != want {
+					t.Fatalf("round %d partRows %d row %d (of %d): bitmap %v, interpreted %v\nprogram:\n%s",
+						round, partRows, row, d.NumRows(), got, want, pp.Program().Disassemble())
+				}
 			}
-			if got := cp.Match(row); got != want {
-				t.Fatalf("round %d row %d (of %d): VM %v, interpreted %v\nprogram:\n%s",
-					round, row, d.NumRows(), got, want, cp.Disassemble())
+			if got := pp.Count(0, nil); got != count {
+				t.Fatalf("round %d partRows %d: Count %d != interpreted %d", round, partRows, got, count)
 			}
-			if got := mask.Get(row); got != want {
-				t.Fatalf("round %d row %d (of %d): bitmap %v, interpreted %v\nprogram:\n%s",
-					round, row, d.NumRows(), got, want, cp.Disassemble())
+			if idx := pp.SelectIndices(0, nil); len(idx) != count {
+				t.Fatalf("round %d partRows %d: SelectIndices len %d != %d", round, partRows, len(idx), count)
 			}
-		}
-		if cp.CountFast(nil) != count {
-			t.Fatalf("round %d: CountFast %d != interpreted %d", round, cp.CountFast(nil), count)
-		}
-		idx := cp.SelectIndices(nil)
-		if len(idx) != count {
-			t.Fatalf("round %d: SelectIndices len %d != %d", round, len(idx), count)
 		}
 	}
 }

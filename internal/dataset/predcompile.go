@@ -2,29 +2,29 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"redi/internal/bitmap"
 	"redi/internal/obs"
 )
 
 // pop is a bytecode opcode. Leaf loads scan one bound column and push one
 // boolean per row; And/Or/Not pop operands off the boolean stack. The same
-// program drives both the row-at-a-time VM (CompiledPredicate.Match) and
-// the vectorized bitmap driver (SelectBitmap), which replays it with a
-// stack of row bitmaps and word kernels instead of per-row booleans.
+// program drives both the row-at-a-time VM (CompiledPredicate.match) and
+// the vectorized partition driver (PartitionedPredicate), which replays it
+// with a stack of row bitmaps and word kernels instead of per-row booleans.
 type pop uint8
 
 const (
 	pConstOp    pop = iota // push const (a != 0)
-	pEqCode                // push catCols[a][row] == b
-	pInSet                 // push sets[b][code+1] on catCols[a] (slot 0 = null)
+	pEqCode                // push cat slot a's code == b
+	pInSet                 // push sets[b][code+1] on cat slot a (slot 0 = null)
 	pRangeOp               // push valid && f0 <= v <= f1 on num slot a
 	pCmpOp                 // push valid && v <cmp b> f0 on num slot a
-	pNotNullCat            // push catCols[a][row] >= 0
-	pNotNullNum            // push numValid[a] bit of row
-	pIsNullCat             // push catCols[a][row] < 0
-	pIsNullNum             // push !numValid[a] bit of row
+	pNotNullCat            // push cat slot a's code >= 0
+	pNotNullNum            // push num slot a's validity bit
+	pIsNullCat             // push cat slot a's code < 0
+	pIsNullNum             // push !num slot a's validity bit
 	pAndOp                 // pop b, pop a, push a && b
 	pOrOp                  // pop b, pop a, push a || b
 	pNotOp                 // pop a, push !a
@@ -37,27 +37,22 @@ type pinstr struct {
 	f0, f1 float64
 }
 
-// CompiledPredicate is a predicate bytecode program bound to one dataset:
-// attribute names are resolved to column storage and categorical literals
-// to dictionary codes at compile time, so evaluation compares int32 codes
-// and float64s with no per-row allocation or string work.
-//
-// The program is bound to the dataset's rows as of compilation; append to
-// the dataset and you must recompile. Match is safe for concurrent use;
-// the vectorized entry points (SelectBitmap, CountFast, SelectIndices)
-// share preallocated scratch bitmaps and must not be called
-// concurrently on one CompiledPredicate.
+// CompiledPredicate is a verified predicate bytecode program. Attribute
+// names are resolved to column slots and categorical literals to codes of
+// the shared dictionaries at compile time, so evaluation compares int32
+// codes and float64s with no per-row allocation or string work. The
+// program holds no row storage: PartitionedPredicate binds its slots to
+// one partition's columns at a time.
 type CompiledPredicate struct {
-	d    *Dataset
 	node *predNode
 	code []pinstr
-	n    int // rows bound
-	// Bound column storage, indexed by the instruction's a operand.
-	catCols  [][]int32
+	// Per-slot bindings, indexed by the instruction's a operand: the schema
+	// column, its attribute name and, for categorical slots, the
+	// dictionary below the view's watermark.
+	catCols  []int
 	catDicts [][]string
 	catAttrs []string
-	numVals  [][]float64
-	numValid [][]uint64 // validity words, bit set = non-null
+	numCols  []int
 	numAttrs []string
 	sets     [][]bool // pInSet membership, indexed by dictionary code + 1 (slot 0 = null, always false)
 	eqLits   []string // pEqCode literal (by b-side index) for Disassemble
@@ -65,51 +60,21 @@ type CompiledPredicate struct {
 	// verified is set once the program passes bytecode verification (see
 	// predverify.go); the VM entry points refuse to run without it.
 	verified bool
-	// Vectorized evaluation scratch, allocated once at compile time.
-	bms  []bitmap.Bitmap
-	full bitmap.Bitmap
-	// Deterministic obs counters (nil-safe when observability is off).
-	cRows, cOps *obs.Counter
 }
 
-// CompilePredicate compiles p against d. It reports ok=false when p is an
-// opaque closure (PredicateFunc), which cannot compile; predicates built
-// from the package combinators always compile. Unknown attribute names
-// panic, matching the interpreted path's Value lookup.
-func CompilePredicate(d *Dataset, p Predicate) (*CompiledPredicate, bool) {
-	if p.node == nil {
-		return nil, false
-	}
-	return compileNode(d, p.node), true
-}
-
-// compiler carries the per-compile state: slot maps deduplicate column
-// bindings so a column referenced by several leaves is bound once.
+// compiler carries the per-compile state.
 type compiler struct {
-	d        *Dataset
-	cp       *CompiledPredicate
-	catSlots map[int]int32
-	numSlots map[int]int32
-	sp, max  int
+	pd      *Partitioned
+	cp      *CompiledPredicate
+	sp, max int
 }
 
-func compileNode(d *Dataset, n *predNode) *CompiledPredicate {
-	cp := &CompiledPredicate{d: d, node: n, n: d.n}
-	c := &compiler{d: d, cp: cp, catSlots: map[int]int32{}, numSlots: map[int]int32{}}
-	folded := c.fold(n)
-	c.emit(folded)
+// compileNode compiles n against pd's schema and shared dictionaries.
+func compileNode(pd *Partitioned, n *predNode) *CompiledPredicate {
+	cp := &CompiledPredicate{node: n}
+	c := &compiler{pd: pd, cp: cp}
+	c.emit(c.fold(n))
 	cp.depth = c.max
-	cp.bms = make([]bitmap.Bitmap, cp.depth)
-	for i := range cp.bms {
-		cp.bms[i] = bitmap.New(d.n)
-	}
-	cp.full = bitmap.New(d.n)
-	for w := range cp.full {
-		cp.full[w] = ^uint64(0)
-	}
-	if rem := d.n % 64; rem != 0 && len(cp.full) > 0 {
-		cp.full[len(cp.full)-1] = (uint64(1) << uint(rem)) - 1
-	}
 	// Every compiled program passes the bytecode verifier before it is
 	// handed out. A failure here is a compiler bug, not user error: the
 	// panic keeps an unsafe program from ever reaching the unchecked VM
@@ -121,58 +86,48 @@ func compileNode(d *Dataset, n *predNode) *CompiledPredicate {
 	reg := obs.Active(nil)
 	reg.Counter("dataset.predicate_compiles").Inc()
 	reg.Counter("dataset.predicate_verifies").Inc()
-	cp.cRows = reg.Counter("dataset.predicate_rows_scanned")
-	cp.cOps = reg.Counter("dataset.predicate_bitmap_ops")
 	return cp
+}
+
+// kind returns the kind of the named attribute; unknown names panic,
+// matching the interpreted path's Value lookup.
+func (c *compiler) kind(attr string) Kind {
+	return c.pd.Schema().Attr(c.pd.Schema().MustIndex(attr)).Kind
 }
 
 var constFalse = &predNode{op: opConst, val: false}
 var constTrue = &predNode{op: opConst, val: true}
 
-// fold resolves each leaf against the dataset and constant-folds: a
+// fold resolves each leaf against the view and constant-folds: a
 // categorical literal absent from the column's dictionary can match no row,
 // a kind-mismatched leaf matches no row (the interpreted semantics), and
 // And/Or/Not absorb constant children. After folding, opConst can only
 // appear as the root.
 func (c *compiler) fold(n *predNode) *predNode {
 	switch n.op {
-	case opEq:
-		col, ok := c.d.cols[c.d.schema.MustIndex(n.attr)].(*catColumn)
-		if !ok {
+	case opEq, opIn:
+		if c.kind(n.attr) != Categorical {
 			return constFalse
 		}
-		if _, present := col.lookup(n.vals[0]); !present {
-			return constFalse
-		}
-		return n
-	case opIn:
-		col, ok := c.d.cols[c.d.schema.MustIndex(n.attr)].(*catColumn)
-		if !ok {
-			return constFalse
-		}
-		any := false
+		col := c.pd.Schema().MustIndex(n.attr)
 		for _, v := range n.vals {
-			if _, present := col.lookup(v); present {
-				any = true
-				break
+			if _, present := c.pd.lookup(col, v); present {
+				return n
 			}
 		}
-		if !any {
-			return constFalse
-		}
-		return n
+		return constFalse
 	case opRange:
-		if _, ok := c.d.cols[c.d.schema.MustIndex(n.attr)].(*numColumn); !ok || n.lo > n.hi {
+		if c.kind(n.attr) != Numeric || n.lo > n.hi {
 			return constFalse
 		}
 		return n
 	case opCmp:
-		if _, ok := c.d.cols[c.d.schema.MustIndex(n.attr)].(*numColumn); !ok {
+		if c.kind(n.attr) != Numeric {
 			return constFalse
 		}
 		return n
 	case opNotNull, opIsNull:
-		c.d.schema.MustIndex(n.attr) // unknown attribute panics here
+		c.kind(n.attr) // unknown attribute panics here
 		return n
 	case opNot:
 		k := c.fold(n.kids[0])
@@ -222,32 +177,27 @@ func (c *compiler) push() {
 	}
 }
 
+// catSlot returns the slot of a categorical attribute, binding it on first
+// use so a column referenced by several leaves is bound once.
 func (c *compiler) catSlot(attr string) int32 {
-	ci := c.d.schema.MustIndex(attr)
-	if s, ok := c.catSlots[ci]; ok {
-		return s
+	col := c.pd.Schema().MustIndex(attr)
+	if s := slices.Index(c.cp.catCols, col); s >= 0 {
+		return int32(s)
 	}
-	col := c.d.cols[ci].(*catColumn)
-	s := int32(len(c.cp.catCols))
-	c.cp.catCols = append(c.cp.catCols, col.codes)
-	c.cp.catDicts = append(c.cp.catDicts, col.vals)
+	c.cp.catCols = append(c.cp.catCols, col)
+	c.cp.catDicts = append(c.cp.catDicts, c.pd.dict(col))
 	c.cp.catAttrs = append(c.cp.catAttrs, attr)
-	c.catSlots[ci] = s
-	return s
+	return int32(len(c.cp.catCols) - 1)
 }
 
 func (c *compiler) numSlot(attr string) int32 {
-	ci := c.d.schema.MustIndex(attr)
-	if s, ok := c.numSlots[ci]; ok {
-		return s
+	col := c.pd.Schema().MustIndex(attr)
+	if s := slices.Index(c.cp.numCols, col); s >= 0 {
+		return int32(s)
 	}
-	col := c.d.cols[ci].(*numColumn)
-	s := int32(len(c.cp.numVals))
-	c.cp.numVals = append(c.cp.numVals, col.vals)
-	c.cp.numValid = append(c.cp.numValid, col.valid)
+	c.cp.numCols = append(c.cp.numCols, col)
 	c.cp.numAttrs = append(c.cp.numAttrs, attr)
-	c.numSlots[ci] = s
-	return s
+	return int32(len(c.cp.numCols) - 1)
 }
 
 // emit walks the folded tree in postorder, appending instructions.
@@ -262,20 +212,18 @@ func (c *compiler) emit(n *predNode) {
 		c.push()
 	case opEq:
 		s := c.catSlot(n.attr)
-		col := c.d.cols[c.d.schema.MustIndex(n.attr)].(*catColumn)
-		code, _ := col.lookup(n.vals[0]) // present by folding
+		code, _ := c.pd.lookup(c.cp.catCols[s], n.vals[0]) // present by folding
 		c.cp.eqLits = append(c.cp.eqLits, n.vals[0])
 		c.cp.code = append(c.cp.code, pinstr{op: pEqCode, a: s, b: code})
 		c.push()
 	case opIn:
 		s := c.catSlot(n.attr)
-		col := c.d.cols[c.d.schema.MustIndex(n.attr)].(*catColumn)
 		// Offset-by-one membership table: slot 0 answers for the null code
 		// (-1) and stays false, so the scan kernels index with code+1 and
 		// need no separate null branch.
-		set := make([]bool, len(col.vals)+1)
+		set := make([]bool, len(c.cp.catDicts[s])+1)
 		for _, v := range n.vals {
-			if code, present := col.lookup(v); present {
+			if code, present := c.pd.lookup(c.cp.catCols[s], v); present {
 				set[code+1] = true
 			}
 		}
@@ -290,9 +238,8 @@ func (c *compiler) emit(n *predNode) {
 		c.cp.code = append(c.cp.code, pinstr{op: pCmpOp, a: c.numSlot(n.attr), b: int32(n.cmp), f0: n.lo})
 		c.push()
 	case opNotNull, opIsNull:
-		ci := c.d.schema.MustIndex(n.attr)
 		isNull := n.op == opIsNull
-		if _, cat := c.d.cols[ci].(*catColumn); cat {
+		if c.kind(n.attr) == Categorical {
 			op := pNotNullCat
 			if isNull {
 				op = pIsNullCat

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"redi/internal/bitmap"
 	"redi/internal/obs"
@@ -10,11 +11,12 @@ import (
 )
 
 // PartitionedPredicate is a predicate bytecode program bound to a
-// Partitioned view. The program is compiled once against the view's global
-// dictionaries (every partition's codes index into them, so one binding
-// serves all partitions) and replayed partition-at-a-time with the same
-// fill kernels as the in-memory vectorized driver, over the same
-// validity-word null layout.
+// Partitioned view: the one predicate evaluator. The program is compiled
+// once against the view's shared dictionaries (every partition's codes
+// index into them, so one program serves all partitions) and replayed
+// partition-at-a-time: each partition's columns are bound to the
+// program's slots once, then the fill kernels build its match words. An
+// in-memory Dataset enters through Partitions.
 //
 // Evaluation fans out over partitions; per-shard results land in disjoint
 // word ranges of the output bitmap (PartRows is a multiple of 64), so
@@ -22,84 +24,69 @@ import (
 // whose present-code sets prove the predicate unsatisfiable are skipped
 // without touching their pages.
 //
-// A PartitionedPredicate is safe for concurrent use: every evaluation
-// allocates per-shard scratch.
+// A PartitionedPredicate is safe for concurrent use. Each shard takes the
+// predicate's spare scratch, or makes one when another shard holds it, and
+// leaves its own as the spare when done, so a reused predicate's serial
+// Count allocates nothing. The spare is a field rather than a sync.Pool:
+// most predicates live for one request, and the runtime keeps every pool,
+// with what it holds, registered until a garbage collection, so pooled
+// scratch outlived its request by a collection cycle (redibench
+// serve-query's peak RSS rose 15% on 2 vCPUs).
 type PartitionedPredicate struct {
-	pd   *Partitioned
-	prog *CompiledPredicate // bound to the zero-row binding stub
-	// Per-slot schema column indices, for fetching partition views.
-	catColIdx []int
-	numColIdx []int
+	pd    *Partitioned
+	prog  *CompiledPredicate
+	spare atomic.Pointer[partScratch]
 }
 
-// CompilePredicate compiles p against the view's schema and global
+// CompilePredicate compiles p against the view's schema and shared
 // dictionaries. It reports ok=false for opaque closures (PredicateFunc),
-// exactly like CompilePredicate on a Dataset.
+// which cannot compile; predicates built from the package combinators
+// always compile. Unknown attribute names panic, matching the interpreted
+// path's Value lookup.
 func (pd *Partitioned) CompilePredicate(p Predicate) (*PartitionedPredicate, bool) {
 	if p.node == nil {
 		return nil, false
 	}
-	// The program binds against a zero-row stub Dataset borrowing the global
-	// dictionaries: folding and literal→code resolution see exactly the
-	// codes the partitions use, and the bytecode verifier accepts the empty
-	// column storage because no row of the stub is ever evaluated — the
-	// per-partition drivers below rebind column storage for each partition.
-	stub := pd.bindingStub()
-	prog := compileNode(stub, p.node)
-	pp := &PartitionedPredicate{
-		pd:        pd,
-		prog:      prog,
-		catColIdx: make([]int, len(prog.catAttrs)),
-		numColIdx: make([]int, len(prog.numAttrs)),
-	}
-	for s, attr := range prog.catAttrs {
-		pp.catColIdx[s] = pd.Schema().MustIndex(attr)
-	}
-	for s, attr := range prog.numAttrs {
-		pp.numColIdx[s] = pd.Schema().MustIndex(attr)
-	}
-	return pp, true
-}
-
-// bindingStub builds a zero-row Dataset whose categorical columns borrow
-// the view's global dictionaries at the source's watermarks, giving the
-// compiler the exact value→code binding of every partition in O(columns).
-// Literals resolve through the shared dictionaries, so only a column a
-// literal names is ever indexed.
-func (pd *Partitioned) bindingStub() *Dataset {
-	schema := pd.Schema()
-	stub := &Dataset{schema: schema, cols: make([]column, schema.Len())}
-	for i := 0; i < schema.Len(); i++ {
-		if schema.Attr(i).Kind == Categorical {
-			dict, n := pd.src.Dict(i)
-			stub.cols[i] = &catColumn{dict: dict, vals: dict.Values()[:n]}
-		} else {
-			stub.cols[i] = &numColumn{}
-		}
-	}
-	return stub
+	return &PartitionedPredicate{pd: pd, prog: compileNode(pd, p.node)}, true
 }
 
 // Program exposes the underlying compiled program (for Disassemble and
-// introspection). The program is bound to a zero-row stub — do not call
-// its evaluation entry points.
+// introspection).
 func (pp *PartitionedPredicate) Program() *CompiledPredicate { return pp.prog }
 
-// partScratch is one shard's evaluation state: a bitmap stack plus the
-// all-rows mask, both sized for a full partition and re-masked per
-// partition.
+// partScratch is one shard's evaluation state: the slot binding, plus a
+// bitmap stack and the all-rows mask sized for the largest partition and
+// re-masked per partition. The bitmaps are allocated on the first
+// vectorized evaluation; the group plan only needs the binding.
 type partScratch struct {
+	binding
 	bms  []bitmap.Bitmap
 	full bitmap.Bitmap
 }
 
-func (pp *PartitionedPredicate) newScratch() *partScratch {
-	words := bitmap.WordsFor(pp.pd.PartRows())
-	sc := &partScratch{bms: make([]bitmap.Bitmap, pp.prog.depth), full: make(bitmap.Bitmap, words)}
-	for i := range sc.bms {
-		sc.bms[i] = make(bitmap.Bitmap, words)
+// getScratch takes the spare scratch, or makes one; the caller leaves it as
+// the spare when done.
+func (pp *PartitionedPredicate) getScratch() *partScratch {
+	if sc := pp.spare.Swap(nil); sc != nil {
+		return sc
 	}
-	return sc
+	return &partScratch{binding: binding{
+		cat: make([][]int32, len(pp.prog.catCols)),
+		num: make([]numBinding, len(pp.prog.numCols)),
+	}}
+}
+
+// bind points the binding's slots at partition p's columns and returns the
+// partition's row count.
+func (pp *PartitionedPredicate) bind(p int, b *binding) int {
+	src := pp.pd.src
+	for s, col := range pp.prog.catCols {
+		b.cat[s] = src.PartitionCatCodes(p, col)
+	}
+	for s, col := range pp.prog.numCols {
+		b.num[s].vals, b.num[s].valid = src.PartitionNumValues(p, col)
+	}
+	return src.PartitionRows(p)
 }
 
 // mayMatch replays the program conservatively over partition p's
@@ -114,7 +101,7 @@ func (pp *PartitionedPredicate) mayMatch(p int) bool {
 	}
 	sp := 0
 	present := func(slot int32) []int32 {
-		return pp.pd.src.PartitionPresentCodes(p, pp.catColIdx[slot])
+		return pp.pd.src.PartitionPresentCodes(p, pp.prog.catCols[slot])
 	}
 	for i := range pp.prog.code {
 		in := &pp.prog.code[i]
@@ -164,64 +151,63 @@ func (pp *PartitionedPredicate) mayMatch(p int) bool {
 	return st[0]
 }
 
-// evalPartition replays the program on partition p and returns the match
-// bitmap (sc.bms[0] truncated to the partition's words). rows/kernels
-// tallies mirror the in-memory driver's obs counters.
-func (pp *PartitionedPredicate) evalPartition(p int, sc *partScratch, rows, kernels *int64) bitmap.Bitmap {
-	n := pp.pd.src.PartitionRows(p)
+// evalPartition binds partition p into sc and replays the program over it,
+// returning the match words (sc.bms[0] truncated to the partition's words)
+// and adding the leaf scans and bitmap kernels it ran to st.
+//
+//redi:hotpath vectorized program replay; one fused scan per leaf
+func (pp *PartitionedPredicate) evalPartition(p int, sc *partScratch, st *partEvalStats) bitmap.Bitmap {
+	cp := pp.prog
+	cp.mustBeVerified()
+	n := pp.bind(p, &sc.binding)
 	words := bitmap.WordsFor(n)
 	full := sc.full[:words]
 	for w := range full {
 		full[w] = ^uint64(0)
 	}
 	if rem := n % 64; rem != 0 && words > 0 {
-		full[words-1] = (uint64(1) << uint(rem)) - 1
+		full[words-1] = lowBits(rem)
 	}
-	cp := pp.prog
 	sp := 0
 	for i := range cp.code {
 		in := &cp.code[i]
 		switch in.op {
 		case pEqCode:
-			fillEq(sc.bms[sp][:words], pp.catCodes(p, in.a), in.b)
+			fillEq(sc.bms[sp][:words], sc.cat[in.a], in.b)
 			sp++
-			*rows += int64(n)
+			st.rows += int64(n)
 		case pInSet:
-			fillIn(sc.bms[sp][:words], pp.catCodes(p, in.a), cp.sets[in.b])
+			fillIn(sc.bms[sp][:words], sc.cat[in.a], cp.sets[in.b])
 			sp++
-			*rows += int64(n)
+			st.rows += int64(n)
 		case pRangeOp:
-			vals, validity := pp.numVals(p, in.a)
-			fillRangeMasked(sc.bms[sp][:words], vals, validity, in.f0, in.f1)
+			fillRangeMasked(sc.bms[sp][:words], sc.num[in.a].vals, sc.num[in.a].valid, in.f0, in.f1)
 			sp++
-			*rows += int64(n)
+			st.rows += int64(n)
 		case pCmpOp:
-			vals, validity := pp.numVals(p, in.a)
-			fillCmpMasked(sc.bms[sp][:words], vals, validity, CompareOp(in.b), in.f0)
+			fillCmpMasked(sc.bms[sp][:words], sc.num[in.a].vals, sc.num[in.a].valid, CompareOp(in.b), in.f0)
 			sp++
-			*rows += int64(n)
+			st.rows += int64(n)
 		case pNotNullCat:
-			fillNotNullCat(sc.bms[sp][:words], pp.catCodes(p, in.a))
+			fillNotNullCat(sc.bms[sp][:words], sc.cat[in.a])
 			sp++
-			*rows += int64(n)
+			st.rows += int64(n)
 		case pNotNullNum:
-			_, validity := pp.numVals(p, in.a)
-			copy(sc.bms[sp][:words], validity)
+			copy(sc.bms[sp][:words], sc.num[in.a].valid)
 			sp++
-			*rows += int64(n)
+			st.rows += int64(n)
 		case pIsNullCat:
 			dst := sc.bms[sp][:words]
-			fillNotNullCat(dst, pp.catCodes(p, in.a))
+			fillNotNullCat(dst, sc.cat[in.a])
 			bitmap.AndNot(dst, full, dst)
 			sp++
-			*rows += int64(n)
-			*kernels++
+			st.rows += int64(n)
+			st.kernels++
 		case pIsNullNum:
-			_, validity := pp.numVals(p, in.a)
-			bitmap.AndNot(sc.bms[sp][:words], full, validity[:words])
+			bitmap.AndNot(sc.bms[sp][:words], full, sc.num[in.a].valid[:words])
 			sp++
-			*rows += int64(n)
-			*kernels++
+			st.rows += int64(n)
+			st.kernels++
 		case pConstOp:
 			dst := sc.bms[sp][:words]
 			if in.a != 0 {
@@ -235,72 +221,50 @@ func (pp *PartitionedPredicate) evalPartition(p int, sc *partScratch, rows, kern
 		case pAndOp:
 			sp--
 			bitmap.And(sc.bms[sp-1][:words], sc.bms[sp-1][:words], sc.bms[sp][:words])
-			*kernels++
+			st.kernels++
 		case pOrOp:
 			sp--
 			bitmap.Or(sc.bms[sp-1][:words], sc.bms[sp-1][:words], sc.bms[sp][:words])
-			*kernels++
+			st.kernels++
 		case pNotOp:
 			bitmap.AndNot(sc.bms[sp-1][:words], full, sc.bms[sp-1][:words])
-			*kernels++
+			st.kernels++
 		}
 	}
 	return sc.bms[0][:words]
 }
 
-func (pp *PartitionedPredicate) catCodes(p int, slot int32) []int32 {
-	return pp.pd.src.PartitionCatCodes(p, pp.catColIdx[slot])
-}
-
-func (pp *PartitionedPredicate) numVals(p int, slot int32) ([]float64, []uint64) {
-	return pp.pd.src.PartitionNumValues(p, pp.numColIdx[slot])
-}
-
 // SelectBitmap evaluates the program over all partitions and returns the
-// matching rows as a freshly allocated bitmap over global row indices —
-// bit-identical to the in-memory SelectBitmap on the same rows at any
-// worker count. Pruned partitions contribute their zeroed word range
-// without being read.
+// matching rows as a freshly allocated bitmap over global row indices,
+// bit-identical at any worker count and partition size. Pruned partitions
+// contribute their zeroed word range without being read.
 func (pp *PartitionedPredicate) SelectBitmap(workers int) bitmap.Bitmap {
-	m, _ := pp.matchBitmap(workers)
-	return m
-}
-
-func (pp *PartitionedPredicate) matchBitmap(workers int) (bitmap.Bitmap, partEvalStats) {
 	out := bitmap.New(pp.pd.NumRows())
-	st := pp.run(workers, func(p int, m bitmap.Bitmap) {
-		copy(out[p*pp.pd.PartRows()/64:], m)
-	})
-	return out, st
+	pp.run(workers, out).finish(pp.pd, nil)
+	return out
 }
 
 // Count evaluates the program and returns the number of matching rows.
-// Per-partition counts are summed in partition order. Under a non-nil span
-// it records a "dataset.predicate_count" child carrying the partition
-// pruning tallies.
+// Under a non-nil span it records a "dataset.predicate_count" child
+// carrying the evaluation's tallies; a nil span costs one branch, and a
+// serial count on a reused predicate allocates nothing.
 func (pp *PartitionedPredicate) Count(workers int, sp *trace.Span) int {
 	ev := sp.Child("dataset.predicate_count")
-	counts := make([]int, pp.pd.NumPartitions())
-	st := pp.run(workers, func(p int, m bitmap.Bitmap) {
-		counts[p] = m.Count()
-	})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	st.end(ev, total)
-	return total
+	st := pp.run(workers, nil)
+	st.finish(pp.pd, ev)
+	return int(st.matches)
 }
 
 // SelectIndices evaluates and returns the matching global row indices in
-// ascending order. Under a non-nil span it records a
-// "dataset.predicate_select" child carrying the pruning tallies.
+// ascending order. The slice is exactly sized and non-nil even when empty.
+// Under a non-nil span it records a "dataset.predicate_select" child.
 func (pp *PartitionedPredicate) SelectIndices(workers int, sp *trace.Span) []int {
 	ev := sp.Child("dataset.predicate_select")
-	m, st := pp.matchBitmap(workers)
-	idx := make([]int, 0, m.Count())
+	m := bitmap.New(pp.pd.NumRows())
+	st := pp.run(workers, m)
+	idx := make([]int, 0, st.matches)
 	m.ForEach(func(r int) { idx = append(idx, r) })
-	st.end(ev, len(idx))
+	st.finish(pp.pd, ev)
 	return idx
 }
 
@@ -309,50 +273,77 @@ func (pp *PartitionedPredicate) SelectIndices(workers int, sp *trace.Span) []int
 // bit-identical at any worker count (the same shard-order-merge
 // discipline as coverage's walkStats).
 type partEvalStats struct {
-	scanned, pruned, rows, kernels int64
+	scanned, pruned, rows, kernels, matches int64
 }
 
-// end closes an evaluation span with the tallies and the match count.
-func (st partEvalStats) end(ev *trace.Span, matches int) {
+func (st *partEvalStats) add(o partEvalStats) {
+	st.scanned += o.scanned
+	st.pruned += o.pruned
+	st.rows += o.rows
+	st.kernels += o.kernels
+	st.matches += o.matches
+}
+
+// finish adds the tallies to pd's obs counters and closes the evaluation
+// span with them and the match count.
+func (st partEvalStats) finish(pd *Partitioned, ev *trace.Span) {
+	reg := obs.Active(pd.Obs)
+	reg.Counter("dataset.partitions_scanned").Add(st.scanned)
+	reg.Counter("dataset.partitions_pruned").Add(st.pruned)
+	reg.Counter("dataset.predicate_rows_scanned").Add(st.rows)
+	reg.Counter("dataset.predicate_bitmap_ops").Add(st.kernels)
 	ev.SetAttr("partitions_scanned", st.scanned)
 	ev.SetAttr("partitions_pruned", st.pruned)
 	ev.SetAttr("rows_scanned", st.rows)
 	ev.SetAttr("bitmap_ops", st.kernels)
-	ev.SetAttr("matches", int64(matches))
+	ev.SetAttr("matches", st.matches)
 	ev.End()
 }
 
-// run evaluates partition-parallel, invoking sink(p, matchBitmap) for every
-// non-pruned partition. Sinks write only partition-disjoint state. The
-// returned stats feed span attributes; untraced callers ignore them.
-func (pp *PartitionedPredicate) run(workers int, sink func(p int, m bitmap.Bitmap)) partEvalStats {
-	cScanned, cPruned := pp.pd.counters()
-	reg := obs.Active(pp.pd.Obs)
-	cRows := reg.Counter("dataset.predicate_rows_scanned")
-	cOps := reg.Counter("dataset.predicate_bitmap_ops")
-	chunks := parallel.MapChunks(workers, pp.pd.NumPartitions(), func(_, plo, phi int) partEvalStats {
-		sc := pp.newScratch()
-		var st partEvalStats
-		for p := plo; p < phi; p++ {
-			if !pp.mayMatch(p) {
-				cPruned.Inc()
-				st.pruned++
-				continue
-			}
-			cScanned.Inc()
-			st.scanned++
-			sink(p, pp.evalPartition(p, sc, &st.rows, &st.kernels))
+// run evaluates every partition partition-parallel, copying each scanned
+// partition's match words into out when out is non-nil, and returns the
+// evaluation's tallies. A serial run stays on the calling goroutine.
+func (pp *PartitionedPredicate) run(workers int, out bitmap.Bitmap) partEvalStats {
+	var st partEvalStats
+	if P := pp.pd.NumPartitions(); parallel.Workers(workers) == 1 || P < 2 {
+		st = pp.evalChunk(0, P, out)
+	} else {
+		for _, c := range parallel.MapChunks(workers, P, func(_, plo, phi int) partEvalStats {
+			return pp.evalChunk(plo, phi, out)
+		}) {
+			st.add(c)
 		}
-		cRows.Add(st.rows)
-		cOps.Add(st.kernels)
-		return st
-	})
-	var total partEvalStats
-	for _, st := range chunks {
-		total.scanned += st.scanned
-		total.pruned += st.pruned
-		total.rows += st.rows
-		total.kernels += st.kernels
 	}
-	return total
+	return st
+}
+
+// evalChunk evaluates partitions [plo, phi) with one scratch.
+func (pp *PartitionedPredicate) evalChunk(plo, phi int, out bitmap.Bitmap) partEvalStats {
+	sc := pp.getScratch()
+	defer pp.spare.Store(sc)
+	if sc.bms == nil {
+		// One backing array holds the mask and the stack, full-capped.
+		words := bitmap.WordsFor(min(pp.pd.PartRows(), pp.pd.NumRows()))
+		backing := make(bitmap.Bitmap, (pp.prog.depth+1)*words)
+		sc.full = backing[:words:words]
+		sc.bms = make([]bitmap.Bitmap, pp.prog.depth)
+		for i := range sc.bms {
+			lo := (i + 1) * words
+			sc.bms[i] = backing[lo : lo+words : lo+words]
+		}
+	}
+	var st partEvalStats
+	for p := plo; p < phi; p++ {
+		if !pp.mayMatch(p) {
+			st.pruned++
+			continue
+		}
+		st.scanned++
+		m := pp.evalPartition(p, sc, &st)
+		st.matches += int64(m.Count())
+		if out != nil {
+			copy(out[p*pp.pd.PartRows()/64:], m)
+		}
+	}
+	return st
 }

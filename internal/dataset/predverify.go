@@ -1,40 +1,36 @@
 package dataset
 
-import (
-	"fmt"
-
-	"redi/internal/bitmap"
-)
+import "fmt"
 
 // This file is the bytecode verifier for compiled predicate programs. Both
-// VM drivers — the row-at-a-time Match loop and the vectorized
-// SelectBitmap driver — index bound column storage, membership tables, and
-// scratch bitmaps directly off instruction operands with no per-instruction
-// bounds checks, so a malformed program could read out of bounds or corrupt
-// the shared boolean stack. verify statically establishes, once at compile
-// time, every invariant the hot loops rely on:
+// VM loops — the row-at-a-time match and the partition driver's vectorized
+// replay — index slot bindings, membership tables, and the boolean or
+// bitmap stack directly off instruction operands, so a malformed program
+// could read out of bounds or corrupt the stack. verify statically
+// establishes, once at compile time, every invariant the hot loops rely on:
 //
-//   - the bound-state parallel arrays (columns, dictionaries, attribute
-//     names, validity words) are mutually consistent and cover the bound
-//     row count, so any in-range (slot, row) access is safe;
+//   - the per-slot arrays (schema columns, dictionaries, attribute names)
+//     are mutually consistent, so a slot in range has a binding;
 //   - every instruction's opcode is known — the instruction set has no
 //     jumps, so control-flow validity is vacuous: execution is a single
 //     linear pass and this check is what keeps it that way;
-//   - every operand is in range for its opcode: column slots index bound
-//     storage, pEqCode dictionary codes index the slot's dictionary,
+//   - every operand is in range for its opcode: column slots index the
+//     slot arrays, pEqCode dictionary codes index the slot's dictionary,
 //     pInSet tables exist and are sized to the slot's dictionary (+1 for
 //     the null code at table slot 0), pCmpOp carries a defined CompareOp;
 //   - the boolean stack is statically safe: no operator pops an empty
 //     stack, the simulated depth never exceeds the program's declared
-//     depth (which sizes both the Match stack and the SelectBitmap
-//     scratch), and the program exits with exactly one value on the stack
+//     depth (which sizes both the row VM's stack and the driver's bitmap
+//     stack), and the program exits with exactly one value on the stack
 //     (the match result at depth 1).
 //
-// Match and SelectBitmap refuse to run a program that has not passed
-// verification, so the unchecked hot loops only ever see programs for
+// It checks the program against its slots and dictionaries only: the
+// program holds no rows, and every partition a driver binds covers its own
+// rows by the PartitionSource contract. Both loops refuse to run a program
+// that has not passed verification, so they only ever see programs for
 // which every access was proven in range.
 
-// verify checks the program against the state it is bound to and returns
+// verify checks the program against its slots and dictionaries and returns
 // the first violated invariant, or nil when the program is safe to execute.
 func (cp *CompiledPredicate) verify() error {
 	if len(cp.code) == 0 {
@@ -43,27 +39,13 @@ func (cp *CompiledPredicate) verify() error {
 	if cp.depth < 1 {
 		return fmt.Errorf("dataset: verify: declared stack depth %d < 1", cp.depth)
 	}
-	if len(cp.bms) < cp.depth {
-		return fmt.Errorf("dataset: verify: %d scratch bitmaps for declared depth %d", len(cp.bms), cp.depth)
-	}
 	if len(cp.catDicts) != len(cp.catCols) || len(cp.catAttrs) != len(cp.catCols) {
 		return fmt.Errorf("dataset: verify: categorical binding arrays disagree (%d cols, %d dicts, %d attrs)",
 			len(cp.catCols), len(cp.catDicts), len(cp.catAttrs))
 	}
-	if len(cp.numValid) != len(cp.numVals) || len(cp.numAttrs) != len(cp.numVals) {
-		return fmt.Errorf("dataset: verify: numeric binding arrays disagree (%d vals, %d validity, %d attrs)",
-			len(cp.numVals), len(cp.numValid), len(cp.numAttrs))
-	}
-	for s, col := range cp.catCols {
-		if len(col) < cp.n {
-			return fmt.Errorf("dataset: verify: categorical slot %d has %d rows, program bound to %d", s, len(col), cp.n)
-		}
-	}
-	for s, vals := range cp.numVals {
-		if len(vals) < cp.n || len(cp.numValid[s]) < bitmap.WordsFor(cp.n) {
-			return fmt.Errorf("dataset: verify: numeric slot %d has %d rows/%d validity words, program bound to %d",
-				s, len(vals), len(cp.numValid[s]), cp.n)
-		}
+	if len(cp.numAttrs) != len(cp.numCols) {
+		return fmt.Errorf("dataset: verify: numeric binding arrays disagree (%d cols, %d attrs)",
+			len(cp.numCols), len(cp.numAttrs))
 	}
 
 	sp := 0
@@ -149,8 +131,8 @@ func (cp *CompiledPredicate) checkCatSlot(i int, a int32) error {
 }
 
 func (cp *CompiledPredicate) checkNumSlot(i int, a int32) error {
-	if a < 0 || int(a) >= len(cp.numVals) {
-		return fmt.Errorf("dataset: verify: instr %d: numeric slot %d out of range [0, %d)", i, a, len(cp.numVals))
+	if a < 0 || int(a) >= len(cp.numCols) {
+		return fmt.Errorf("dataset: verify: instr %d: numeric slot %d out of range [0, %d)", i, a, len(cp.numCols))
 	}
 	return nil
 }

@@ -3,14 +3,16 @@ package dataset
 import (
 	"encoding/binary"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
-
-	"redi/internal/bitmap"
 )
 
 // verifyData builds the shared fixture without a *testing.T so the fuzz
-// harness can call it during seed setup.
+// harness can call it during seed setup. Past the seven hand-written rows
+// it cycles their values to 157 rows, so a 64-row partitioning spans
+// three partitions and the last one ends mid-word.
 func verifyData() *Dataset {
 	d := New(testSchema())
 	rows := [][]Value{
@@ -22,15 +24,23 @@ func verifyData() *Dataset {
 		{Cat("6"), NullValue(Categorical), Num(61), Cat("neg")},
 		{Cat("7"), Cat("asian"), Num(19), Cat("pos")},
 	}
-	for _, r := range rows {
+	for i := 0; i < 157; i++ {
+		r := slices.Clone(rows[i%len(rows)])
+		if i >= len(rows) {
+			r[0] = Cat(strconv.Itoa(i + 1))
+			r[1] = rows[(i/len(rows))%len(rows)][1]
+			if !r[2].Null {
+				r[2] = Num(float64(18 + (i*7)%60))
+			}
+		}
 		d.MustAppendRow(r...)
 	}
 	return d
 }
 
-// verifyPrograms compiles a spread of predicate shapes: every leaf opcode,
-// nested boolean operators, and a constant-folded root.
-func verifyPrograms(d *Dataset) []*CompiledPredicate {
+// verifyPrograms compiles a spread of predicate shapes against pd: every
+// leaf opcode, nested boolean operators, and a constant-folded root.
+func verifyPrograms(pd *Partitioned) []*CompiledPredicate {
 	preds := []Predicate{
 		Eq("race", "white"),
 		In("race", "black", "asian"),
@@ -46,32 +56,27 @@ func verifyPrograms(d *Dataset) []*CompiledPredicate {
 	}
 	var out []*CompiledPredicate
 	for _, p := range preds {
-		cp, ok := CompilePredicate(d, p)
+		pp, ok := pd.CompilePredicate(p)
 		if !ok {
 			panic("dataset: fixture predicate did not compile")
 		}
-		out = append(out, cp)
+		out = append(out, pp.prog)
 	}
 	return out
 }
 
-// cloneWithCode returns a copy of cp running the given program with fresh
-// vectorized scratch, unverified. The column bindings, sets, and full mask
-// are shared read-only with the original.
+// cloneWithCode returns a copy of cp running the given program,
+// unverified. The slot bindings and sets are shared read-only with the
+// original.
 func cloneWithCode(cp *CompiledPredicate, code []pinstr) *CompiledPredicate {
 	cl := *cp
 	cl.code = code
 	cl.verified = false
-	cl.bms = make([]bitmap.Bitmap, cp.depth)
-	for i := range cl.bms {
-		cl.bms[i] = bitmap.New(cp.n)
-	}
 	return &cl
 }
 
 func TestVerifyAcceptsCompiledPrograms(t *testing.T) {
-	d := verifyData()
-	for i, cp := range verifyPrograms(d) {
+	for i, cp := range verifyPrograms(verifyData().Partitions(64)) {
 		if !cp.verified {
 			t.Fatalf("program %d: compiled predicate not marked verified", i)
 		}
@@ -82,9 +87,9 @@ func TestVerifyAcceptsCompiledPrograms(t *testing.T) {
 }
 
 func TestVerifyRejects(t *testing.T) {
-	d := verifyData()
-	base, _ := CompilePredicate(d, And(Eq("race", "white"), Range("age", 30, 50), In("race", "black")))
-	cmp, _ := CompilePredicate(d, Compare("age", CmpLT, 40))
+	pd := verifyData().Partitions(64)
+	base := mustCompile(t, pd, And(Eq("race", "white"), Range("age", 30, 50), In("race", "black"))).prog
+	cmp := mustCompile(t, pd, Compare("age", CmpLT, 40)).prog
 
 	cases := []struct {
 		name string
@@ -119,26 +124,12 @@ func TestVerifyRejects(t *testing.T) {
 			t.Fatalf("verify = %v, want set-size error", err)
 		}
 	})
-	t.Run("scratch bitmaps too few", func(t *testing.T) {
-		cl := cloneWithCode(base, base.code)
-		cl.bms = nil
-		if err := cl.verify(); err == nil || !strings.Contains(err.Error(), "scratch bitmaps") {
-			t.Fatalf("verify = %v, want scratch error", err)
-		}
-	})
-	t.Run("row count exceeds bindings", func(t *testing.T) {
-		cl := cloneWithCode(base, base.code)
-		cl.n = 1 << 20
-		if err := cl.verify(); err == nil || !strings.Contains(err.Error(), "bound to") {
-			t.Fatalf("verify = %v, want row-count error", err)
-		}
-	})
 }
 
 func TestVMRefusesUnverifiedProgram(t *testing.T) {
-	d := verifyData()
-	cp, _ := CompilePredicate(d, Eq("race", "white"))
-	cl := cloneWithCode(cp, cp.code) // valid program, but never verified
+	pd := verifyData().Partitions(64)
+	pp := mustCompile(t, pd, Eq("race", "white"))
+	cl := cloneWithCode(pp.prog, pp.prog.code) // valid program, but never verified
 
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -148,8 +139,10 @@ func TestVMRefusesUnverifiedProgram(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Match", func() { cl.Match(0) })
-	mustPanic("SelectBitmap", func() { cl.SelectBitmap() })
+	sc := pp.getScratch()
+	pp.bind(0, &sc.binding)
+	mustPanic("the row VM", func() { cl.match(&sc.binding, 0) })
+	mustPanic("the partition driver", func() { (&PartitionedPredicate{pd: pd, prog: cl}).SelectBitmap(0) })
 }
 
 // Instruction wire format for the mutation fuzzer: 25 little-endian bytes
@@ -188,14 +181,14 @@ func decodeProgram(buf []byte) []pinstr {
 // a compiled base program, XORs the fuzzer's bytes into its encoded form,
 // and re-installs the decoded program. The contract under test is the
 // verifier's safety guarantee — a corrupted program is either rejected, or
-// it executes with no panics and no out-of-range access, with the two VM
-// drivers (Match and SelectBitmap) agreeing bit-for-bit on every row. The
-// driver loops themselves have no bounds checks, so any invariant the
-// verifier fails to establish surfaces here as an index-out-of-range panic
-// under the fuzzer's -race harness.
+// it executes with no panics and no out-of-range access. A program that
+// verifies runs through the partition driver over 64-row partitions at one
+// and two workers, and through the row VM on every row; the two must agree
+// bit for bit. Neither loop checks its operands, so any invariant the
+// verifier fails to establish surfaces here as an index-out-of-range panic.
 func FuzzVerifyProgram(f *testing.F) {
-	d := verifyData()
-	programs := verifyPrograms(d)
+	pd := verifyData().Partitions(64)
+	programs := verifyPrograms(pd)
 	encoded := make([][]byte, len(programs))
 	for i, cp := range programs {
 		encoded[i] = encodeProgram(cp.code)
@@ -229,13 +222,20 @@ func FuzzVerifyProgram(f *testing.F) {
 			return // rejected: the VM never sees it
 		}
 		cl.verified = true
-		sel := cl.SelectBitmap()
-		for row := 0; row < cl.n; row++ {
-			// Disassemble is deliberately not used in this message: it
-			// assumes compiler-produced bookkeeping (eqLits) the mutated
-			// program may violate.
-			if got, want := cl.Match(row), sel.Get(row); got != want {
-				t.Fatalf("row %d: Match = %v, SelectBitmap = %v, code = %+v", row, got, want, cl.code)
+		pp := &PartitionedPredicate{pd: pd, prog: cl}
+		want := rowVMBitmap(pp)
+		for _, workers := range []int{1, 2} {
+			got := pp.SelectBitmap(workers)
+			for w := range want {
+				// Disassemble is deliberately not used in this message: it
+				// assumes compiler-produced bookkeeping (eqLits) the mutated
+				// program may violate.
+				if got[w] != want[w] {
+					t.Fatalf("workers %d word %d: driver %#x, row VM %#x, code = %+v", workers, w, got[w], want[w], cl.code)
+				}
+			}
+			if n := pp.Count(workers, nil); n != want.Count() {
+				t.Fatalf("workers %d: Count %d, row VM %d, code = %+v", workers, n, want.Count(), cl.code)
 			}
 		}
 	})

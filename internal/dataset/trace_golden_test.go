@@ -46,19 +46,17 @@ func goldenPredicates() []Predicate {
 }
 
 // TestPredicateTraceGolden pins the spans of compiled count and select
-// evaluations, in memory and partition-at-a-time. The partitioned tree is
-// rendered at several worker counts and must not depend on them.
+// evaluations over one in-memory partition and over eight. The
+// eight-partition tree is rendered at several worker counts and must not
+// depend on them.
 func TestPredicateTraceGolden(t *testing.T) {
 	d := partTestData(rng.New(17), 1000)
 	root := trace.New("predicates")
 	for i, p := range goldenPredicates() {
 		ps := root.Child(fmt.Sprintf("predicate_%d", i))
-		cp, ok := CompilePredicate(d, p)
-		if !ok {
-			t.Fatal("predicate failed to compile")
-		}
-		cp.CountFast(ps)
-		cp.SelectIndices(ps)
+		pp := mustCompile(t, d.Partitions(0), p)
+		pp.Count(0, ps)
+		pp.SelectIndices(0, ps)
 		ps.End()
 	}
 	root.End()

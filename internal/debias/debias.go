@@ -204,9 +204,8 @@ func Rake(d *dataset.Dataset, marginals []Marginal, tol float64, maxIter int) (W
 }
 
 // WeightedCount estimates the population fraction of rows matching p:
-// Σ_match w / Σ w. Compilable predicates evaluate vectorized: the matching
-// row-set comes back as a bitmap and only its set bits are visited for the
-// numerator (ascending row order, so the float sum is deterministic).
+// Σ_match w / Σ w. Only the matching rows are visited for the numerator,
+// in ascending row order, so the float sum is deterministic.
 func WeightedCount(d *dataset.Dataset, w Weights, p dataset.Predicate) float64 {
 	den := 0.0
 	for r := 0; r < d.NumRows(); r++ {
@@ -216,17 +215,9 @@ func WeightedCount(d *dataset.Dataset, w Weights, p dataset.Predicate) float64 {
 		return 0
 	}
 	num := 0.0
-	if cp, ok := dataset.CompilePredicate(d, p); ok {
-		cp.SelectBitmap().ForEach(func(r int) {
-			if w[r] > 0 {
-				num += w[r]
-			}
-		})
-	} else {
-		for r := 0; r < d.NumRows(); r++ {
-			if w[r] > 0 && p.Match(d, r) {
-				num += w[r]
-			}
+	for _, r := range d.SelectIndices(p) {
+		if w[r] > 0 {
+			num += w[r]
 		}
 	}
 	return num / den

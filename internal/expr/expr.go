@@ -1,7 +1,8 @@
 // Package expr is REDI's row-predicate expression language: a scanner, a
 // Pratt parser, an AST, and a compiler that lowers expressions onto the
 // dataset package's predicate bytecode, where evaluation runs over
-// dictionary codes and bitmap row-sets (see dataset.CompilePredicate).
+// dictionary codes and bitmap row-sets (see
+// dataset.Partitioned.CompilePredicate).
 //
 // Grammar (keywords case-insensitive, attribute names case-sensitive bare
 // identifiers; keywords are reserved and cannot name attributes):
@@ -27,12 +28,13 @@
 // Typing: string literals compare against categorical attributes, numbers
 // against numeric ones; a mismatch is a compile error at the attribute's
 // position. A string literal absent from a column's dictionary is legal
-// and constant-folds to false at compile time (dataset.CompilePredicate).
+// and constant-folds to false at compile time.
 //
 // Compilation and evaluation are pure functions of the expression and the
-// dataset: no clocks, no map iteration reaches any output, and the VM has
-// no parallel path, so results are bit-identical across runs and worker
-// counts (the determinism contract, DESIGN.md).
+// rows: no clocks, no map iteration reaches any output, and the partition
+// driver writes each partition's matches into its own word range and sums
+// tallies in partition order, so results are bit-identical across runs,
+// worker counts and partition sizes (the determinism contract, DESIGN.md).
 package expr
 
 import (
@@ -85,24 +87,12 @@ func CompilePredicate(src string, s *dataset.Schema) (dataset.Predicate, error) 
 	return lower(n, s)
 }
 
-// Compile parses src, lowers it against d's schema, and compiles it to
-// bytecode bound to d's columns — the full scanner → parser → AST →
-// compiler → bytecode pipeline in one call.
-func Compile(src string, d *dataset.Dataset) (*dataset.CompiledPredicate, error) {
-	p, err := CompilePredicate(src, d.Schema())
-	if err != nil {
-		return nil, err
-	}
-	cp, _ := dataset.CompilePredicate(d, p) // lowered predicates always compile
-	return cp, nil
-}
-
-// CompilePartitioned parses src, lowers it against the view's schema, and
-// compiles it to bytecode bound to the view's merged global dictionaries —
-// the out-of-core counterpart of Compile. The returned predicate replays
-// per partition (with present-code pruning) and selects bit-identically to
-// Compile over the same rows at any worker count.
-func CompilePartitioned(src string, pd *dataset.Partitioned) (*dataset.PartitionedPredicate, error) {
+// Compile parses src, lowers it against the view's schema, and compiles it
+// to bytecode bound to the view's shared dictionaries — the full scanner →
+// parser → AST → compiler → bytecode pipeline in one call. The returned
+// predicate replays per partition (with present-code pruning); an
+// in-memory dataset compiles against d.Partitions(0).
+func Compile(src string, pd *dataset.Partitioned) (*dataset.PartitionedPredicate, error) {
 	p, err := CompilePredicate(src, pd.Schema())
 	if err != nil {
 		return nil, err

@@ -161,7 +161,7 @@ func TestLowerErrors(t *testing.T) {
 // lowering, and bytecode compiler to a stable disassembly.
 func TestCompileGolden(t *testing.T) {
 	d := testData(t)
-	cp, err := Compile(`(race = 'white' or race in ('black','missing')) and not age between 30 and 50 and income is not null`, d)
+	pp, err := Compile(`(race = 'white' or race in ('black','missing')) and not age between 30 and 50 and income is not null`, d.Partitions(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestCompileGolden(t *testing.T) {
 		`07 and`,
 		``,
 	}, "\n")
-	if got := cp.Disassemble(); got != want {
+	if got := pp.Program().Disassemble(); got != want {
 		t.Fatalf("disassembly:\n%s\nwant:\n%s", got, want)
 	}
-	if got := cp.CountFast(nil); got != 1 { // only row 1 (black, 28, 40)
-		t.Fatalf("CountFast = %d, want 1", got)
+	if got := pp.Count(0, nil); got != 1 { // only row 1 (black, 28, 40)
+		t.Fatalf("Count = %d, want 1", got)
 	}
 }
 
@@ -198,11 +198,11 @@ func TestNullSemantics(t *testing.T) {
 		`not age = 34`:          4,
 	}
 	for src, want := range counts {
-		cp, err := Compile(src, d)
+		pp, err := Compile(src, d.Partitions(0))
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", src, err)
 		}
-		if got := cp.CountFast(nil); got != want {
+		if got := pp.Count(0, nil); got != want {
 			t.Errorf("count(%q) = %d, want %d", src, got, want)
 		}
 	}
@@ -283,8 +283,9 @@ func randomExprSrc(r *rng.RNG, depth int) string {
 }
 
 // TestExprEquivalenceProperty is the end-to-end oracle: random expressions
-// compiled through the full pipeline must agree with the lowered predicate's
-// interpreted Match on random adversarial datasets.
+// compiled through the full pipeline must agree with the lowered
+// predicate's interpreted Match on random adversarial datasets, over
+// 64-row partitions and over one, at several worker counts.
 func TestExprEquivalenceProperty(t *testing.T) {
 	r := rng.New(11)
 	s := testSchema()
@@ -295,20 +296,32 @@ func TestExprEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: CompilePredicate(%q): %v", round, src, err)
 		}
-		cp, err := Compile(src, d)
-		if err != nil {
-			t.Fatalf("round %d: Compile(%q): %v", round, src, err)
+		for _, partRows := range []int{64, 0} {
+			pp, err := Compile(src, d.Partitions(partRows))
+			if err != nil {
+				t.Fatalf("round %d: Compile(%q): %v", round, src, err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				mask := pp.SelectBitmap(workers)
+				for row := 0; row < d.NumRows(); row++ {
+					if got, want := mask.Get(row), p.Match(d, row); got != want {
+						t.Fatalf("round %d row %d: %q partRows %d workers %d: bitmap %v, interpreted %v\nprogram:\n%s",
+							round, row, src, partRows, workers, got, want, pp.Program().Disassemble())
+					}
+				}
+			}
 		}
-		mask := cp.SelectBitmap()
-		for row := 0; row < d.NumRows(); row++ {
-			want := p.Match(d, row)
-			if got := cp.Match(row); got != want {
-				t.Fatalf("round %d row %d: %q VM %v, interpreted %v\nprogram:\n%s",
-					round, row, src, got, want, cp.Disassemble())
-			}
-			if got := mask.Get(row); got != want {
-				t.Fatalf("round %d row %d: %q bitmap %v, interpreted %v", round, row, src, got, want)
-			}
+	}
+}
+
+// TestCompileErrors: scan, parse and lower errors surface from Compile.
+func TestCompileErrors(t *testing.T) {
+	pd := testData(t).Partitions(64)
+	for _, src := range []string{
+		`race = `, `nope = 'x'`, `race < 5`, `age = 'str'`,
+	} {
+		if _, err := Compile(src, pd); err == nil {
+			t.Fatalf("Compile(%q) accepted", src)
 		}
 	}
 }
@@ -320,15 +333,15 @@ func TestDeterministicAcrossCompiles(t *testing.T) {
 	src := `race in ('white','black') and (age < 50 or income is null)`
 	var first string
 	for i := 0; i < 5; i++ {
-		cp, err := Compile(src, d)
+		pp, err := Compile(src, d.Partitions(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := d.Gather(cp.SelectIndices(nil)).WriteCSV(&sb); err != nil {
+		if err := d.Gather(pp.SelectIndices(0, nil)).WriteCSV(&sb); err != nil {
 			t.Fatal(err)
 		}
-		out := cp.Disassemble() + sb.String()
+		out := pp.Program().Disassemble() + sb.String()
 		if i == 0 {
 			first = out
 		} else if out != first {

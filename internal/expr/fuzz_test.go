@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -35,13 +36,12 @@ func fuzzData() *dataset.Dataset {
 }
 
 // FuzzExprCompile: every expression that parses and compiles selects the
-// same rows through the interpreter, the vectorized driver, the
-// partitioned driver at one and two workers and, when it pins both
-// grouping attributes, the group plan over a frozen group view.
+// same rows through the interpreter, the partition driver over 64-row
+// partitions and over the default one at one and two workers and, when it
+// pins both grouping attributes, the group plan over a frozen group view.
 func FuzzExprCompile(f *testing.F) {
 	f.Add("race = 'x;sex=F' and sex = 'M' and age > 30")
 	d := fuzzData()
-	pd := d.Partitions(64)
 	view := d.GroupBy("race", "sex").Freeze()
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := CompilePredicate(src, d.Schema())
@@ -54,26 +54,24 @@ func FuzzExprCompile(f *testing.F) {
 				want = append(want, r)
 			}
 		}
-		cp, err := Compile(src, d)
-		if err != nil {
-			t.Fatalf("%q: lowered but did not compile: %v", src, err)
-		}
 		check := func(how string, rows []int, count int) {
 			t.Helper()
 			if !slices.Equal(rows, want) || count != len(want) {
 				t.Fatalf("%q: %s selects %v (count %d), interpreter %v", src, how, rows, count, want)
 			}
 		}
-		check("vectorized driver", cp.SelectIndices(nil), cp.CountFast(nil))
-		pp, err := CompilePartitioned(src, pd)
-		if err != nil {
-			t.Fatalf("%q: compiled in memory but not partitioned: %v", src, err)
-		}
-		for _, w := range []int{1, 2} {
-			check("partitioned driver", pp.SelectIndices(w, nil), pp.Count(w, nil))
-		}
-		if plan := cp.PlanGroup(view); plan != nil {
-			check("group plan", plan.SelectIndices(nil), plan.Count(nil))
+		for _, partRows := range []int{64, 0} {
+			pp, err := Compile(src, d.Partitions(partRows))
+			if err != nil {
+				t.Fatalf("%q: lowered but did not compile: %v", src, err)
+			}
+			plan := pp.PlanGroup(view)
+			for _, w := range []int{1, 2} {
+				check(fmt.Sprintf("the driver (partRows %d, workers %d)", partRows, w), pp.SelectIndices(w, nil), pp.Count(w, nil))
+				if plan != nil {
+					check(fmt.Sprintf("the group plan (partRows %d, workers %d)", partRows, w), plan.SelectIndices(w, nil), plan.Count(w, nil))
+				}
+			}
 		}
 	})
 }

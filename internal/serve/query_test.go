@@ -96,9 +96,9 @@ func planPredicate(r *rng.RNG, ingests int) (string, bool) {
 // TestQueryGroupPlan is the group plan's differential gate. After each of
 // several ingests that insert groups, random pinned conjunctions and
 // shapes that must not take the plan are evaluated through the plan, the
-// vectorized driver and the interpreter over the same snapshot, at worker
-// budgets 1, 2 and 8: all must select the same rows, and every service
-// must serve them as count and select.
+// partition driver and the interpreter over the same snapshot, at worker
+// budgets 1, 2 and 8: all must select the same rows, and every service,
+// one per budget, must serve them as count and select.
 func TestQueryGroupPlan(t *testing.T) {
 	r := rng.New(5)
 	seed := planBatch(r, 0, 300)
@@ -133,14 +133,11 @@ func TestQueryGroupPlan(t *testing.T) {
 					want = append(want, row)
 				}
 			}
-			cp, err := expr.Compile(src, snap)
+			pp, err := expr.Compile(src, snap.Partitions(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cp.SelectIndices(nil); !slices.Equal(got, want) || cp.CountFast(nil) != len(want) {
-				t.Fatalf("ingest %d: %s: vectorized driver selects %v, interpreter %v", ingest, src, got, want)
-			}
-			plan := cp.PlanGroup(groups)
+			plan := pp.PlanGroup(groups)
 			if (plan != nil) != pins {
 				t.Fatalf("ingest %d: %s: planned %t, pins both attributes %t", ingest, src, plan != nil, pins)
 			}
@@ -149,11 +146,19 @@ func TestQueryGroupPlan(t *testing.T) {
 				if len(want) > 0 {
 					hits++
 				}
-				if got := plan.SelectIndices(nil); !slices.Equal(got, want) || plan.Count(nil) != len(want) {
-					t.Fatalf("ingest %d: %s: group plan selects %v (count %d), interpreter %v", ingest, src, got, plan.Count(nil), want)
-				}
 			} else {
 				unplanned++
+			}
+			for _, w := range budgets {
+				if got := pp.SelectIndices(w, nil); !slices.Equal(got, want) || pp.Count(w, nil) != len(want) {
+					t.Fatalf("ingest %d workers %d: %s: driver selects %v, interpreter %v", ingest, w, src, got, want)
+				}
+				if plan == nil {
+					continue
+				}
+				if got := plan.SelectIndices(w, nil); !slices.Equal(got, want) || plan.Count(w, nil) != len(want) {
+					t.Fatalf("ingest %d workers %d: %s: group plan selects %v (count %d), interpreter %v", ingest, w, src, got, plan.Count(w, nil), want)
+				}
 			}
 			wantCount := fmt.Sprintf("{\"count\":%d}\n", len(want))
 			sel, err := json.Marshal(map[string]string{"csv": csvOf(t, snap.Gather(want))})

@@ -319,8 +319,8 @@ func (s *Service) handleTailor(w http.ResponseWriter, r *http.Request, sp *trace
 // Params: e (expression), mode=count|select (default count). The snapshot
 // and its frozen group view are captured once and read lock-free, so long
 // selects never block ingest. A predicate that pins every grouping
-// attribute runs over its group's rows only; any other runs the vectorized
-// driver over every row.
+// attribute runs over its group's rows only; any other scans every
+// partition. Both run at the store's per-request worker budget.
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, sp *trace.Span) error {
 	src := r.URL.Query().Get("e")
 	if src == "" {
@@ -334,30 +334,25 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, sp *trace.
 	snap, groups := s.store.View()
 	acq.End()
 	comp := sp.Child("query.compile")
-	cp, err := expr.Compile(src, snap)
+	pp, err := expr.Compile(src, snap.Partitions(0))
 	comp.End()
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	plan := cp.PlanGroup(groups)
+	var q interface {
+		Count(workers int, sp *trace.Span) int
+		SelectIndices(workers int, sp *trace.Span) []int
+	} = pp
+	if plan := pp.PlanGroup(groups); plan != nil {
+		q = plan
+	}
+	workers := s.cfg.StoreConfig.Workers
 	switch mode {
 	case "count":
-		var n int
-		if plan != nil {
-			n = plan.Count(sp)
-		} else {
-			n = cp.CountFast(sp)
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"count": n})
+		writeJSON(w, http.StatusOK, map[string]int{"count": q.Count(workers, sp)})
 	case "select":
-		var rows []int
-		if plan != nil {
-			rows = plan.SelectIndices(sp)
-		} else {
-			rows = cp.SelectIndices(sp)
-		}
 		var csv strings.Builder
-		if err := snap.Gather(rows).WriteCSV(&csv); err != nil {
+		if err := snap.Gather(q.SelectIndices(workers, sp)).WriteCSV(&csv); err != nil {
 			return err
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"csv": csv.String()})

@@ -157,7 +157,7 @@ func TestServeEquivalence(t *testing.T) {
 		for _, q := range queries {
 			path := "/query?e=" + url.QueryEscape(q)
 			_, got := doReq(t, svcs[0], "GET", path, "")
-			cp, err := expr.Compile(q, mirror)
+			pp, err := expr.Compile(q, mirror.Partitions(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,8 +167,8 @@ func TestServeEquivalence(t *testing.T) {
 			if err := json.Unmarshal([]byte(got), &resp); err != nil {
 				t.Fatalf("batch %d: query %q: %v in %s", batchNo, q, err, got)
 			}
-			if resp.Count != cp.CountFast(nil) {
-				t.Fatalf("batch %d: query %q: served %d, cold %d", batchNo, q, resp.Count, cp.CountFast(nil))
+			if cold := pp.Count(0, nil); resp.Count != cold {
+				t.Fatalf("batch %d: query %q: served %d, cold %d", batchNo, q, resp.Count, cold)
 			}
 			_, sel := doReq(t, svcs[0], "GET", path+"&mode=select", "")
 			var selResp struct {
@@ -177,7 +177,7 @@ func TestServeEquivalence(t *testing.T) {
 			if err := json.Unmarshal([]byte(sel), &selResp); err != nil {
 				t.Fatal(err)
 			}
-			if want := csvOf(t, mirror.Gather(cp.SelectIndices(nil))); selResp.CSV != want {
+			if want := csvOf(t, mirror.Gather(pp.SelectIndices(0, nil))); selResp.CSV != want {
 				t.Fatalf("batch %d: query %q select differs from cold rebuild", batchNo, q)
 			}
 		}
@@ -543,7 +543,7 @@ func TestViewCompileUnderFreshIngest(t *testing.T) {
 				}
 				for i, src := range preds {
 					snap, groups := store.View()
-					cp, err := expr.Compile(src, snap)
+					pp, err := expr.Compile(src, snap.Partitions(0))
 					if err != nil {
 						t.Error(err)
 						return
@@ -555,23 +555,23 @@ func TestViewCompileUnderFreshIngest(t *testing.T) {
 							want = append(want, r)
 						}
 					}
-					plan := cp.PlanGroup(groups)
+					plan := pp.PlanGroup(groups)
 					if (plan != nil) != (i >= len(preds)-pinned) {
 						t.Errorf("%s: planned %t", src, plan != nil)
 						return
 					}
 					if plan == nil {
-						if got := cp.CountFast(nil); got != len(want) {
-							t.Errorf("%s over %d rows: CountFast = %d, interpreted = %d", src, snap.NumRows(), got, len(want))
+						if got := pp.Count(0, nil); got != len(want) {
+							t.Errorf("%s over %d rows: Count = %d, interpreted = %d", src, snap.NumRows(), got, len(want))
 							return
 						}
 						continue
 					}
-					if got := plan.Count(nil); got != len(want) {
+					if got := plan.Count(0, nil); got != len(want) {
 						t.Errorf("%s over %d rows: group plan counts %d, interpreted %d", src, snap.NumRows(), got, len(want))
 						return
 					}
-					if got := plan.SelectIndices(nil); !slices.Equal(got, want) {
+					if got := plan.SelectIndices(0, nil); !slices.Equal(got, want) {
 						t.Errorf("%s over %d rows: group plan selects %v, interpreted %v", src, snap.NumRows(), got, want)
 						return
 					}

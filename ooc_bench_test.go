@@ -100,14 +100,14 @@ func oocSelectData(b *testing.B) *dataset.Dataset {
 
 func BenchmarkOOCSelectInMemory(b *testing.B) {
 	d := oocSelectData(b)
-	cp, err := expr.Compile(oocSelectExpr, d)
+	pp, err := expr.Compile(oocSelectExpr, d.Partitions(0))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if bm := cp.SelectBitmap(); bm.Count() == 0 {
+		if bm := pp.SelectBitmap(0); bm.Count() == 0 {
 			b.Fatal("empty selection")
 		}
 	}
@@ -115,7 +115,7 @@ func BenchmarkOOCSelectInMemory(b *testing.B) {
 
 func BenchmarkOOCSelectMapped(b *testing.B) {
 	pd := oocFile(b, oocSelectData(b))
-	pp, err := expr.CompilePartitioned(oocSelectExpr, pd)
+	pp, err := expr.Compile(oocSelectExpr, pd)
 	if err != nil {
 		b.Fatal(err)
 	}
