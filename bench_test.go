@@ -587,6 +587,84 @@ func BenchmarkPredicateEvalOnly(b *testing.B) {
 	}
 }
 
+// leafBenchRows is the resident size of redibench's serve-query workload.
+const leafBenchRows = 300000
+
+// leafBenchData is a view in serve-query's shape: four sensitive
+// attributes (240 intersectional groups), four numeric features with 1% of
+// their cells null and 0.5% of the region cells null.
+func leafBenchData(b *testing.B) *dataset.Dataset {
+	b.Helper()
+	d := synth.Generate(synth.PopulationConfig{
+		Rows: leafBenchRows,
+		Sensitive: []synth.SensitiveAttr{
+			{Name: "race", Values: []string{"white", "black", "hispanic", "asian"}, Weights: []float64{0.64, 0.18, 0.12, 0.06}},
+			{Name: "sex", Values: []string{"F", "M"}, Weights: []float64{0.5, 0.5}},
+			{Name: "age_band", Values: []string{"18-24", "25-34", "35-44", "45-54", "55-64", "65+"}, Weights: []float64{0.12, 0.2, 0.2, 0.18, 0.17, 0.13}},
+			{Name: "region", Values: []string{"south", "midwest", "northeast", "west", "territories"}, Weights: []float64{0.36, 0.22, 0.2, 0.18, 0.04}},
+		},
+		Features:    4,
+		GroupEffect: 1,
+		LabelNoise:  0.05,
+	}, rng.New(17)).Data
+	r := rng.New(18)
+	for _, f := range synth.FeatureNames(4) {
+		d = synth.InjectMissing(d, synth.MissingConfig{Attr: f, Rate: 0.01, Mech: synth.MCAR}, r.Split())
+	}
+	for row := 0; row < d.NumRows(); row++ {
+		if r.Bool(0.005) {
+			if err := d.SetValue(row, "region", dataset.NullValue(dataset.Categorical)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return d
+}
+
+// BenchmarkPredicateLeaves counts serve-query's predicate forms over a
+// 300k-row view, serially, and reports ns per resident row. The first four
+// run the partition driver's leaf kernels; eq-group-view answers the
+// equality count as /query does, through a plan over the frozen group
+// view when PlanGroup returns one.
+func BenchmarkPredicateLeaves(b *testing.B) {
+	d := leafBenchData(b)
+	pd := d.Partitions(0)
+	view := d.GroupBy("race", "sex", "age_band", "region").Freeze()
+	forms := []struct {
+		name string
+		p    dataset.Predicate
+		view *dataset.GroupView
+	}{
+		{"eq", dataset.Eq("race", "black"), nil},
+		{"in-and-cmp", dataset.And(dataset.In("race", "black", "asian"), dataset.Compare("f1", dataset.CmpGT, 0.5)), nil},
+		{"range", dataset.Range("f0", -0.5, 0.5), nil},
+		{"not-or", dataset.Or(dataset.Not(dataset.Eq("race", "white")), dataset.Compare("f2", dataset.CmpLT, -0.5)), nil},
+		{"eq-group-view", dataset.Eq("race", "black"), view},
+	}
+	for _, f := range forms {
+		want := d.Count(f.p)
+		pp, ok := pd.CompilePredicate(f.p)
+		if !ok {
+			b.Fatal("predicate did not compile")
+		}
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var n int
+				if plan := pp.PlanGroup(f.view); plan != nil {
+					n = plan.Count(0, nil)
+				} else {
+					n = pp.Count(0, nil)
+				}
+				if n != want {
+					b.Fatalf("count %d, want %d", n, want)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/leafBenchRows, "ns/row")
+		})
+	}
+}
+
 // --- group-ID substrate benchmarks (PR 4) ---
 
 // groupBenchData builds a population large enough that per-row grouping

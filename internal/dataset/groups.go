@@ -38,6 +38,7 @@ type Groups struct {
 	keys     []GroupKey         // lazy: gid -> rendered key
 	gids     map[GroupKey]int32 // lazy: rendered key -> gid
 	rowLists [][]int            // lazy, then kept current by Append: gid -> member rows
+	outside  []int              // built and advanced with rowLists: rows with a null grouping attribute
 	rowSets  []bitmap.Bitmap    // lazy: gid -> member row bitmap
 
 	// Incremental-maintenance state (built on first Append; see
@@ -197,7 +198,8 @@ func (g *Groups) Rows(gid int) []int {
 	return g.rowLists[gid]
 }
 
-// buildRowLists builds the per-group row lists if they are not built yet.
+// buildRowLists builds the per-group row lists, and the list of the rows
+// outside every group, if they are not built yet.
 func (g *Groups) buildRowLists() {
 	if g.rowLists != nil {
 		return
@@ -206,9 +208,12 @@ func (g *Groups) buildRowLists() {
 	for i, c := range g.Counts {
 		lists[i] = make([]int, 0, c)
 	}
+	g.outside = nil
 	for r, id := range g.ByRow {
 		if id >= 0 {
 			lists[id] = append(lists[id], r)
+		} else {
+			g.outside = append(g.outside, r)
 		}
 	}
 	g.rowLists = lists

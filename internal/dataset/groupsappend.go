@@ -11,8 +11,9 @@ import (
 // Append calls, every exported field and accessor (ByRow, Counts, tuples →
 // Key/Keys/GID, Rows, RowSet) is bit-identical to a from-scratch GroupBy of
 // the same dataset. Once built, the per-group row lists are advanced rather
-// than dropped: each new row lands at the end of its group's list, so they
-// stay ascending, and a new group gets an empty list at its gid.
+// than dropped: each new row lands at the end of its group's list, or of
+// the list of rows outside every group when a grouping attribute is null,
+// so they stay ascending, and a new group gets an empty list at its gid.
 //
 // The canonical gid order is ascending rendered-key order, so appending a
 // row whose code tuple was already seen is O(attrs): encode the tuple, look
@@ -87,6 +88,9 @@ func (g *Groups) Append(d *Dataset, fromRow int) {
 		}
 		if null {
 			g.ByRow = append(g.ByRow, -1)
+			if g.rowLists != nil {
+				g.outside = append(g.outside, r)
+			}
 			continue
 		}
 		encodeTuple(key, tuple)

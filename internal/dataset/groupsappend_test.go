@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"redi/internal/rng"
@@ -30,7 +31,7 @@ func randGroupRow(r *rng.RNG, d *Dataset, i int) {
 
 // requireGroupsEqual asserts full structural equality between an
 // incrementally maintained index and a cold rebuild: ByRow, Counts, rendered
-// keys, per-group row lists, and row bitmaps.
+// keys, per-group row lists, the rows outside every group, and row bitmaps.
 func requireGroupsEqual(t *testing.T, inc, cold *Groups) {
 	t.Helper()
 	if len(inc.ByRow) != len(cold.ByRow) {
@@ -74,6 +75,11 @@ func requireGroupsEqual(t *testing.T, inc, cold *Groups) {
 				t.Fatalf("RowSet(%d) word %d differs", gid, w)
 			}
 		}
+	}
+	inc.buildRowLists()
+	cold.buildRowLists()
+	if !slices.Equal(inc.outside, cold.outside) {
+		t.Fatalf("outside rows %v, rebuild has %v", inc.outside, cold.outside)
 	}
 }
 

@@ -4,40 +4,55 @@ import (
 	"fmt"
 	"slices"
 
+	"redi/internal/bitmap"
 	"redi/internal/parallel"
 	"redi/internal/trace"
 )
 
-// GroupView is a frozen view of a Groups index: the code tuples and the
-// per-group row lists, whose lengths are the group counts, as they stood
-// when Freeze took it. It holds no lazy state and shares nothing that
-// Append writes in place, so any number of readers may use it concurrently
-// with later appends to the index it came from.
+// GroupView is a frozen view of a Groups index: the code tuples, the
+// per-group row lists, whose lengths are the group counts, and the rows
+// outside every group, as they stood when Freeze took it. It holds no lazy
+// state and shares nothing that Append writes in place, so any number of
+// readers may use it concurrently with later appends to the index it came
+// from.
 type GroupView struct {
-	attrs  []string
-	tuples []int32 // gid-major code tuples, len(rows)*len(attrs)
-	rows   [][]int // gid -> ascending member rows, each capped at its length
-	n      int     // rows indexed
+	attrs   []string
+	cols    [][]int32 // attribute -> gid -> code: the code tuples, one column per attribute
+	rows    [][]int   // gid -> ascending member rows, each capped at its length
+	outside []int     // ascending rows with a null grouping attribute, capped at its length
+	n       int       // rows indexed
 }
 
-// Freeze returns a frozen view of the index. The tuples and the list of row
-// lists are copied, since Append shifts them in place when it inserts a
-// group; each row list is shared, capped at its current length, since
+// Freeze returns a frozen view of the index. The code tuples are copied
+// into per-attribute columns, and the list of row lists is copied, since
+// Append shifts both in place when it inserts a group; each row list and
+// the outside rows are shared, capped at their current length, since
 // Append only ever writes past that length. So a view costs
 // O(groups × attrs), whatever the row count. The first Freeze builds the
 // row lists, an O(rows) pass, and Append advances them from then on. Like
 // Append, Freeze must be called from the index's single writer.
 func (g *Groups) Freeze() *GroupView {
 	g.buildRowLists()
-	rows := make([][]int, len(g.rowLists))
+	A, G := len(g.Attrs), len(g.Counts)
+	codes := make([]int32, A*G)
+	cols := make([][]int32, A)
+	for a := range cols {
+		col := codes[a*G : (a+1)*G : (a+1)*G]
+		for gid := range col {
+			col[gid] = g.tuples[gid*A+a]
+		}
+		cols[a] = col
+	}
+	rows := make([][]int, G)
 	for gid, l := range g.rowLists {
 		rows[gid] = l[:len(l):len(l)]
 	}
 	return &GroupView{
-		attrs:  g.Attrs,
-		tuples: slices.Clone(g.tuples),
-		rows:   rows,
-		n:      g.n,
+		attrs:   g.Attrs,
+		cols:    cols,
+		rows:    rows,
+		outside: g.outside[:len(g.outside):len(g.outside)],
+		n:       g.n,
 	}
 }
 
@@ -47,35 +62,52 @@ func (g *Groups) Freeze() *GroupView {
 // a=x;b=y;b=z). The scan is O(groups × attrs), the cost of the view itself
 // and never more than a scan of the rows.
 func (v *GroupView) gid(t []int32) int {
-	A := len(v.attrs)
+next:
 	for gid := range v.rows {
-		if slices.Equal(v.tuples[gid*A:(gid+1)*A], t) {
-			return gid
+		for a, col := range v.cols {
+			if col[gid] != t[a] {
+				continue next
+			}
 		}
+		return gid
 	}
 	return -1
 }
 
-// GroupPlan answers a compiled predicate from the rows of the one group
-// that its top-level conjunction pins, instead of scanning every row: a
-// row outside that group fails one of the pins, so it cannot match. It is
-// a plan over the program's row VM, not a second evaluator: it binds each
-// partition the group's rows fall in once, and runs the whole program on
-// each row it visits.
+// GroupPlan answers a compiled predicate from a frozen group view instead
+// of scanning every row. It has two cases:
+//
+//   - Pinned: the top-level conjunction pins one group, so a row outside
+//     that group fails one of the pins and cannot match. The plan visits
+//     the group's rows only.
+//   - Grouping attributes only: every leaf reads a grouping attribute, so
+//     a grouped row matches exactly when its group's code tuple does. The
+//     plan runs the program once per group over the tuples, takes the
+//     matching groups whole, and visits only the rows outside every group,
+//     whose null grouping attributes no tuple holds.
+//
+// It is a plan over the program's row VM, not a second evaluator: it binds
+// each partition the visited rows fall in once and runs the whole program
+// on each row it visits, and the per-group pass runs the same VM over a
+// binding whose slots are the view's tuple columns.
 type GroupPlan struct {
 	pp       *PartitionedPredicate
-	rows     []int // the pinned group's rows; empty when no row can match
-	pinsOnly bool  // the pins are the whole conjunction
+	rows     []int      // the rows the row VM visits: the pinned group's, or the outside rows
+	groups   *GroupView // the view whose groups the program tests whole; nil when pinned
+	tuples   binding    // the program's slots bound to the view's tuple columns
+	pinsOnly bool       // pinned, and the pins are the whole conjunction
 }
 
 // PlanGroup returns the group plan of the program over v, a frozen view of
-// the grouping of the view's rows, or nil when the program does not pin
-// one group. It pins one when its top-level conjunction (nested ands
-// flattened) holds an equality on every grouping attribute; equalities
-// under or or not do not count. Duplicate pins are harmless;
-// contradictory pins, literals absent from the dictionary and tuples no
-// row holds pin an empty group. A nil v plans nothing. It panics if v
-// covers a different number of rows than the view.
+// the grouping of the view's rows, or nil when the program neither pins
+// one group nor reads grouping attributes only. The pinned plan comes
+// first, since it answers a pins-only count in O(1). A program pins a
+// group when its top-level conjunction (nested ands flattened) holds an
+// equality on every grouping attribute; equalities under or or not do not
+// count. Duplicate pins are harmless; contradictory pins, literals absent
+// from the dictionary and tuples no row holds pin an empty group. A
+// constant program reads no attribute and plans nothing. A nil v plans
+// nothing. It panics if v covers a different number of rows than the view.
 func (pp *PartitionedPredicate) PlanGroup(v *GroupView) *GroupPlan {
 	if v == nil {
 		return nil
@@ -83,6 +115,15 @@ func (pp *PartitionedPredicate) PlanGroup(v *GroupView) *GroupPlan {
 	if v.n != pp.pd.NumRows() {
 		panic(fmt.Sprintf("dataset: group view covers %d rows, program %d", v.n, pp.pd.NumRows()))
 	}
+	if p := pp.planPinned(v); p != nil {
+		return p
+	}
+	return pp.planGroupAttrs(v)
+}
+
+// planPinned returns the pinned plan, or nil when the top-level
+// conjunction leaves a grouping attribute unpinned.
+func (pp *PartitionedPredicate) planPinned(v *GroupView) *GroupPlan {
 	pins := make([]*predNode, len(v.attrs)) // the first pin of each attribute
 	empty, pinsOnly := false, true
 	forConjuncts(pp.prog.node, func(k *predNode) {
@@ -117,6 +158,29 @@ func (pp *PartitionedPredicate) PlanGroup(v *GroupView) *GroupPlan {
 	return p
 }
 
+// planGroupAttrs returns the plan of a program whose every leaf reads a
+// grouping attribute, or nil. Such a program binds no numeric slot, and
+// binds at least one categorical slot unless it folded to a constant.
+func (pp *PartitionedPredicate) planGroupAttrs(v *GroupView) *GroupPlan {
+	cp := pp.prog
+	if len(cp.numCols) > 0 || len(cp.catCols) == 0 {
+		return nil
+	}
+	p := &GroupPlan{pp: pp, rows: v.outside, groups: v, tuples: binding{cat: make([][]int32, len(cp.catCols))}}
+	for s, attr := range cp.catAttrs {
+		a := slices.Index(v.attrs, attr)
+		if a < 0 {
+			return nil
+		}
+		p.tuples.cat[s] = v.cols[a]
+	}
+	return p
+}
+
+// matchesWhole reports whether group gid matches the program, and so does
+// every row in it.
+func (p *GroupPlan) matchesWhole(gid int) bool { return p.pp.prog.match(&p.tuples, gid) }
+
 // forConjuncts calls fn on each top-level conjunct of n, flattening nested
 // ands.
 func forConjuncts(n *predNode, fn func(*predNode)) {
@@ -132,9 +196,9 @@ func forConjuncts(n *predNode, fn func(*predNode)) {
 // Count returns the number of matching rows. Under a non-nil span it
 // records a "dataset.predicate_count" child whose rows_scanned is the rows
 // the plan visited: none when the pins are the whole conjunction, since
-// the count is then the group's size, and the group's rows otherwise.
-// partitions_scanned counts the partitions it bound, and
-// partitions_pruned the others.
+// the count is then the group's size, and otherwise the pinned group's
+// rows or the rows outside every group. partitions_scanned counts the
+// partitions it bound, and partitions_pruned the others.
 func (p *GroupPlan) Count(workers int, sp *trace.Span) int {
 	ev := sp.Child("dataset.predicate_count")
 	var st partEvalStats
@@ -148,8 +212,9 @@ func (p *GroupPlan) Count(workers int, sp *trace.Span) int {
 }
 
 // SelectIndices returns the matching row indices in ascending order,
-// non-nil even when empty. Under a non-nil span it records a
-// "dataset.predicate_select" child whose rows_scanned is the group's rows.
+// non-nil even when empty: the visited rows that match, merged with the
+// rows of the groups that match whole. Under a non-nil span it records a
+// "dataset.predicate_select" child whose rows_scanned is the rows visited.
 func (p *GroupPlan) SelectIndices(workers int, sp *trace.Span) []int {
 	ev := sp.Child("dataset.predicate_select")
 	out := make([]int, len(p.rows))
@@ -160,12 +225,28 @@ func (p *GroupPlan) SelectIndices(workers int, sp *trace.Span) []int {
 			idx = append(idx, r)
 		}
 	}
+	if p.groups != nil {
+		m := bitmap.New(p.pp.pd.NumRows())
+		for _, r := range idx {
+			m.Set(r)
+		}
+		for gid, rows := range p.groups.rows {
+			if p.matchesWhole(gid) {
+				for _, r := range rows {
+					m.Set(r)
+				}
+			}
+		}
+		idx = make([]int, 0, st.matches)
+		m.ForEach(func(r int) { idx = append(idx, r) })
+	}
 	st.finish(p.pp.pd, ev)
 	return idx
 }
 
-// run runs the row VM over the group's rows, split into contiguous chunks.
-// When out is non-nil, out[i] becomes rows[i] if that row matches and -1
+// run runs the row VM over the visited rows, split into contiguous chunks,
+// and adds the sizes of the groups that match whole to the matches. When
+// out is non-nil, out[i] becomes rows[i] if that row matches and -1
 // otherwise. Partitions none of the rows fall in count as pruned.
 func (p *GroupPlan) run(workers int, out []int) partEvalStats {
 	var st partEvalStats
@@ -178,12 +259,19 @@ func (p *GroupPlan) run(workers int, out []int) partEvalStats {
 			st.add(c)
 		}
 	}
+	if p.groups != nil {
+		for gid, rows := range p.groups.rows {
+			if p.matchesWhole(gid) {
+				st.matches += int64(len(rows))
+			}
+		}
+	}
 	st.pruned = int64(p.pp.pd.NumPartitions()) - st.scanned
 	return st
 }
 
 // runChunk evaluates rows[lo:hi], binding each partition once per chunk.
-// A partition counts as scanned in the chunk that holds its first group
+// A partition counts as scanned in the chunk that holds its first visited
 // row, so the tally does not depend on the chunking.
 func (p *GroupPlan) runChunk(lo, hi int, out []int) partEvalStats {
 	pp := p.pp

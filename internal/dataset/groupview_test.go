@@ -11,7 +11,10 @@ import (
 // cloneView deep-copies a view, so later writes through shared storage
 // would show as a difference.
 func cloneView(v *GroupView) *GroupView {
-	c := &GroupView{attrs: slices.Clone(v.attrs), tuples: slices.Clone(v.tuples), n: v.n}
+	c := &GroupView{attrs: slices.Clone(v.attrs), outside: slices.Clone(v.outside), n: v.n}
+	for _, col := range v.cols {
+		c.cols = append(c.cols, slices.Clone(col))
+	}
 	for _, l := range v.rows {
 		c.rows = append(c.rows, slices.Clone(l))
 	}
@@ -19,9 +22,9 @@ func cloneView(v *GroupView) *GroupView {
 }
 
 // TestFreezeUnchangedByAppend: a view frozen before an Append keeps its
-// tuples and row lists whatever the appends do, inserting groups and
-// shifting gids included, and a view frozen after equals the view of a
-// cold GroupBy.
+// tuples, row lists and outside rows whatever the appends do, inserting
+// groups and shifting gids included, and a view frozen after equals the
+// view of a cold GroupBy.
 func TestFreezeUnchangedByAppend(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		r := rng.New(seed)

@@ -253,8 +253,9 @@ func TestPredicateConcurrentUse(t *testing.T) {
 	d := partTestData(rng.New(78), 3000)
 	v := d.GroupBy("a", "b").Freeze()
 	for i, p := range []Predicate{
-		And(Eq("a", "a1"), Range("x", -1, 2), Eq("b", "b2")), // takes the group plan
+		And(Eq("a", "a1"), Range("x", -1, 2), Eq("b", "b2")), // takes the pinned group plan
 		Or(IsNull("a"), Not(Compare("y", CmpGE, 30))),        // scans every partition
+		Or(IsNull("a"), Not(In("b", "b1", "b3"))),            // tests groups whole
 	} {
 		want := []int{}
 		for r := 0; r < d.NumRows(); r++ {
@@ -264,7 +265,7 @@ func TestPredicateConcurrentUse(t *testing.T) {
 		}
 		pp := mustCompile(t, d.Partitions(256), p)
 		plan := pp.PlanGroup(v)
-		if (plan != nil) != (i == 0) {
+		if (plan != nil) != (i != 1) {
 			t.Fatalf("predicate %d: planned %t", i, plan != nil)
 		}
 		var wg sync.WaitGroup

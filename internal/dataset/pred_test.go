@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,7 +186,7 @@ func TestSelectIndicesContract(t *testing.T) {
 }
 
 // TestCountScratchReuse pins the allocation contract: a reused predicate's
-// serial, untraced Count and its group plan's count reuse the predicate's
+// serial, untraced Count and its group plans' counts reuse the predicate's
 // spare scratch and allocate nothing, and neither does the row VM.
 func TestCountScratchReuse(t *testing.T) {
 	d := partTestData(rng.New(76), 1000)
@@ -195,9 +197,14 @@ func TestCountScratchReuse(t *testing.T) {
 				t.Fatalf("partRows=%d: Count(%d, nil) allocates %v per run, want 0", partRows, workers, allocs)
 			}
 		}
-		plan := pp.PlanGroup(d.GroupBy("a").Freeze())
-		if allocs := testing.AllocsPerRun(100, func() { plan.Count(0, nil) }); allocs != 0 {
-			t.Fatalf("partRows=%d: GroupPlan.Count(0, nil) allocates %v per run, want 0", partRows, allocs)
+		v := d.GroupBy("a").Freeze()
+		for _, plan := range []*GroupPlan{
+			pp.PlanGroup(v),
+			mustCompile(t, d.Partitions(partRows), Or(IsNull("a"), In("a", "a1", "a2"))).PlanGroup(v),
+		} {
+			if allocs := testing.AllocsPerRun(100, func() { plan.Count(0, nil) }); allocs != 0 {
+				t.Fatalf("partRows=%d: GroupPlan.Count(0, nil) allocates %v per run, want 0", partRows, allocs)
+			}
 		}
 		sc := pp.getScratch()
 		pp.bind(0, &sc.binding)
@@ -212,9 +219,68 @@ func TestCountScratchReuse(t *testing.T) {
 	}
 }
 
+// specialFloats are the float64 values whose comparisons are easy to get
+// wrong: NaN, both infinities and both zeros, the largest finite
+// magnitudes and the smallest subnormals, and 1.
+var specialFloats = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1,
+}
+
+// TestSpecialFloatComparisons: every comparison operator against each
+// special value, and every range between two of them, selects the same
+// rows through the interpreter, the row VM and the driver at 64-row and
+// default partitions, over a column that holds each special value many
+// times among nulls and small integers.
+func TestSpecialFloatComparisons(t *testing.T) {
+	d := New(NewSchema(Attribute{Name: "x", Kind: Numeric}))
+	for i := 0; i < 150; i++ {
+		switch {
+		case i%13 == 5:
+			d.MustAppendRow(NullValue(Numeric))
+		case i%3 == 0:
+			d.MustAppendRow(Num(float64(i%7 - 3)))
+		default:
+			d.MustAppendRow(Num(specialFloats[i%len(specialFloats)]))
+		}
+	}
+	var preds []Predicate
+	for _, x := range specialFloats {
+		for op := CmpLT; op <= CmpNE; op++ {
+			preds = append(preds, Compare("x", op, x))
+		}
+		for _, y := range specialFloats {
+			preds = append(preds, Range("x", x, y))
+		}
+	}
+	for _, p := range preds {
+		want := bitmap.New(d.NumRows())
+		for row := 0; row < d.NumRows(); row++ {
+			if p.Match(d, row) {
+				want.Set(row)
+			}
+		}
+		for _, partRows := range []int{64, 0} {
+			pp := mustCompile(t, d.Partitions(partRows), p)
+			what := fmt.Sprintf("partRows %d, %q (operands %v, %v)", partRows, pp.Program().Disassemble(), p.node.lo, p.node.hi)
+			vm := rowVMBitmap(pp)
+			if !slices.Equal(vm, want) {
+				t.Fatalf("%s: row VM %x, interpreter %x", what, vm, want)
+			}
+			if got := pp.SelectBitmap(0); !slices.Equal(got, vm) {
+				t.Fatalf("%s: driver %x, row VM %x", what, got, vm)
+			}
+			if n := pp.Count(0, nil); n != want.Count() {
+				t.Fatalf("%s: driver counts %d, interpreter %d", what, n, want.Count())
+			}
+		}
+	}
+}
+
 // randomAdversarialData builds a dataset exercising the edge cases the VM
 // must match the interpreter on: null cells, empty columns, single-value
-// dictionaries, and row counts straddling the 64-bit word boundary.
+// dictionaries, special float values, and row counts straddling the 64-bit
+// word boundary.
 func randomAdversarialData(r *rng.RNG) *Dataset {
 	d := New(NewSchema(
 		Attribute{Name: "c1", Kind: Categorical},
@@ -234,9 +300,12 @@ func randomAdversarialData(r *rng.RNG) *Dataset {
 			}
 		}
 		for c := 2; c < 4; c++ {
-			if r.Float64() < 0.2 {
+			switch f := r.Float64(); {
+			case f < 0.2:
 				row[c] = NullValue(Numeric)
-			} else {
+			case f < 0.3:
+				row[c] = Num(specialFloats[r.Intn(len(specialFloats))])
+			default:
 				row[c] = Num(float64(r.Intn(100)))
 			}
 		}
@@ -246,11 +315,18 @@ func randomAdversarialData(r *rng.RNG) *Dataset {
 }
 
 // randomPredTree builds a random predicate over the adversarial schema,
-// including literals absent from dictionaries and inverted ranges.
+// including literals absent from dictionaries, inverted ranges and special
+// float operands.
 func randomPredTree(r *rng.RNG, depth int) Predicate {
 	lits := []string{"a", "b", "c", "d", "e", "zz", "missing"}
 	catAttrs := []string{"c1", "c2"}
 	numAttrs := []string{"x", "y"}
+	special := func(x float64) float64 {
+		if r.Intn(4) == 0 {
+			return specialFloats[r.Intn(len(specialFloats))]
+		}
+		return x
+	}
 	if depth <= 0 || r.Float64() < 0.4 {
 		switch r.Intn(7) {
 		case 0:
@@ -264,9 +340,9 @@ func randomPredTree(r *rng.RNG, depth int) Predicate {
 			return In(catAttrs[r.Intn(2)], vs...)
 		case 2:
 			lo := float64(r.Intn(120) - 10)
-			return Range(numAttrs[r.Intn(2)], lo, lo+float64(r.Intn(80)-20))
+			return Range(numAttrs[r.Intn(2)], special(lo), special(lo+float64(r.Intn(80)-20)))
 		case 3:
-			return Compare(numAttrs[r.Intn(2)], CompareOp(r.Intn(6)), float64(r.Intn(100)))
+			return Compare(numAttrs[r.Intn(2)], CompareOp(r.Intn(6)), special(float64(r.Intn(100))))
 		case 4:
 			return NotNull([]string{"c1", "c2", "x", "y"}[r.Intn(4)])
 		case 5:
@@ -348,6 +424,16 @@ func stringKeyJoin(d, other *Dataset, leftAttr, rightAttr string) [][2]int {
 	return pairs
 }
 
+// sameCell reports whether two cells hold the same value. Value.Equal
+// follows float ==, under which a NaN cell differs from itself, so numeric
+// cells compare by their bits.
+func sameCell(a, b Value) bool {
+	if a.Kind == Numeric && b.Kind == Numeric && !a.Null && !b.Null {
+		return math.Float64bits(a.Num) == math.Float64bits(b.Num)
+	}
+	return a.Equal(b)
+}
+
 // TestJoinEquivalenceProperty checks the dictionary-code join against the
 // string-keyed oracle on random datasets: same pairs, same order, for both
 // categorical and numeric keys.
@@ -368,7 +454,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 			}
 			for i, pr := range want {
 				for c := 0; c < left.NumCols(); c++ {
-					if !j.ValueAt(i, c).Equal(left.ValueAt(pr[0], c)) {
+					if !sameCell(j.ValueAt(i, c), left.ValueAt(pr[0], c)) {
 						t.Fatalf("round %d key %s row %d: left col %d mismatch", round, key, i, c)
 					}
 				}
@@ -378,7 +464,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 					if right.Schema().Attr(c).Name == key && c == right.Schema().MustIndex(key) {
 						continue
 					}
-					if !j.ValueAt(i, oc).Equal(right.ValueAt(pr[1], c)) {
+					if !sameCell(j.ValueAt(i, oc), right.ValueAt(pr[1], c)) {
 						t.Fatalf("round %d key %s row %d: right col %d mismatch", round, key, i, c)
 					}
 					oc++

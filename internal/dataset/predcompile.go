@@ -54,9 +54,10 @@ type CompiledPredicate struct {
 	catAttrs []string
 	numCols  []int
 	numAttrs []string
-	sets     [][]bool // pInSet membership, indexed by dictionary code + 1 (slot 0 = null, always false)
-	eqLits   []string // pEqCode literal (by b-side index) for Disassemble
-	depth    int      // max boolean-stack depth
+	sets     [][]bool   // pInSet membership, indexed by dictionary code + 1 (slot 0 = null, always false)
+	eqLits   []string   // pEqCode literal (by b-side index) for Disassemble
+	depth    int        // max boolean-stack depth
+	ivs      []interval // by instruction: each numeric leaf lowered by verify, read by both VM loops
 	// verified is set once the program passes bytecode verification (see
 	// predverify.go); the VM entry points refuse to run without it.
 	verified bool

@@ -180,12 +180,8 @@ func (pp *PartitionedPredicate) evalPartition(p int, sc *partScratch, st *partEv
 			fillIn(sc.bms[sp][:words], sc.cat[in.a], cp.sets[in.b])
 			sp++
 			st.rows += int64(n)
-		case pRangeOp:
-			fillRangeMasked(sc.bms[sp][:words], sc.num[in.a].vals, sc.num[in.a].valid, in.f0, in.f1)
-			sp++
-			st.rows += int64(n)
-		case pCmpOp:
-			fillCmpMasked(sc.bms[sp][:words], sc.num[in.a].vals, sc.num[in.a].valid, CompareOp(in.b), in.f0)
+		case pRangeOp, pCmpOp:
+			fillIntervalMasked(sc.bms[sp][:words], sc.num[in.a].vals, sc.num[in.a].valid, cp.ivs[i])
 			sp++
 			st.rows += int64(n)
 		case pNotNullCat:

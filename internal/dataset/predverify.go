@@ -32,6 +32,8 @@ import "fmt"
 
 // verify checks the program against its slots and dictionaries and returns
 // the first violated invariant, or nil when the program is safe to execute.
+// On success it lowers each numeric leaf to its interval (cp.ivs), once, so
+// neither VM loop derives it per row or per partition.
 func (cp *CompiledPredicate) verify() error {
 	if len(cp.code) == 0 {
 		return fmt.Errorf("dataset: verify: empty program")
@@ -49,6 +51,7 @@ func (cp *CompiledPredicate) verify() error {
 	}
 
 	sp := 0
+	ivs := make([]interval, len(cp.code))
 	for i := range cp.code {
 		in := &cp.code[i]
 		switch in.op {
@@ -78,6 +81,7 @@ func (cp *CompiledPredicate) verify() error {
 			if err := cp.checkNumSlot(i, in.a); err != nil {
 				return err
 			}
+			ivs[i] = in.interval()
 		case pCmpOp:
 			if err := cp.checkNumSlot(i, in.a); err != nil {
 				return err
@@ -85,6 +89,7 @@ func (cp *CompiledPredicate) verify() error {
 			if in.b < 0 || CompareOp(in.b) > CmpNE {
 				return fmt.Errorf("dataset: verify: instr %d: unknown compare op %d", i, in.b)
 			}
+			ivs[i] = in.interval()
 		case pNotNullCat, pIsNullCat:
 			if err := cp.checkCatSlot(i, in.a); err != nil {
 				return err
@@ -120,6 +125,7 @@ func (cp *CompiledPredicate) verify() error {
 	if sp != 1 {
 		return fmt.Errorf("dataset: verify: program exits with stack depth %d, want 1", sp)
 	}
+	cp.ivs = ivs
 	return nil
 }
 

@@ -12,7 +12,8 @@ import (
 // verifyData builds the shared fixture without a *testing.T so the fuzz
 // harness can call it during seed setup. Past the seven hand-written rows
 // it cycles their values to 157 rows, so a 64-row partitioning spans
-// three partitions and the last one ends mid-word.
+// three partitions and the last one ends mid-word; every eleventh of those
+// rows holds a special float age.
 func verifyData() *Dataset {
 	d := New(testSchema())
 	rows := [][]Value{
@@ -31,6 +32,9 @@ func verifyData() *Dataset {
 			r[1] = rows[(i/len(rows))%len(rows)][1]
 			if !r[2].Null {
 				r[2] = Num(float64(18 + (i*7)%60))
+				if i%11 == 0 {
+					r[2] = Num(specialFloats[(i/11)%len(specialFloats)])
+				}
 			}
 		}
 		d.MustAppendRow(r...)
@@ -39,7 +43,8 @@ func verifyData() *Dataset {
 }
 
 // verifyPrograms compiles a spread of predicate shapes against pd: every
-// leaf opcode, nested boolean operators, and a constant-folded root.
+// leaf opcode, nested boolean operators, a constant-folded root, and
+// special float operands.
 func verifyPrograms(pd *Partitioned) []*CompiledPredicate {
 	preds := []Predicate{
 		Eq("race", "white"),
@@ -53,6 +58,8 @@ func verifyPrograms(pd *Partitioned) []*CompiledPredicate {
 		Not(And(Eq("race", "black"), Range("age", 0, 30))),
 		And(Or(Eq("race", "white"), Eq("race", "black")), NotNull("age"), Not(Eq("label", "neg"))),
 		Eq("race", "martian"), // folds to const false
+		Compare("age", CmpNE, math.NaN()),
+		Or(Compare("age", CmpLT, math.Copysign(0, -1)), Range("age", math.Inf(-1), -math.MaxFloat64)),
 	}
 	var out []*CompiledPredicate
 	for _, p := range preds {

@@ -1,6 +1,10 @@
 package dataset
 
-import "redi/internal/bitmap"
+import (
+	"math"
+
+	"redi/internal/bitmap"
+)
 
 // vmStackHint is the boolean-stack size evaluated on the goroutine stack;
 // deeper programs (32+ nested operators) fall back to a heap slice.
@@ -46,30 +50,9 @@ func (cp *CompiledPredicate) match(b *binding, i int) bool {
 		case pInSet:
 			st[sp] = cp.sets[in.b][b.cat[in.a][i]+1]
 			sp++
-		case pRangeOp:
+		case pRangeOp, pCmpOp:
 			nb := &b.num[in.a]
-			v := nb.vals[i]
-			st[sp] = nb.valid[word]&bit != 0 && v >= in.f0 && v <= in.f1
-			sp++
-		case pCmpOp:
-			nb := &b.num[in.a]
-			v := nb.vals[i]
-			ok := nb.valid[word]&bit != 0
-			switch CompareOp(in.b) {
-			case CmpLT:
-				ok = ok && v < in.f0
-			case CmpLE:
-				ok = ok && v <= in.f0
-			case CmpGT:
-				ok = ok && v > in.f0
-			case CmpGE:
-				ok = ok && v >= in.f0
-			case CmpEQ:
-				ok = ok && v == in.f0
-			default:
-				ok = ok && v != in.f0
-			}
-			st[sp] = ok
+			st[sp] = nb.valid[word]&bit != 0 && cp.ivs[k].has(nb.vals[i])
 			sp++
 		case pNotNullCat:
 			st[sp] = b.cat[in.a][i] >= 0
@@ -99,18 +82,97 @@ func (cp *CompiledPredicate) match(b *binding, i int) bool {
 	return st[0]
 }
 
-// The leaf fill kernels build each 64-row word in a register and assign it,
-// fully overwriting dst (trailing bits past the row count stay zero), and
-// OR match bits in as 0/1 values so the loop body stays branch-free. Each
-// word is built by a word function over a *[64] array: the fixed trip count
-// drops bounds checks and shift-range masks, which leaves a loop small
-// enough to run at one speed wherever the linker happens to place it (the
-// per-row loop it replaced ran half again slower when its function started
-// on one 32-byte half of a 64-byte line rather than the other). A last
-// partial word is built from a zero-padded copy and masked to its rows.
+// interval is a numeric leaf lowered to IEEE-754 total-order keys: a cell
+// matches when its key k satisfies k-lo <= width, unsigned, so one
+// compare tests both bounds of [lo, lo+width], and the answer is inverted
+// when flip is all ones.
+type interval struct{ lo, width, flip uint64 }
+
+// The total-order keys of the infinities and the two zeros.
+const (
+	minKey     = 0x000f_ffff_ffff_ffff // orderKey(-Inf)
+	maxKey     = 0xfff0_0000_0000_0000 // orderKey(+Inf)
+	negZeroKey = 0x7fff_ffff_ffff_ffff // orderKey(-0)
+	posZeroKey = 0x8000_0000_0000_0000 // orderKey(+0)
+)
+
+// orderKey maps f to a key whose unsigned order is IEEE-754 total order:
+// -NaN < -Inf < ... < -0 < +0 < ... < +Inf < +NaN.
+func orderKey(f float64) uint64 {
+	u := math.Float64bits(f)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
+}
+
+// interval lowers a pRangeOp or pCmpOp to the keys of the cells it
+// matches, the one place that reads their operands. A range [f0, f1] and
+// every comparison against f0 are one closed key range, clamped to the
+// infinities so that a NaN cell matches no comparison but !=, which is the
+// complement of =. The two zeros form one key range, since -0 == +0. A NaN
+// operand matches nothing, or every valid cell under !=.
+func (in *pinstr) interval() interval {
+	x, y := in.f0, in.f1
+	if in.op == pCmpOp {
+		y = x
+	}
+	lo, hi := orderKey(x), orderKey(y)
+	if x == 0 {
+		lo = negZeroKey
+	}
+	if y == 0 {
+		hi = posZeroKey
+	}
+	if in.op == pCmpOp {
+		switch CompareOp(in.b) {
+		case CmpLT:
+			lo, hi = minKey, lo-1
+		case CmpLE:
+			lo = minKey
+		case CmpGT:
+			lo, hi = hi+1, maxKey
+		case CmpGE:
+			hi = maxKey
+		}
+	}
+	iv := interval{lo: lo, width: hi - lo}
+	if x != x || y != y || lo > hi {
+		iv = interval{width: ^uint64(0), flip: ^uint64(0)} // every key, inverted
+	}
+	if in.op == pCmpOp && CompareOp(in.b) == CmpNE {
+		iv.flip = ^iv.flip
+	}
+	return iv
+}
+
+// has reports whether v lies in the interval.
+func (iv interval) has(v float64) bool {
+	return (orderKey(v)-iv.lo <= iv.width) != (iv.flip != 0)
+}
+
+// The leaf fill kernels build each 64-row word in registers and assign it,
+// fully overwriting dst (trailing bits past the row count stay zero). Each
+// word is built by a word function over a *[64] array: the fixed trip
+// count drops bounds checks, and a last partial word is built from a
+// zero-padded copy and masked to its rows. A word function fills four
+// independent 16-row accumulators, walking each lane's rows downward and
+// shifting every accumulator left by one per row: the shifts are
+// constants, and the four dependency chains run side by side rather than
+// as one 64-long chain. Each match is materialized as a 0/1 value (SETcc,
+// no branch): a data-dependent branch would mispredict on random values.
+// The loops also run at one speed wherever the linker places them; the
+// per-row loop they replaced ran half again slower when its function
+// started on one 32-byte half of a 64-byte line rather than the other.
 
 // lowBits returns a word with the low n bits set, 0 <= n < 64.
 func lowBits(n int) uint64 { return 1<<uint(n) - 1 }
+
+// oneIf returns 1 for true and 0 for false.
+func oneIf(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
 
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
 func fillEq(dst bitmap.Bitmap, codes []int32, code int32) {
@@ -126,15 +188,14 @@ func fillEq(dst bitmap.Bitmap, codes []int32, code int32) {
 }
 
 func eqWord(cs *[64]int32, code int32) uint64 {
-	var w uint64
-	for i := 0; i < 64; i++ {
-		var bit uint64
-		if cs[i] == code {
-			bit = 1
-		}
-		w |= bit << i
+	var w0, w1, w2, w3 uint64
+	for i := 15; i >= 0; i-- {
+		w0 = w0<<1 | oneIf(cs[i] == code)
+		w1 = w1<<1 | oneIf(cs[i+16] == code)
+		w2 = w2<<1 | oneIf(cs[i+32] == code)
+		w3 = w3<<1 | oneIf(cs[i+48] == code)
 	}
-	return w
+	return w0 | w1<<16 | w2<<32 | w3<<48
 }
 
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
@@ -153,15 +214,14 @@ func fillIn(dst bitmap.Bitmap, codes []int32, set []bool) {
 // inWord looks each code up in set, which is offset by one (slot 0 =
 // null), so the null check is just part of the table lookup.
 func inWord(cs *[64]int32, set []bool) uint64 {
-	var w uint64
-	for i := 0; i < 64; i++ {
-		var bit uint64
-		if set[cs[i]+1] {
-			bit = 1
-		}
-		w |= bit << i
+	var w0, w1, w2, w3 uint64
+	for i := 15; i >= 0; i-- {
+		w0 = w0<<1 | oneIf(set[cs[i]+1])
+		w1 = w1<<1 | oneIf(set[cs[i+16]+1])
+		w2 = w2<<1 | oneIf(set[cs[i+32]+1])
+		w3 = w3<<1 | oneIf(set[cs[i+48]+1])
 	}
-	return w
+	return w0 | w1<<16 | w2<<32 | w3<<48
 }
 
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
@@ -178,120 +238,42 @@ func fillNotNullCat(dst bitmap.Bitmap, codes []int32) {
 }
 
 func notNullWord(cs *[64]int32) uint64 {
-	var w uint64
-	for i := 0; i < 64; i++ {
-		var bit uint64
-		if cs[i] >= 0 {
-			bit = 1
-		}
-		w |= bit << i
+	var w0, w1, w2, w3 uint64
+	for i := 15; i >= 0; i-- {
+		w0 = w0<<1 | oneIf(cs[i] >= 0)
+		w1 = w1<<1 | oneIf(cs[i+16] >= 0)
+		w2 = w2<<1 | oneIf(cs[i+32] >= 0)
+		w3 = w3<<1 | oneIf(cs[i+48] >= 0)
 	}
-	return w
+	return w0 | w1<<16 | w2<<32 | w3<<48
 }
 
-// The numeric kernels build each 64-row comparison word branch-free, then
-// AND it against the column's validity word. Cells under a cleared
-// validity bit hold 0 — the comparison runs on that 0 and the mask
-// discards the result, so no value-dependent branch enters the loop. One
-// single-condition assignment per comparison materializes each bool as 0/1
-// (SETcc, no branch): a fused `a && b` would reintroduce a data-dependent
-// branch that mispredicts on random values. The float comparisons are the
-// real ones, so NaN and ±0 behave exactly as the interpreted path.
-
+// fillIntervalMasked is the one numeric leaf kernel: it builds each word
+// of interval matches, inverts it under iv.flip and ANDs it with the
+// column's validity word. A cell under a cleared validity bit holds 0; the
+// kernel tests that 0 and the mask discards the result, so no
+// value-dependent branch enters the loop.
+//
 //redi:hotpath word-building scan kernel; one pass over the column per leaf
-func fillRangeMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, lo, hi float64) {
+func fillIntervalMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, iv interval) {
 	for wi := range dst {
 		if vs := vals[wi*64:]; len(vs) >= 64 {
-			dst[wi] = rangeWord((*[64]float64)(vs), lo, hi) & validity[wi]
+			dst[wi] = (intervalWord((*[64]float64)(vs), iv.lo, iv.width) ^ iv.flip) & validity[wi]
 		} else {
 			var tail [64]float64
 			copy(tail[:], vs)
-			dst[wi] = rangeWord(&tail, lo, hi) & validity[wi] & lowBits(len(vs))
+			dst[wi] = (intervalWord(&tail, iv.lo, iv.width) ^ iv.flip) & validity[wi] & lowBits(len(vs))
 		}
 	}
 }
 
-func rangeWord(vs *[64]float64, lo, hi float64) uint64 {
-	var w uint64
-	for i := 0; i < 64; i++ {
-		var ge, le uint64
-		if vs[i] >= lo {
-			ge = 1
-		}
-		if vs[i] <= hi {
-			le = 1
-		}
-		w |= (ge & le) << i
+func intervalWord(vs *[64]float64, lo, width uint64) uint64 {
+	var w0, w1, w2, w3 uint64
+	for i := 15; i >= 0; i-- {
+		w0 = w0<<1 | oneIf(orderKey(vs[i])-lo <= width)
+		w1 = w1<<1 | oneIf(orderKey(vs[i+16])-lo <= width)
+		w2 = w2<<1 | oneIf(orderKey(vs[i+32])-lo <= width)
+		w3 = w3<<1 | oneIf(orderKey(vs[i+48])-lo <= width)
 	}
-	return w
-}
-
-//redi:hotpath word-building scan kernel; one pass over the column per leaf
-func fillCmpMasked(dst bitmap.Bitmap, vals []float64, validity []uint64, op CompareOp, x float64) {
-	for wi := range dst {
-		if vs := vals[wi*64:]; len(vs) >= 64 {
-			dst[wi] = cmpWord((*[64]float64)(vs), op, x) & validity[wi]
-		} else {
-			var tail [64]float64
-			copy(tail[:], vs)
-			dst[wi] = cmpWord(&tail, op, x) & validity[wi] & lowBits(len(vs))
-		}
-	}
-}
-
-// cmpWord dispatches on the operator once per word and runs a specialized
-// branch-free loop; a per-row switch would dominate the scan.
-func cmpWord(vs *[64]float64, op CompareOp, x float64) uint64 {
-	var w uint64
-	switch op {
-	case CmpLT:
-		for i := 0; i < 64; i++ {
-			var c uint64
-			if vs[i] < x {
-				c = 1
-			}
-			w |= c << i
-		}
-	case CmpLE:
-		for i := 0; i < 64; i++ {
-			var c uint64
-			if vs[i] <= x {
-				c = 1
-			}
-			w |= c << i
-		}
-	case CmpGT:
-		for i := 0; i < 64; i++ {
-			var c uint64
-			if vs[i] > x {
-				c = 1
-			}
-			w |= c << i
-		}
-	case CmpGE:
-		for i := 0; i < 64; i++ {
-			var c uint64
-			if vs[i] >= x {
-				c = 1
-			}
-			w |= c << i
-		}
-	case CmpEQ:
-		for i := 0; i < 64; i++ {
-			var c uint64
-			if vs[i] == x {
-				c = 1
-			}
-			w |= c << i
-		}
-	default:
-		for i := 0; i < 64; i++ {
-			var c uint64
-			if vs[i] != x {
-				c = 1
-			}
-			w |= c << i
-		}
-	}
-	return w
+	return w0 | w1<<16 | w2<<32 | w3<<48
 }

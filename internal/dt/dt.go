@@ -89,6 +89,9 @@ type Strategy interface {
 type Need struct {
 	Count []int
 	Open  []int
+	// gen counts the kept tuples, so a strategy whose choice depends on
+	// the need alone can tell that its last choice still holds.
+	gen uint64
 }
 
 // newNeed copies counts into a Need. It holds the engine's one
@@ -117,6 +120,7 @@ func (n *Need) take(g int) bool {
 		return false
 	}
 	n.Count[g]--
+	n.gen++
 	if n.Count[g] == 0 {
 		i, _ := slices.BinarySearch(n.Open, g)
 		n.Open = slices.Delete(n.Open, i, i+1)

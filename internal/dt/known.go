@@ -2,14 +2,38 @@ package dt
 
 import "math"
 
+// lastChoice is a known-distribution strategy's last choice and the need
+// it was made for. The choice is a function of the need, the source
+// distributions and the costs, and only a kept tuple changes the need, so
+// the strategy reuses it while the need and its generation are unchanged.
+// Strategies serve one run at a time, so one entry suffices; the
+// distributions and costs must not change during a run.
+type lastChoice struct {
+	need   *Need
+	gen    uint64
+	source int
+}
+
+// get returns the last choice if it was made for need as it stands.
+func (l *lastChoice) get(need *Need) (int, bool) {
+	return l.source, l.need == need && l.gen == need.gen
+}
+
+// set records the choice made for need and returns it.
+func (l *lastChoice) set(need *Need, source int) int {
+	*l = lastChoice{need: need, gen: need.gen, source: source}
+	return source
+}
+
 // CouponColl is the known-distribution strategy for unit costs: at every
 // step it queries the source with the highest probability of producing a
 // tuple from *any* still-needed group, generalizing the coupon-collector
 // argument of the VLDB'21 paper. It ignores costs, which makes it optimal
-// only when all sources cost the same.
+// only when all sources cost the same. Probs must not change during a run.
 type CouponColl struct {
 	// Probs[i][g] is source i's probability of group g.
 	Probs [][]float64
+	last  lastChoice
 }
 
 // NewCouponColl builds the strategy from the sources' true distributions.
@@ -23,6 +47,9 @@ func (c *CouponColl) Observe(int, int) {}
 
 // Next implements Strategy.
 func (c *CouponColl) Next(need *Need, _ int) int {
+	if i, ok := c.last.get(need); ok {
+		return i
+	}
 	best, bestP := 0, -1.0
 	for i, p := range c.Probs {
 		hit := 0.0
@@ -33,7 +60,7 @@ func (c *CouponColl) Next(need *Need, _ int) int {
 			best, bestP = i, hit
 		}
 	}
-	return best
+	return c.last.set(need, best)
 }
 
 // RatioColl is the general known-distribution strategy of the VLDB'21
@@ -42,9 +69,11 @@ func (c *CouponColl) Next(need *Need, _ int) int {
 // queries the source with the lowest expected cost per tuple of that group,
 // C_i / P_i(g*). Tuples of other needed groups that arrive along the way
 // still count, which is what makes the policy efficient in practice.
+// Probs and Costs must not change during a run.
 type RatioColl struct {
 	Probs [][]float64
 	Costs []float64
+	last  lastChoice
 }
 
 // NewRatioColl builds the strategy from true distributions and costs.
@@ -60,6 +89,9 @@ func (c *RatioColl) Observe(int, int) {}
 
 // Next implements Strategy.
 func (c *RatioColl) Next(need *Need, _ int) int {
+	if i, ok := c.last.get(need); ok {
+		return i
+	}
 	// Hardest group: largest remaining expected cost under its best
 	// source.
 	gStar, worst := -1, -1.0
@@ -78,7 +110,7 @@ func (c *RatioColl) Next(need *Need, _ int) int {
 		}
 	}
 	if gStar < 0 {
-		return 0
+		return c.last.set(need, 0)
 	}
 	// Cheapest source per expected tuple of gStar.
 	best, bestC := 0, math.Inf(1)
@@ -90,7 +122,7 @@ func (c *RatioColl) Next(need *Need, _ int) int {
 			best, bestC = i, c
 		}
 	}
-	return best
+	return c.last.set(need, best)
 }
 
 // ExactDP computes the exact minimum expected cost of fulfilling need from

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -10,13 +11,25 @@ import (
 )
 
 // fuzzData is a fixed dataset for FuzzExprCompile: two grouping attributes
-// with nulls in both, and a race value holding ';' and '=' so that the
-// rendered group keys of ("x;sex=F", "M") and ("x", "F;sex=M") collide.
+// with nulls in both, a race value holding ';' and '=' so that the
+// rendered group keys of ("x;sex=F", "M") and ("x", "F;sex=M") collide,
+// and special float ages and incomes (NaN, both infinities and zeros, the
+// largest finite magnitudes and the smallest subnormals).
 func fuzzData() *dataset.Dataset {
 	d := dataset.New(testSchema())
 	r := rng.New(23)
 	races := []string{"white", "black", "x", "x;sex=F"}
 	sexes := []string{"F", "M", "F;sex=M"}
+	specials := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	}
+	num := func(x float64) dataset.Value {
+		if r.Intn(8) == 0 {
+			x = specials[r.Intn(len(specials))]
+		}
+		return dataset.Num(x)
+	}
 	for i := 0; i < 200; i++ {
 		race := dataset.Cat(races[r.Intn(len(races))])
 		sex := dataset.Cat(sexes[r.Intn(len(sexes))])
@@ -26,21 +39,23 @@ func fuzzData() *dataset.Dataset {
 		case 1:
 			sex = dataset.NullValue(dataset.Categorical)
 		}
-		age := dataset.Num(float64(18 + r.Intn(60)))
+		age := num(float64(18 + r.Intn(60)))
 		if r.Intn(10) == 0 {
 			age = dataset.NullValue(dataset.Numeric)
 		}
-		d.MustAppendRow(race, sex, age, dataset.Num(float64(r.Intn(100))))
+		d.MustAppendRow(race, sex, age, num(float64(r.Intn(100))))
 	}
 	return d
 }
 
 // FuzzExprCompile: every expression that parses and compiles selects the
 // same rows through the interpreter, the partition driver over 64-row
-// partitions and over the default one at one and two workers and, when it
-// pins both grouping attributes, the group plan over a frozen group view.
+// partitions and over the default one at one and two workers and, whenever
+// PlanGroup returns a plan over a frozen group view, through that plan.
 func FuzzExprCompile(f *testing.F) {
 	f.Add("race = 'x;sex=F' and sex = 'M' and age > 30")
+	f.Add("not (race in ('x', 'white')) or sex is null")
+	f.Add("age < -0 or income >= 0 or age between -0 and 0")
 	d := fuzzData()
 	view := d.GroupBy("race", "sex").Freeze()
 	f.Fuzz(func(t *testing.T, src string) {

@@ -8,7 +8,10 @@
 // for its speed, statistical quality, and cheap splitting.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator. It is not safe for
 // concurrent use; use Split to derive independent generators for concurrent
@@ -80,7 +83,7 @@ func (r *RNG) Uint64() uint64 {
 	hi, lo := r.hi, r.lo
 	// 128-bit multiply-add: (hi,lo) = (hi,lo)*mul + inc.
 	h := hi*mulLo + lo*mulHi
-	l0, carry := mul64(lo, mulLo)
+	l0, carry := bits.Mul64(lo, mulLo)
 	h += l0
 	lo = carry + incLo
 	if lo < carry {
@@ -93,21 +96,6 @@ func (r *RNG) Uint64() uint64 {
 	x := hi ^ lo
 	rot := uint(hi >> 58)
 	return x>>rot | x<<((64-rot)&63)
-}
-
-// mul64 returns the high and low 64-bit halves of a*b. The high half is
-// returned first to mirror math/bits.Mul64.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniformly distributed value in [0, 1).
@@ -129,11 +117,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
 	}
-	hi, lo := mul64(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi

@@ -93,12 +93,32 @@ func planPredicate(r *rng.RNG, ingests int) (string, bool) {
 	return pinned, true
 }
 
+// readsOnly reports whether every leaf of the compiled program, as
+// -explain shows it, reads one of attrs. A program folded to a constant
+// reads nothing.
+func readsOnly(pp *dataset.PartitionedPredicate, attrs ...string) bool {
+	for _, line := range strings.Split(strings.TrimSpace(pp.Program().Disassemble()), "\n") {
+		f := strings.Fields(line) // "03 in race [...]", "05 and"
+		switch f[1] {
+		case "and", "or", "not":
+		case "const":
+			return false
+		default:
+			if !slices.Contains(attrs, f[2]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestQueryGroupPlan is the group plan's differential gate. After each of
 // several ingests that insert groups, random pinned conjunctions and
-// shapes that must not take the plan are evaluated through the plan, the
-// partition driver and the interpreter over the same snapshot, at worker
-// budgets 1, 2 and 8: all must select the same rows, and every service,
-// one per budget, must serve them as count and select.
+// other shapes are evaluated through the plan, the partition driver and
+// the interpreter over the same snapshot, at worker budgets 1, 2 and 8:
+// all must select the same rows, and every service, one per budget, must
+// serve them as count and select. A shape takes the plan exactly when it
+// pins both sensitive attributes or every leaf of its program reads one.
 func TestQueryGroupPlan(t *testing.T) {
 	r := rng.New(5)
 	seed := planBatch(r, 0, 300)
@@ -107,7 +127,7 @@ func TestQueryGroupPlan(t *testing.T) {
 	for i, w := range budgets {
 		svcs[i] = newTestService(t, seed.Clone(), w)
 	}
-	planned, unplanned, hits := 0, 0, 0
+	planned, grouped, unplanned, hits := 0, 0, 0, 0
 	for ingest := 0; ingest <= 6; ingest++ {
 		if ingest > 0 {
 			body, err := json.Marshal(ingestRequest{CSV: csvOf(t, planBatch(r, ingest, 40+7*ingest))})
@@ -138,16 +158,20 @@ func TestQueryGroupPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			plan := pp.PlanGroup(groups)
-			if (plan != nil) != pins {
-				t.Fatalf("ingest %d: %s: planned %t, pins both attributes %t", ingest, src, plan != nil, pins)
+			sensitiveOnly := readsOnly(pp, "race", "sex")
+			if (plan != nil) != (pins || sensitiveOnly) {
+				t.Fatalf("ingest %d: %s: planned %t, pins both attributes %t, reads them only %t", ingest, src, plan != nil, pins, sensitiveOnly)
 			}
-			if plan != nil {
-				planned++
-				if len(want) > 0 {
-					hits++
-				}
-			} else {
+			switch {
+			case plan == nil:
 				unplanned++
+			case !pins:
+				grouped++
+			default:
+				planned++
+			}
+			if plan != nil && len(want) > 0 {
+				hits++
 			}
 			for _, w := range budgets {
 				if got := pp.SelectIndices(w, nil); !slices.Equal(got, want) || pp.Count(w, nil) != len(want) {
@@ -176,7 +200,8 @@ func TestQueryGroupPlan(t *testing.T) {
 			}
 		}
 	}
-	if planned < 100 || hits < 30 || unplanned < 50 {
-		t.Fatalf("%d planned predicates (%d matching rows) and %d unplanned: the draw misses a case", planned, hits, unplanned)
+	if planned < 100 || grouped < 50 || hits < 60 || unplanned < 30 {
+		t.Fatalf("%d pinned and %d sensitive-only predicates (%d matching rows) and %d unplanned: the draw misses a case", planned, grouped, hits, unplanned)
 	}
+	t.Logf("%d pinned, %d sensitive-only (%d matching rows), %d unplanned", planned, grouped, hits, unplanned)
 }

@@ -319,8 +319,10 @@ func (s *Service) handleTailor(w http.ResponseWriter, r *http.Request, sp *trace
 // Params: e (expression), mode=count|select (default count). The snapshot
 // and its frozen group view are captured once and read lock-free, so long
 // selects never block ingest. A predicate that pins every grouping
-// attribute runs over its group's rows only; any other scans every
-// partition. Both run at the store's per-request worker budget.
+// attribute runs over its group's rows only, one that reads grouping
+// attributes only is answered from the groups' code tuples and the rows
+// outside every group, and any other scans every partition. All run at
+// the store's per-request worker budget.
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request, sp *trace.Span) error {
 	src := r.URL.Query().Get("e")
 	if src == "" {

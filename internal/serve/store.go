@@ -10,9 +10,12 @@
 //     copy the two pointers under a read lock and then run lock-free —
 //     both are immutable — so they never block ingest and never see torn
 //     rows. A predicate that pins every grouping attribute reads only its
-//     group's rows through the view (dataset.GroupPlan). Freezing the view
-//     costs each ingest O(groups × attrs): it copies the code tuples and
-//     caps each group's row list, which Groups.Append advances in
+//     group's rows through the view, and one whose every leaf reads a
+//     grouping attribute is tested once per group against the view's code
+//     tuples and reads only the rows outside every group
+//     (dataset.GroupPlan). Freezing the view costs each ingest
+//     O(groups × attrs): it copies the code tuples and caps each group's
+//     row list and the outside rows, which Groups.Append advances in
 //     O(batch rows).
 //   - Index readers (/audit coverage walks and completeness checks,
 //     /discovery probes, /tailor's group index) read the resident mutable

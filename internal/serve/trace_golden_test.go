@@ -57,7 +57,9 @@ func TestStoreAuditTraceGolden(t *testing.T) {
 // TestQueryTraceGolden pins the span trees of /query requests. A count and
 // a select that pin both sensitive attributes visit only their group's
 // rows, and a count whose conjunction holds nothing but the pins visits
-// none; a count that pins one attribute scans every row.
+// none; a count that pins one attribute and reads another scans every row.
+// A count and a select that read the sensitive attributes only visit just
+// the rows outside every group, here none.
 func TestQueryTraceGolden(t *testing.T) {
 	svc, err := NewService(makeBatch(41, 300), Config{
 		StoreConfig: StoreConfig{Threshold: 4, Workers: 2},
@@ -72,6 +74,8 @@ func TestQueryTraceGolden(t *testing.T) {
 		"e=" + url.QueryEscape("sex = 'M' and race = 'white' and income > 50000"),
 		"e=" + url.QueryEscape("race = 'white' and sex = 'F' and age < 40") + "&mode=select",
 		"e=" + url.QueryEscape("race = 'black' and income > 50000"),
+		"e=" + url.QueryEscape("race = 'black'"),
+		"e=" + url.QueryEscape("race in ('asian', 'hispanic') and not (sex = 'M')") + "&mode=select",
 	} {
 		if code, resp := doReq(t, svc, "GET", "/query?"+q, ""); code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", q, code, resp)
